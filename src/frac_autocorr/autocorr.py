@@ -4,9 +4,11 @@ Two fully independent evaluation paths:
 
 * ``a_quadrature``: piecewise-exact integration.  For rational lambda = p/q
   the integrand's numerator is q-periodic; the head is summed in closed form
-  over M periods and the tail is mu/T + nu/T^2 where mu, nu are the exact
-  per-period means of the integrand and of its oscillation antiderivative,
-  with a rigorous remainder bound from the second antiderivative.
+  over M periods and the tail is mu/T + nu/T^2.  mu = 1/4 + 1/(12pq) is the
+  per-period mean of the integrand (closed form, Franel's integral); nu, the
+  mean of its oscillation antiderivative, and the antiderivative bounds are
+  float64 sums over one period, with a rigorous remainder bound from the
+  second antiderivative.
 * ``a_rational``: the closed form in Vasyunin sums.
 
 They share nothing beyond primitive arithmetic, which is the point: their
@@ -45,7 +47,6 @@ class QuadratureConfig:
     tol: float = 1e-10
     max_periods: int = 5_000_000
     tail_order: int = 2
-    exact_stats_limit: int = 4096  # pieces/period above which stats go float64
 
     def __post_init__(self):
         if self.tol < 1e-13:
@@ -55,6 +56,9 @@ class QuadratureConfig:
 
 
 _DEFAULT_QCFG = QuadratureConfig()
+_MAX_PIECES = 2**23  # pieces per period, p + q - 1 (2/3 +- 2^-20 has ~5.2M)
+_EXACT_LIMIT = 2**53  # float64 holds every lattice position j*pq + u up to here
+_HEAD_BLOCK = 1 << 16  # pieces per head-sum block, so its temporaries stay in cache
 
 
 @dataclass(frozen=True)
@@ -83,60 +87,39 @@ class LocalModel:
 # ----------------------------------------------------------------------
 
 
-def _period_stats_exact(p: int, q: int, u: np.ndarray):
-    """Exact (Fraction) per-period means and antiderivative bounds.
+def _piece_coeffs(p: int, q: int, u: np.ndarray):
+    """Per-piece arrays of one period, shared by every period.
 
-    Returns (mu, nu, sup_f, sup_g, maxgap) as floats; mu, nu are exact
-    rationals converted at the end.
+    For the piece starting at u_left (u = p*t) the integrand's numerator is
+    f0 + f1 tau + (p/q) tau^2 in local coordinates tau = t - u_left/p, with
+    f0 = {t}{(p/q)t} and f1 = {(p/q)t} + (p/q){t} at the left edge.  Since
+    (j*pq + u) % p = u % p, the arrays hold for every period j.  Returns
+    (u_left, du, f0, f1).
     """
-    lam = Fraction(p, q)
-    pieces = []
-    u_prev = 0
-    for ui in u.tolist():
-        du = ui - u_prev
-        fp0 = Fraction(u_prev % p, p)
-        fq0 = Fraction(u_prev % q, q)
-        dt = Fraction(du, p)
-        f1 = fq0 + lam * fp0
-        f0 = fp0 * fq0
-        pieces.append((dt, f0, f1))
-        u_prev = ui
-    ig = [lam * dt**3 / 3 + f1 * dt**2 / 2 + f0 * dt for dt, f0, f1 in pieces]
-    mu = sum(ig) / q
-    f_acc = Fraction(0)
-    max_f = Fraction(0)
-    ifs = []
-    for (dt, f0, f1), g_int in zip(pieces, ig):
-        ifs.append(f_acc * dt + lam * dt**4 / 12 + f1 * dt**3 / 6 + (f0 - mu) * dt**2 / 2)
-        f_acc += g_int - mu * dt
-        max_f = max(max_f, abs(f_acc))
-    nu = sum(ifs) / q
-    g_acc = Fraction(0)
-    max_g = Fraction(0)
-    for (dt, _, _), if_int in zip(pieces, ifs):
-        g_acc += if_int - nu * dt
-        max_g = max(max_g, abs(g_acc))
-    maxgap = max(dt for dt, _, _ in pieces)
-    sup_f = float(max_f + maxgap)
-    sup_g = float(max_g + maxgap * (max_f + abs(nu) + maxgap))
-    return float(mu), float(nu), sup_f, sup_g, float(maxgap)
+    u_left = np.concatenate([[0], u[:-1]])
+    fp0 = (u_left % p) / p
+    fq0 = (u_left % q) / q
+    return u_left, u - u_left, fp0 * fq0, fq0 + (p / q) * fp0
 
 
-def _period_stats_float(p: int, q: int, u: np.ndarray):
-    """float64 variant of the per-period statistics for large p + q."""
+def _period_stats(p: int, q: int, du: np.ndarray, f0: np.ndarray, f1: np.ndarray):
+    """Per-period means and antiderivative bounds for the quadrature tail.
+
+    mu is exact: by Franel's integral int_0^1 B1(ax) B1(bx) dx = 1/(12ab)
+    for coprime a, b, the mean of {t}{(p/q)t} over a period is
+    1/4 + 1/(12pq).  nu, sup_f and sup_g are float64 accumulations over the
+    pieces, with sup_f, sup_g inflated to cover their rounding.  Returns
+    (mu, nu, sup_f, sup_g).
+    """
     lam = p / q
-    u_prev = np.concatenate([[0], u[:-1]])
-    du = u - u_prev
+    mu = (3 * p * q + 1) / (12 * p * q)
     dt = du / p
-    fp0 = (u_prev % p) / p
-    fq0 = (u_prev % q) / q
-    f1 = fq0 + lam * fp0
-    f0 = fp0 * fq0
-    ig = lam * dt**3 / 3.0 + f1 * dt**2 / 2.0 + f0 * dt
-    mu = float(ig.sum() / q)
+    dt2 = dt * dt
+    dt3 = dt2 * dt
+    ig = lam * dt3 / 3.0 + f1 * dt2 / 2.0 + f0 * dt
     iosc = ig - mu * dt
     f_bp = np.concatenate([[0.0], np.cumsum(iosc)[:-1]])
-    ifs = f_bp * dt + lam * dt**4 / 12.0 + f1 * dt**3 / 6.0 + (f0 - mu) * dt**2 / 2.0
+    ifs = f_bp * dt + lam * dt2 * dt2 / 12.0 + f1 * dt3 / 6.0 + (f0 - mu) * dt2 / 2.0
     nu = float(ifs.sum() / q)
     g_bp = np.cumsum(ifs - nu * dt)
     maxgap = float(dt.max())
@@ -144,72 +127,78 @@ def _period_stats_float(p: int, q: int, u: np.ndarray):
     max_g = float(np.abs(g_bp).max())
     sup_f = 1.000001 * (max_f + maxgap) + 1e-12
     sup_g = 1.000001 * (max_g + maxgap * (max_f + abs(nu) + maxgap)) + 1e-12
-    return mu, nu, sup_f, sup_g, maxgap
+    return mu, nu, sup_f, sup_g
 
 
-def _kernel_v(x: np.ndarray) -> np.ndarray:
-    """log1p(x) - x/(1+x), series-stabilised for small x (value ~ x^2/2)."""
-    small = x < 0.01
-    xs = np.where(small, x, 0.0)
-    series = xs * xs * (
+def _kernel_series(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Power series of both kernels of ``_kernels``, for 0 <= x < 0.01."""
+    v = x * x * (
         1.0 / 2.0
-        - xs * (2.0 / 3.0 - xs * (3.0 / 4.0 - xs * (4.0 / 5.0 - xs * (5.0 / 6.0 - xs * 6.0 / 7.0))))
+        - x * (2.0 / 3.0 - x * (3.0 / 4.0 - x * (4.0 / 5.0 - x * (5.0 / 6.0 - x * 6.0 / 7.0))))
     )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = np.log1p(x) - x / (1.0 + x)
-    return np.where(small, series, direct)
-
-
-def _kernel_u(x: np.ndarray) -> np.ndarray:
-    """x(2+x)/(1+x) - 2 log1p(x), series-stabilised (value ~ x^3/3)."""
-    small = x < 0.01
-    xs = np.where(small, x, 0.0)
-    series = xs**3 * (
+    u = x**3 * (
         1.0 / 3.0
-        - xs * (2.0 / 4.0 - xs * (3.0 / 5.0 - xs * (4.0 / 6.0 - xs * 5.0 / 7.0)))
+        - x * (2.0 / 4.0 - x * (3.0 / 5.0 - x * (4.0 / 6.0 - x * 5.0 / 7.0)))
     )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = x * (2.0 + x) / (1.0 + x) - 2.0 * np.log1p(x)
-    return np.where(small, series, direct)
+    return v, u
 
 
-def _head_sum(p: int, q: int, u: np.ndarray, n_periods: int) -> tuple[float, float]:
+def _kernels(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log1p(x) - x/(1+x), x(2+x)/(1+x) - 2 log1p(x)), values ~ x^2/2, x^3/3.
+
+    Each element takes one branch: the power series where x < 0.01, the
+    log1p form elsewhere.
+    """
+    big = x >= 0.01
+    if not big.any():
+        return _kernel_series(x)
+    kv = np.empty_like(x)
+    ku = np.empty_like(x)
+    small = ~big
+    kv[small], ku[small] = _kernel_series(x[small])
+    xb = x[big]
+    lg = np.log1p(xb)
+    kv[big] = lg - xb / (1.0 + xb)
+    ku[big] = xb * (2.0 + xb) / (1.0 + xb) - 2.0 * lg
+    return kv, ku
+
+
+def _head_sum(
+    p: int, q: int, u_left: np.ndarray, du: np.ndarray, f0: np.ndarray, f1: np.ndarray,
+    n_periods: int,
+) -> tuple[float, float]:
     """Closed-form sum of integral {t}{(p/q)t}/t^2 over [0, n_periods*q].
 
     Each piece is integrated in local coordinates t = a + tau, where the
     integrand is (f2 tau^2 + f1 tau + f0)/(a+tau)^2 with f0, f1 of unit
-    size, so no large cancelling terms appear.  Returns a pair
-    (value, rounding_estimate).
+    size, so no large cancelling terms appear.  Pieces are summed in blocks
+    of about _HEAD_BLOCK: whole periods when a period is shorter, else
+    slices of one period.  A block broadcasts its left edges j*pq + u_left
+    (in u = p*t, exact in float64 while n_periods*pq <= 2^53) against the
+    period-invariant arrays.  Returns a pair (value, rounding_estimate).
     """
     lam = p / q
     pq = p * q
-    pieces_per = u.size
-    u_left = np.concatenate([[0], u[:-1]])
-    du = u - u_left
-    chunk = max(1, 4_000_000 // pieces_per)
+    duf = du.astype(np.float64)
+    u_leftf = u_left.astype(np.float64)
+    f0pdu = f0 * (p * duf)
+    rows = max(1, _HEAD_BLOCK // du.size)
     sums = []
     sq_acc = 0.0
-    for j0 in range(0, n_periods, chunk):
-        js = np.arange(j0, min(j0 + chunk, n_periods), dtype=np.int64) * pq
-        left = (js[:, None] + u_left[None, :]).ravel()
-        right = (js[:, None] + u[None, :]).ravel()
-        dus = np.tile(du, js.size).astype(np.float64)
-        fp0 = (left % p) / p
-        fq0 = (left % q) / q
-        f0 = fp0 * fq0
-        f1 = fq0 + lam * fp0
-        leftf = left.astype(np.float64)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = dus / leftf
-            terms = (
-                f0 * (p * dus) / (leftf * right.astype(np.float64))
-                + f1 * _kernel_v(x)
-                + lam * (leftf / p) * _kernel_u(x)
-            )
-        if j0 == 0:
-            terms[0] = lam * dus[0] / p  # piece at t = 0: integrand == lam
-        sums.append(float(terms.sum()))
-        sq_acc += float((terms * terms).sum())
+    for j0 in range(0, n_periods, rows):
+        js = np.arange(j0, min(j0 + rows, n_periods), dtype=np.float64) * pq
+        for c0 in range(0, du.size, _HEAD_BLOCK):
+            c = slice(c0, c0 + _HEAD_BLOCK)
+            leftf = js[:, None] + u_leftf[c]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                kv, ku = _kernels(duf[c] / leftf)
+                terms = (
+                    f0pdu[c] / (leftf * (leftf + duf[c])) + f1[c] * kv + lam * (leftf / p) * ku
+                )
+            if j0 == 0 and c0 == 0:
+                terms[0, 0] = lam * duf[0] / p  # piece at t = 0: integrand == lam
+            sums.append(float(terms.sum()))
+            sq_acc += float((terms * terms).sum())
     return math.fsum(sums), 4e-16 * math.sqrt(sq_acc) + 1e-16 * abs(math.fsum(sums))
 
 
@@ -219,6 +208,13 @@ def a_quadrature(lam, cfg: QuadratureConfig | None = None) -> CertifiedReal:
     Rational lambda (Fraction or int) takes the periodic closed-form path;
     float lambda takes the best-effort cutoff path with a wide certified
     tail bracket.
+
+    The rational path at p/q raises ToleranceError before allocating
+    anything when p + q - 1 pieces per period exceed 2^23 or when 2pq
+    exceeds 2^53 (float64 would no longer hold the lattice positions
+    j*pq + u exactly), with ``achieved`` = inf; and, with the attainable
+    radius in ``achieved``, when cfg.tol needs more periods than
+    cfg.max_periods or than keep n_periods*pq <= 2^53.
     """
     cfg = cfg or _DEFAULT_QCFG
     if isinstance(lam, (Fraction, int)):
@@ -235,29 +231,40 @@ def a_quadrature(lam, cfg: QuadratureConfig | None = None) -> CertifiedReal:
 
 def _a_quad_rational(lam: Fraction, cfg: QuadratureConfig) -> CertifiedReal:
     p, q = lam.numerator, lam.denominator
-    u = merged_breakpoints(p, q, 0, p * q)
-    if u.size <= cfg.exact_stats_limit:
-        mu, nu, sup_f, sup_g, _ = _period_stats_exact(p, q, u)
-    else:
-        mu, nu, sup_f, sup_g, _ = _period_stats_float(p, q, u)
+    # Size guards, before anything is allocated.  The head sum covers at
+    # least two periods, whose lattice reaches u = 2pq.
+    n_exact = _EXACT_LIMIT // (p * q)
+    if n_exact < 2:
+        raise ToleranceError(
+            f"a_quadrature({lam}): lattice positions up to 2*{p}*{q} exceed 2^53, "
+            "past exact float64",
+            achieved=math.inf,
+        )
+    if p + q - 1 > _MAX_PIECES:
+        raise ToleranceError(
+            f"a_quadrature({lam}): {p + q - 1} pieces per period (max {_MAX_PIECES})",
+            achieved=math.inf,
+        )
+    u_left, du, f0, f1 = _piece_coeffs(p, q, merged_breakpoints(p, q, 0, p * q))
+    mu, nu, sup_f, sup_g = _period_stats(p, q, du, f0, f1)
     if cfg.tail_order == 2:
         t_needed = (4.0 * sup_g / cfg.tol) ** (1.0 / 3.0)
     else:
         t_needed = (4.0 * sup_f / cfg.tol) ** 0.5
     n_periods = max(2, math.ceil(t_needed / q))
-    if n_periods > cfg.max_periods:
-        n_periods = cfg.max_periods
-        big_t = n_periods * q
+    n_max = min(cfg.max_periods, n_exact)
+    if n_periods > n_max:
+        big_t = n_max * q
         achieved = (
             2.0 * sup_g / big_t**3 if cfg.tail_order == 2 else 2.0 * sup_f / big_t**2
         )
         raise ToleranceError(
-            f"a_quadrature({lam}): tol {cfg.tol} needs {math.ceil(t_needed / q)} "
-            f"periods (max {cfg.max_periods})",
+            f"a_quadrature({lam}): tol {cfg.tol} needs {n_periods} periods "
+            f"(max {cfg.max_periods}; exact float64 lattice up to {n_exact})",
             achieved=achieved,
         )
     big_t = n_periods * q
-    head, round_err = _head_sum(p, q, u, n_periods)
+    head, round_err = _head_sum(p, q, u_left, du, f0, f1, n_periods)
     if cfg.tail_order == 2:
         tail = mu / big_t + nu / big_t**2
         tail_err = 2.0 * sup_g / big_t**3

@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 check-suite failure (with a JSON failure report on
 stdout), 2 usage error.  All floats print with 17 significant digits so the
 output round-trips binary64 exactly; runs are deterministic for a given
-argument vector regardless of FRAC_AUTOCORR_THREADS.
+argument vector.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -31,15 +30,6 @@ def _parse_fraction(text: str) -> Fraction:
 
 def _parse_complex(text: str) -> complex:
     return complex(text.replace(" ", ""))
-
-
-def max_threads() -> int:
-    """Parallelism cap from FRAC_AUTOCORR_THREADS (evaluation is currently
-    single-threaded vectorised code, so any cap >= 1 is honoured)."""
-    try:
-        return max(1, int(os.environ.get("FRAC_AUTOCORR_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _cmd_value(args) -> int:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleError
+from .errors import DomainError, PoleError
 from .specfun import EULER_GAMMA, LOG_2PI, PI, gamma_fn, hurwitz_zeta, riemann_zeta
 from .vasyunin import modular_inverse, vasyunin_cot
 
@@ -57,7 +57,7 @@ def estermann(s: complex | float, h: int, k: int) -> complex:
     if k < 1 or math.gcd(h, k) != 1:
         raise ValueError("estermann requires coprime h, k with k >= 1")
     if k > _MAX_K:
-        raise ValueError(f"estermann limited to k <= {_MAX_K}")
+        raise DomainError(f"estermann limited to k <= {_MAX_K}, got k = {k}")
     if k == 1:
         z = riemann_zeta(s)
         return z * z

@@ -15,10 +15,22 @@ import numpy as np
 
 
 def merged_breakpoints(p: int, q: int, u_lo: int, u_hi: int) -> np.ndarray:
-    """Sorted u-breakpoints (multiples of p or q) in (u_lo, u_hi]."""
+    """Sorted u-breakpoints (multiples of p or q) in (u_lo, u_hi].
+
+    Scatter merge, O(p + q) with no sort: a multiple m lands at index
+    #(p-multiples) + #(q-multiples) - #(lcm-multiples) in (u_lo, m], minus 1.
+    A common multiple is written twice, to the same index.
+    """
+    u_hi = max(u_hi, u_lo)
+    lcm = p // math.gcd(p, q) * q
     mp = np.arange(u_lo // p + 1, u_hi // p + 1, dtype=np.int64) * p
     mq = np.arange(u_lo // q + 1, u_hi // q + 1, dtype=np.int64) * q
-    return np.union1d(mp, mq)
+    out = np.empty(mp.size + mq.size - (u_hi // lcm - u_lo // lcm), dtype=np.int64)
+    for mine, other in ((mp, q), (mq, p)):
+        idx = mine // other - mine // lcm
+        idx += np.arange(u_lo // lcm - u_lo // other, u_lo // lcm - u_lo // other + mine.size)
+        out[idx] = mine
+    return out
 
 
 def piece_grid(theta: Fraction, lo: Fraction, hi: Fraction):

@@ -1,11 +1,15 @@
 import math
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from frac_autocorr.autocorr import (
     QuadratureConfig,
+    _period_stats,
+    _piece_coeffs,
     a_phi2_relation_residual,
     a_quadrature,
     a_rational,
@@ -17,6 +21,7 @@ from frac_autocorr.autocorr import (
     write_farey_svg,
 )
 from frac_autocorr.errors import DomainError, ToleranceError
+from frac_autocorr.piecewise import merged_breakpoints
 from frac_autocorr.phi import phi1_rational, phi2_tail_weighted, phi_n
 from frac_autocorr.specfun import EULER_GAMMA, LOG_2PI, PI
 
@@ -60,6 +65,26 @@ def test_a_quadrature_tolerance_error():
     with pytest.raises(ToleranceError) as e:
         a_quadrature(Fraction(1), QuadratureConfig(tol=1e-13, max_periods=3))
     assert e.value.achieved > 0
+
+
+@pytest.mark.parametrize(
+    "lam, match",
+    [
+        (Fraction(2**27 + 1, 2**27), "exceed 2\\^53"),  # 2pq = 2^55 + 2^28
+        (Fraction(2**24 + 1), "pieces per period"),  # 2^24 + 1 pieces, pq = 2^24 + 1
+    ],
+    ids=["float64-exactness", "pieces-per-period"],
+)
+def test_a_quadrature_size_guards_raise_before_allocating(lam, match):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ToleranceError, match=match) as e:
+            a_quadrature(lam)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert e.value.achieved == math.inf
+    assert peak < 1 << 20
 
 
 def test_a_quadrature_irrational_brackets():
@@ -212,10 +237,48 @@ def test_quadrature_config_validation():
         QuadratureConfig(tail_order=3)
 
 
-def test_quadrature_float_stats_path_consistent():
-    # force the float64 per-period statistics branch and compare
-    lam = Fraction(13, 7)
-    a = a_quadrature(lam, QuadratureConfig(tol=1e-10))
-    b = a_quadrature(lam, QuadratureConfig(tol=1e-10, exact_stats_limit=1))
-    assert abs(a.value - b.value) <= a.err + b.err
-    assert abs(b.value - a_rational(13, 7)) <= b.err + 1e-12
+def _period_stats_oracle(p: int, q: int):
+    """Exact (Fraction) per-period statistics of the rational quadrature tail:
+    (mu, nu, sup_f, sup_g) with the piecewise accumulations done in exact
+    arithmetic over the lattice of one period."""
+    lam = Fraction(p, q)
+    pieces = []
+    u_prev = 0
+    for ui in merged_breakpoints(p, q, 0, p * q).tolist():
+        fp0 = Fraction(u_prev % p, p)
+        fq0 = Fraction(u_prev % q, q)
+        pieces.append((Fraction(ui - u_prev, p), fp0 * fq0, fq0 + lam * fp0))
+        u_prev = ui
+    ig = [lam * dt**3 / 3 + f1 * dt**2 / 2 + f0 * dt for dt, f0, f1 in pieces]
+    mu = sum(ig) / q
+    f_acc = Fraction(0)
+    max_f = Fraction(0)
+    ifs = []
+    for (dt, f0, f1), g_int in zip(pieces, ig):
+        ifs.append(f_acc * dt + lam * dt**4 / 12 + f1 * dt**3 / 6 + (f0 - mu) * dt**2 / 2)
+        f_acc += g_int - mu * dt
+        max_f = max(max_f, abs(f_acc))
+    nu = sum(ifs) / q
+    g_acc = Fraction(0)
+    max_g = Fraction(0)
+    for (dt, _, _), if_int in zip(pieces, ifs):
+        g_acc += if_int - nu * dt
+        max_g = max(max_g, abs(g_acc))
+    maxgap = max(dt for dt, _, _ in pieces)
+    return mu, nu, max_f + maxgap, max_g + maxgap * (max_f + abs(nu) + maxgap)
+
+
+def test_period_stats_against_fraction_oracle():
+    eps = sys.float_info.epsilon
+    for q in range(1, 30):
+        for p in range(1, 60):
+            if math.gcd(p, q) != 1:
+                continue
+            mu, nu, sup_f, sup_g = _period_stats_oracle(p, q)
+            _, du, f0, f1 = _piece_coeffs(p, q, merged_breakpoints(p, q, 0, p * q))
+            got_mu, got_nu, got_f, got_g = _period_stats(p, q, du, f0, f1)
+            assert mu == Fraction(1, 4) + Fraction(1, 12 * p * q)
+            assert got_mu == float(mu)
+            # float64 accumulation over p + q - 1 pieces
+            assert abs(got_nu - float(nu)) <= 4 * eps * (p + q) * abs(float(nu))
+            assert got_f >= sup_f and got_g >= sup_g

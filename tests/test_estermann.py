@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from frac_autocorr.errors import PoleError
+from frac_autocorr.errors import DomainError, PoleError
 from frac_autocorr.estermann import (
     EstermannPoint,
     ecos,
@@ -66,8 +66,10 @@ def test_dirichlet_series_consistency():
 def test_pole_and_size_errors():
     with pytest.raises(PoleError):
         estermann(1.0, 1, 3)
-    with pytest.raises(ValueError):
-        estermann(2.0, 1, 1024)
+    assert math.isfinite(abs(estermann(2.0, 1, 512)))
+    for k in (513, 1024):
+        with pytest.raises(DomainError, match="k <= 512"):
+            estermann(2.0, 1, k)
 
 
 def test_esin_ecos_basic():

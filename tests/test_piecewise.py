@@ -1,0 +1,35 @@
+import math
+
+import numpy as np
+from hypothesis import assume, example, given, strategies as st
+
+from frac_autocorr.piecewise import merged_breakpoints
+
+
+def _union_oracle(p: int, q: int, u_lo: int, u_hi: int) -> np.ndarray:
+    """Multiples of p or q in (u_lo, u_hi], merged by sort (np.union1d)."""
+    mp = np.arange(u_lo // p + 1, u_hi // p + 1, dtype=np.int64) * p
+    mq = np.arange(u_lo // q + 1, u_hi // q + 1, dtype=np.int64) * q
+    return np.union1d(mp, mq)
+
+
+@given(
+    st.integers(1, 80),
+    st.integers(1, 80),
+    st.integers(-300, 20_000),
+    st.integers(-50, 20_000),
+)
+@example(7, 3, 10, 10)  # empty range
+@example(7, 3, 10, 4)  # u_hi < u_lo
+@example(7, 3, 0, 21)  # one whole period
+@example(7, 3, 0, 5 * 21)  # several periods
+@example(7, 3, 11, 3 * 21 + 4)  # starts and ends mid-period
+@example(1, 1, 0, 5)  # p = q = 1: every point is common
+@example(1, 9, 3, 40)  # q-multiples all common
+def test_merged_breakpoints_matches_union(p, q, u_lo, span):
+    assume(math.gcd(p, q) == 1)
+    u_hi = u_lo + span
+    got = merged_breakpoints(p, q, u_lo, u_hi)
+    want = _union_oracle(p, q, u_lo, u_hi)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)

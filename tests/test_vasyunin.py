@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from frac_autocorr.errors import NonCoprimeError, PoleError
+from frac_autocorr.errors import DomainError, NonCoprimeError, PoleError
 from frac_autocorr.specfun import EULER_GAMMA, PI
 from frac_autocorr.vasyunin import (
     centered_trig_sum,
@@ -116,6 +116,13 @@ def test_centered_trig_sum():
         pbar = modular_inverse(p, q)
         want = 0.25 - 0.5j * vasyunin_cot(pbar, q)
         assert abs(centered_trig_sum(p, q) - want) <= 1e-9 * q
+
+
+def test_direct_double_sums_stop_at_q_512():
+    for fn in (trig_kl_sum, centered_trig_sum):
+        assert math.isfinite(abs(fn(1, 512)))
+        with pytest.raises(DomainError, match="q <= 512"):
+            fn(1, 513)
 
 
 def test_geometric_derivative_lemma():
