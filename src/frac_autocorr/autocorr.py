@@ -57,7 +57,6 @@ class QuadratureConfig:
 
 _DEFAULT_QCFG = QuadratureConfig()
 _MAX_PIECES = 2**23  # pieces per period, p + q - 1 (2/3 +- 2^-20 has ~5.2M)
-_EXACT_LIMIT = 2**53  # float64 holds every lattice position j*pq + u up to here
 _HEAD_BLOCK = 1 << 16  # pieces per head-sum block, so its temporaries stay in cache
 
 
@@ -130,19 +129,6 @@ def _period_stats(p: int, q: int, du: np.ndarray, f0: np.ndarray, f1: np.ndarray
     return mu, nu, sup_f, sup_g
 
 
-def _kernel_series(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Power series of both kernels of ``_kernels``, for 0 <= x < 0.01."""
-    v = x * x * (
-        1.0 / 2.0
-        - x * (2.0 / 3.0 - x * (3.0 / 4.0 - x * (4.0 / 5.0 - x * (5.0 / 6.0 - x * 6.0 / 7.0))))
-    )
-    u = x**3 * (
-        1.0 / 3.0
-        - x * (2.0 / 4.0 - x * (3.0 / 5.0 - x * (4.0 / 6.0 - x * 5.0 / 7.0)))
-    )
-    return v, u
-
-
 def _kernels(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(log1p(x) - x/(1+x), x(2+x)/(1+x) - 2 log1p(x)), values ~ x^2/2, x^3/3.
 
@@ -150,12 +136,21 @@ def _kernels(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     log1p form elsewhere.
     """
     big = x >= 0.01
-    if not big.any():
-        return _kernel_series(x)
+    mixed = big.any()
+    xs = x[~big] if mixed else x
+    v = xs * xs * (
+        1.0 / 2.0
+        - xs * (2.0 / 3.0 - xs * (3.0 / 4.0 - xs * (4.0 / 5.0 - xs * (5.0 / 6.0 - xs * 6.0 / 7.0))))
+    )
+    u = xs**3 * (
+        1.0 / 3.0
+        - xs * (2.0 / 4.0 - xs * (3.0 / 5.0 - xs * (4.0 / 6.0 - xs * 5.0 / 7.0)))
+    )
+    if not mixed:
+        return v, u
     kv = np.empty_like(x)
     ku = np.empty_like(x)
-    small = ~big
-    kv[small], ku[small] = _kernel_series(x[small])
+    kv[~big], ku[~big] = v, u
     xb = x[big]
     lg = np.log1p(xb)
     kv[big] = lg - xb / (1.0 + xb)
@@ -209,12 +204,10 @@ def a_quadrature(lam, cfg: QuadratureConfig | None = None) -> CertifiedReal:
     float lambda takes the best-effort cutoff path with a wide certified
     tail bracket.
 
-    The rational path at p/q raises ToleranceError before allocating
-    anything when p + q - 1 pieces per period exceed 2^23 or when 2pq
-    exceeds 2^53 (float64 would no longer hold the lattice positions
-    j*pq + u exactly), with ``achieved`` = inf; and, with the attainable
-    radius in ``achieved``, when cfg.tol needs more periods than
-    cfg.max_periods or than keep n_periods*pq <= 2^53.
+    The rational path raises ToleranceError before allocating anything
+    (``achieved`` = inf) for p + q - 1 > 2^23 pieces per period or 2pq > 2^53,
+    and, with the attainable radius, when cfg.tol needs more periods n than
+    cfg.max_periods or than keep the lattice n*pq exact in float64 (<= 2^53).
     """
     cfg = cfg or _DEFAULT_QCFG
     if isinstance(lam, (Fraction, int)):
@@ -231,20 +224,14 @@ def a_quadrature(lam, cfg: QuadratureConfig | None = None) -> CertifiedReal:
 
 def _a_quad_rational(lam: Fraction, cfg: QuadratureConfig) -> CertifiedReal:
     p, q = lam.numerator, lam.denominator
-    # Size guards, before anything is allocated.  The head sum covers at
-    # least two periods, whose lattice reaches u = 2pq.
-    n_exact = _EXACT_LIMIT // (p * q)
+    # Size guards, before anything is allocated.  float64 holds the lattice
+    # positions j*pq + u of n periods exactly while n*pq <= 2^53; n >= 2.
+    n_exact = 2**53 // (p * q)
     if n_exact < 2:
-        raise ToleranceError(
-            f"a_quadrature({lam}): lattice positions up to 2*{p}*{q} exceed 2^53, "
-            "past exact float64",
-            achieved=math.inf,
-        )
+        raise ToleranceError(f"a_quadrature({lam}): lattice 2pq exceeds 2^53", achieved=math.inf)
     if p + q - 1 > _MAX_PIECES:
-        raise ToleranceError(
-            f"a_quadrature({lam}): {p + q - 1} pieces per period (max {_MAX_PIECES})",
-            achieved=math.inf,
-        )
+        msg = f"a_quadrature({lam}): {p + q - 1} pieces per period (max {_MAX_PIECES})"
+        raise ToleranceError(msg, achieved=math.inf)
     u_left, du, f0, f1 = _piece_coeffs(p, q, merged_breakpoints(p, q, 0, p * q))
     mu, nu, sup_f, sup_g = _period_stats(p, q, du, f0, f1)
     if cfg.tail_order == 2:

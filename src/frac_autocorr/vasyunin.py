@@ -120,16 +120,11 @@ def vasyunin_noncoprime(a: int, b: int, form: str = "b1") -> float:
     raise ValueError(f"unknown form {form!r}")
 
 
-_MAX_DIRECT_Q = 512  # the q x q double sums below
-
-
 def trig_kl_sum(p: int, q: int) -> complex:
     """sum_{1<=k,l<=q} k l e^{2 pi i k l p / q} by direct double sum (q <= 512)."""
     _require_coprime(p, q)
-    if q > _MAX_DIRECT_Q:
-        raise DomainError(
-            f"trig_kl_sum: direct double sum limited to q <= {_MAX_DIRECT_Q}, got q = {q}"
-        )
+    if q > 512:
+        raise DomainError(f"trig_kl_sum: direct double sum limited to q <= 512, got q = {q}")
     k = np.arange(1, q + 1, dtype=np.int64)
     kl = np.outer(k, k)
     idx = (kl * (p % q)) % q
@@ -140,10 +135,8 @@ def trig_kl_sum(p: int, q: int) -> complex:
 def centered_trig_sum(p: int, q: int) -> complex:
     """sum_{1<=k,l<=q} (1/2 - k/q)(1/2 - l/q) e^{2 pi i k l p / q}."""
     _require_coprime(p, q)
-    if q > _MAX_DIRECT_Q:
-        raise DomainError(
-            f"centered_trig_sum: direct double sum limited to q <= {_MAX_DIRECT_Q}, got q = {q}"
-        )
+    if q > 512:
+        raise DomainError(f"centered_trig_sum: direct double sum limited to q <= 512, got {q}")
     k = np.arange(1, q + 1, dtype=np.int64)
     w = 0.5 - k / q
     idx = (np.outer(k, k) * (p % q)) % q

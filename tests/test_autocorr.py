@@ -70,7 +70,7 @@ def test_a_quadrature_tolerance_error():
 @pytest.mark.parametrize(
     "lam, match",
     [
-        (Fraction(2**27 + 1, 2**27), "exceed 2\\^53"),  # 2pq = 2^55 + 2^28
+        (Fraction(2**27 + 1, 2**27), "2pq exceeds 2\\^53"),  # 2pq = 2^55 + 2^28
         (Fraction(2**24 + 1), "pieces per period"),  # 2^24 + 1 pieces, pq = 2^24 + 1
     ],
     ids=["float64-exactness", "pieces-per-period"],
