@@ -28,7 +28,7 @@ def merged_breakpoints(p: int, q: int, u_lo: int, u_hi: int) -> np.ndarray:
     out = np.empty(mp.size + mq.size - (u_hi // lcm - u_lo // lcm), dtype=np.int64)
     for mine, other in ((mp, q), (mq, p)):
         idx = mine // other - mine // lcm
-        idx += np.arange(u_lo // lcm - u_lo // other, u_lo // lcm - u_lo // other + mine.size)
+        idx += np.arange(mine.size) + (u_lo // lcm - u_lo // other)
         out[idx] = mine
     return out
 

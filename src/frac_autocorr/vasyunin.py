@@ -136,7 +136,7 @@ def centered_trig_sum(p: int, q: int) -> complex:
     """sum_{1<=k,l<=q} (1/2 - k/q)(1/2 - l/q) e^{2 pi i k l p / q}."""
     _require_coprime(p, q)
     if q > 512:
-        raise DomainError(f"centered_trig_sum: direct double sum limited to q <= 512, got {q}")
+        raise DomainError(f"centered_trig_sum: direct double sum limited to q <= 512, got q = {q}")
     k = np.arange(1, q + 1, dtype=np.int64)
     w = 0.5 - k / q
     idx = (np.outer(k, k) * (p % q)) % q
