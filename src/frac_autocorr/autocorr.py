@@ -30,9 +30,10 @@ from .phi import (
     delta as phi_delta,
     expansion_coeffs,
     phi1_rational,
+    phi2_grid_samples,
     phi2_tail_integral,
     phi2_tail_weighted,
-    phi2_unit_grid,
+    phi2_unit_grid,  # noqa: F401  (binding the perfbench tracer wraps)
     phi_n,
     phi_resum_rational,
 )
@@ -51,6 +52,8 @@ class QuadratureConfig:
     def __post_init__(self):
         if self.tol < 1e-13:
             raise ValueError("tol below 1e-13 is not supported")
+        if self.max_periods < 1:
+            raise ValueError("max_periods must be at least 1")
         if self.tail_order not in (1, 2):
             raise ValueError("tail_order must be 1 or 2")
 
@@ -365,18 +368,13 @@ def _delta_weighted_integral(pbar: int, q: int, v0: Fraction, n: int, big_x: int
     """
     x0 = Fraction(pbar % q if q > 1 else 0, q)
     c = phi_resum_rational(2, x0)
-    b = q * max(1, 16384 // q)
-    grid = phi2_unit_grid(b)
-    k_start = math.ceil(v0 * b)
-    ks = np.arange(k_start, big_x * b + 1, dtype=np.int64)
-    offset = (x0.numerator * (b // x0.denominator)) if x0 != 0 else 0
-    f = grid[((ks + offset) % b).astype(np.int64)] - c
-    t = ks / b
+    b, t, f = phi2_grid_samples(x0, q, v0, big_x, 16384)
+    f = f - c
     val = _linear_panels_power(t, f, float(n)).real
-    if Fraction(k_start, b) != v0:
+    if (v0 * b).denominator != 1:
         # partial first panel, with the exact resummed value at v0
         f_v0 = phi_resum_rational(2, x0 + v0) - c
-        tt = np.array([float(v0), k_start / b])
+        tt = np.array([float(v0), t[0]])
         ff = np.array([f_v0, f[0]])
         val += _linear_panels_power(tt, ff, float(n)).real
     tail_osc, _ = phi2_tail_integral(x0, big_x, float(n))

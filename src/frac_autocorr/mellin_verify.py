@@ -27,14 +27,17 @@ from .errors import DomainError
 from .estermann import g1
 from .phi import (
     _linear_panels_power,
+    phi2_grid_samples,
     phi2_tail_integral,
-    phi2_unit_grid,
+    phi2_unit_grid,  # noqa: F401  (binding the perfbench tracer wraps)
     phi_resum_rational,
 )
+from .rational_core import divisors
 from .specfun import EULER_GAMMA, LOG_2PI, PI, riemann_zeta
 from .vasyunin import vasyunin_cot
 
 _GRID_Q = 1 << 14
+_A_BLOCK = 1 << 17  # elements per V-row block of a_unit_grid, so its temporaries stay small
 _V_CUT = 32  # the [0, 1/V] end of the unit interval is handled analytically
 
 
@@ -96,24 +99,13 @@ def _mellin_fracpart(s: complex, scale: Fraction, tol: float) -> complex:
 # ----------------------------------------------------------------------
 
 
-def _divisors(n: int) -> list[int]:
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
-
-
 @functools.lru_cache(maxsize=2)
 def a_unit_grid(big_q: int = _GRID_Q) -> np.ndarray:
     """A(k/Q) for k = 0 .. Q via the closed form, batched per denominator."""
     from .vasyunin import _cot_table
 
     out = np.zeros(big_q + 1, dtype=np.float64)
-    for g in _divisors(big_q):
+    for g in divisors(big_q):
         qp = big_q // g  # reduced denominator of k = g*j
         if qp == 1:
             out[big_q] = a_rational(1, 1)
@@ -124,7 +116,7 @@ def a_unit_grid(big_q: int = _GRID_Q) -> np.ndarray:
         half = js[js * 2 < qp]
         v1 = np.zeros(js.size, dtype=np.float64)
         vmap = {}
-        block = max(1, 4_000_000 // qp)
+        block = max(1, _A_BLOCK // qp)
         for start in range(0, half.size, block):
             rows = half[start : start + block]
             r = (rows[:, None] * k[None, :]) % qp
@@ -203,14 +195,10 @@ def _mellin_delta(s: complex, p: int, q: int) -> complex:
     smooth remainder Delta - model is handled on the grid there; this kills
     the trapezoid bias of the t log t curvature against the singular kernel.
     """
-    b = q * max(1, _GRID_Q // q)
-    grid = phi2_unit_grid(b)
     x0 = Fraction(p % q, q)
     c = phi_resum_rational(2, x0)
-    offset = x0.numerator * (b // q) if x0 != 0 else 0
-    ks = np.arange(0, b + 1, dtype=np.int64)
-    d = grid[((ks + offset) % b).astype(np.int64)] - c
-    t = ks / b
+    b, t, f = phi2_grid_samples(x0, q, Fraction(0), 1, _GRID_Q)
+    d = f - c
     cp = (
         PI * vasyunin_cot(p % q, q)
         + 2.0 * math.log(q)

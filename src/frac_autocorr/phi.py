@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import ToleranceError
 from .fracpart import _B_TABLES, bernoulli_fn, max_abs_bernoulli
+from .rational_core import divisors, unit_coordinates
 from .specfun import (
     EULER_GAMMA,
     LOG_2PI,
@@ -179,20 +180,59 @@ def expansion_coeffs(p: int, q: int) -> ExpansionCoefficients:
 
 @functools.lru_cache(maxsize=4)
 def phi2_unit_grid(b: int) -> np.ndarray:
-    """phi_2(i/b) for i = 0 .. b-1, exact resummation, using phi_2 symmetry."""
-    r = np.arange(1, b + 1, dtype=np.int64)
-    zvals = hurwitz_zeta_int_vec(2, r / b)
+    """phi_2(i/b) for i = 0 .. b-1 by exact resummation, in O(b log b).
+
+    Write i/b = a/q in lowest terms and group r = 1 .. q of the resummation
+    by m = q / gcd(r, q):
+
+        phi_2(a/q) = q^-2 sum_{m | q} C_m(a mod m),
+        C_m(x) = sum_{u in (Z/m)^*} B_2({ux/m}) zeta(2, u/m),  C_1 = zeta(2)/6.
+
+    Each C_m is a correlation on the unit group (Z/m)^*, computed with real
+    FFTs in discrete-log coordinates (``rational_core.unit_coordinates``),
+    the reindexing of Rader's prime-length DFT.  The Hurwitz values are the
+    one vector zeta(2, r/b), r = 1 .. b, read at r = u b/m.  Cost: the FFTs
+    over the m | b cover sum phi(m) = b points, O(b log b); the gather over
+    the q | b takes sum_q tau(q) phi(q) <= tau(b) b element operations.
+    Error: within 1e-15 absolute of the O(b^2) direct sum (kept as a test
+    oracle) and about 1e-16 from a 30-digit reference, at b up to 16384.
+    """
+    zvals = hurwitz_zeta_int_vec(2, np.arange(1, b + 1, dtype=np.int64) / b)
+    units, corr = {}, {}
+    for m in divisors(b):
+        u = unit_coordinates(m)
+        x = u / m
+        bvals = x * x - x + (1.0 / 6.0)
+        zu = zvals[u * (b // m) - 1]  # m = 1: u = 0 reads zeta(2, 1) at r = b
+        axes = tuple(range(u.ndim))
+        spec = np.fft.rfftn(bvals, axes=axes) * np.fft.rfftn(zu, axes=axes).conj()
+        c = np.zeros(m, dtype=np.float64)
+        c[u] = np.fft.irfftn(spec, s=u.shape, axes=axes)
+        units[m], corr[m] = u.ravel(), c
     out = np.empty(b, dtype=np.float64)
-    half = b // 2
-    block = max(1, 2_000_000 // b)
-    for start in range(0, half + 1, block):
-        rows = np.arange(start, min(start + block, half + 1), dtype=np.int64)
-        frac = ((rows[:, None] * r[None, :]) % b) / b
-        bv = frac * frac - frac + (1.0 / 6.0)
-        out[rows] = bv @ zvals / (b * b)
-    for i in range(1, (b + 1) // 2):
-        out[b - i] = out[i]  # phi_2(1 - x) = phi_2(x)
+    for q in units:
+        a = units[q]
+        acc = np.zeros(a.size, dtype=np.float64)
+        for m in divisors(q):
+            acc += corr[m][a % m]
+        out[a * (b // q)] = acc / (q * q)
     return out
+
+
+def phi2_grid_samples(
+    x0: Fraction, q: int, lo: Fraction, hi: int, target: int
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """(b, t, phi_2(x0 + t)) at t = k/b for k = ceil(lo b) .. hi b.
+
+    b = q max(1, target // q) points per unit, q a multiple of the
+    denominator of x0 (so x0 and every multiple of 1/q lie on the grid);
+    the values are read from the cached ``phi2_unit_grid(b)``.
+    """
+    b = q * max(1, target // q)
+    grid = phi2_unit_grid(b)
+    ks = np.arange(math.ceil(lo * b), hi * b + 1, dtype=np.int64)
+    offset = x0.numerator * (b // x0.denominator)
+    return b, ks / b, grid[(ks + offset) % b]
 
 
 def phi2_tail_integral(x0: Fraction, big_x: int, a: complex) -> tuple[complex, float]:
@@ -235,15 +275,8 @@ def phi2_tail_weighted(lam: Fraction, exponent: int = 3, big_x: int | None = Non
     if lam <= 0:
         raise ValueError("phi2_tail_weighted requires lam > 0")
     big_x = big_x or max(16, math.ceil(lam) + 4)
-    q = lam.denominator
-    b = q * max(1, 8192 // q)
-    grid = phi2_unit_grid(b)
     # panel edges k/b from lam to X (exact alignment: b is a multiple of q)
-    k0 = lam.numerator * (b // q)
-    k1 = big_x * b
-    ks = np.arange(k0, k1 + 1, dtype=np.int64)
-    t = ks / b
-    f = grid[(ks % b).astype(np.int64)]
+    _, t, f = phi2_grid_samples(Fraction(0), lam.denominator, lam, big_x, 8192)
     val_mid = _linear_panels_power(t, f, float(exponent)).real
     tail_val, tail_err = phi2_tail_integral(Fraction(0), big_x, float(exponent))
     # interpolation error: cusp field of phi_2, estimated via the half-grid

@@ -1,4 +1,5 @@
-"""Exact rational arithmetic, Farey sequences, exact floor/fractional part.
+"""Exact rational arithmetic, Farey sequences, exact floor/fractional part,
+divisors and the unit groups (Z/m)^*.
 
 Rationals are plain ``fractions.Fraction`` values: always reduced, positive
 denominator, arbitrary-precision integers, exact field operations.
@@ -10,6 +11,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -67,3 +70,96 @@ def farey_sequence(order: int, lo: Fraction | int = 0, hi: Fraction | int = 1) -
             if lo <= f <= hi:
                 out.append(f)
     return out
+
+
+# ----------------------------------------------------------------------
+# divisors and unit groups
+# ----------------------------------------------------------------------
+
+
+def divisors(n: int) -> list[int]:
+    """Positive divisors of n >= 1, ascending."""
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+def _prime_powers(n: int) -> list[tuple[int, int]]:
+    """(p, k) for each prime power p^k exactly dividing n >= 1, ascending p."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            k = 0
+            while n % p == 0:
+                n //= p
+                k += 1
+            out.append((p, k))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def _primitive_root(p: int, k: int) -> int:
+    """A generator of the cyclic group (Z/p^k)^*, p an odd prime.
+
+    The least primitive root g mod p generates mod every p^k unless
+    g^(p-1) = 1 mod p^2, and then g + p does.
+    """
+    factors = [f for f, _ in _prime_powers(p - 1)]
+    g = next(g for g in range(2, p) if all(pow(g, (p - 1) // f, p) != 1 for f in factors))
+    if k > 1 and pow(g, p - 1, p * p) == 1:
+        g += p
+    return g
+
+
+def unit_group(m: int) -> list[tuple[int, int]]:
+    """(g_j, n_j): generators mod m and orders of cyclic factors of (Z/m)^*.
+
+    The factors come from the prime powers p^k of m (CRT): (Z/p^k)^* is
+    cyclic for odd p; for 2^k it is trivial (k = 1), generated by -1 (k = 2)
+    or by -1 and 5 (k >= 3).  Each generator is lifted to be 1 modulo the
+    other prime powers, so u = prod_j g_j^(e_j) mod m, 0 <= e_j < n_j, meets
+    every unit exactly once.  Empty for m = 1, 2.
+    """
+    cyclic = []  # (generator mod p^k, order, p^k)
+    for p, k in _prime_powers(m):
+        pk = p**k
+        if p != 2:
+            cyclic.append((_primitive_root(p, k), pk // p * (p - 1), pk))
+            continue
+        if k >= 2:
+            cyclic.append((pk - 1, 2, pk))
+        if k >= 3:
+            cyclic.append((5, pk // 4, pk))
+    out = []
+    for g, n, pk in cyclic:
+        rest = m // pk
+        lift = g + pk * ((1 - g) * pow(pk, -1, rest) % rest)
+        out.append((lift % m, n))
+    return out
+
+
+def unit_coordinates(m: int) -> np.ndarray:
+    """The units of Z/m laid out by their discrete-log coordinates.
+
+    An int64 array U of shape (n_1, ..., n_t), the orders of unit_group(m),
+    with U[e] = prod_j g_j^(e_j) mod m.  Multiplying units adds their
+    coordinates: U[e] U[f] = U[(e + f) mod shape] (mod m), so a sum over
+    u -> u x on (Z/m)^* is a cyclic correlation over the array.  A trivial
+    group gives shape (1,) holding 1 mod m.
+    """
+    u = np.array(1 % m, dtype=np.int64)
+    for g, n in unit_group(m):
+        powers = [1]
+        for _ in range(n - 1):
+            powers.append(powers[-1] * g % m)
+        u = (u[..., None] * np.array(powers, dtype=np.int64)) % m
+    return u.reshape(u.shape or (1,))

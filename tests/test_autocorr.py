@@ -235,6 +235,13 @@ def test_quadrature_config_validation():
         QuadratureConfig(tol=1e-14)
     with pytest.raises(ValueError):
         QuadratureConfig(tail_order=3)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="max_periods"):
+            QuadratureConfig(max_periods=bad)
+    # the smallest allowed value reaches the period-count guard, not a division by zero
+    with pytest.raises(ToleranceError) as info:
+        a_quadrature(Fraction(1), QuadratureConfig(max_periods=1))
+    assert 0.0 < info.value.achieved < math.inf
 
 
 def _period_stats_oracle(p: int, q: int):

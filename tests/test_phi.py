@@ -23,7 +23,7 @@ from frac_autocorr.phi import (
     tau_sin_partial_sum,
     tau_sin_scan,
 )
-from frac_autocorr.specfun import EULER_GAMMA, LOG_2PI, PI
+from frac_autocorr.specfun import EULER_GAMMA, LOG_2PI, PI, hurwitz_zeta_int_vec
 from frac_autocorr.vasyunin import vasyunin_cot
 
 PI2 = PI * PI
@@ -144,6 +144,58 @@ def test_expansion_coeffs_values():
     assert c2.c_plus == pytest.approx(2.0 * math.log(2.0) + base, rel=1e-12)
     assert c2.quad_plus == 2.0 * (1 + 2 + 1) / 4.0
     assert c2.quad_minus == 2.0 * (1 + 2 - 1) / 4.0
+
+
+def _phi2_grid_matmul(b: int) -> np.ndarray:
+    """O(b^2) reference for phi2_unit_grid: the unreduced resummation
+    b^-2 sum_{r=1}^{b} B_2({ri/b}) zeta(2, r/b) as a blocked matmul over
+    i <= b/2, mirrored by phi_2(1 - x) = phi_2(x)."""
+    r = np.arange(1, b + 1, dtype=np.int64)
+    zvals = hurwitz_zeta_int_vec(2, r / b)
+    out = np.empty(b, dtype=np.float64)
+    half = b // 2
+    block = max(1, 2_000_000 // b)
+    for start in range(0, half + 1, block):
+        rows = np.arange(start, min(start + block, half + 1), dtype=np.int64)
+        frac = ((rows[:, None] * r[None, :]) % b) / b
+        bv = frac * frac - frac + (1.0 / 6.0)
+        out[rows] = bv @ zvals / (b * b)
+    for i in range(1, (b + 1) // 2):
+        out[b - i] = out[i]
+    return out
+
+
+# every b <= 129, then powers of 2, 3, 5, 7, primes (4093, 9973), smooth and
+# mixed composites up to the 16384-point grids the Mellin and Delta checks use
+_GRID_SIZES = list(range(1, 130)) + [
+    512, 1024, 2187, 2310, 2401, 3125, 4093, 4096, 4374, 6561, 8190, 8192,
+    9973, 12288, 16380, 16383, 16384,
+]
+
+
+def test_phi2_unit_grid_matches_matmul():
+    for b in _GRID_SIZES:
+        err = float(np.abs(phi2_unit_grid(b) - _phi2_grid_matmul(b)).max())
+        assert err <= 2e-15, (b, err)
+
+
+def test_phi2_unit_grid_against_mpmath(mp):
+    # phi_2(a/q) = pi^2/(36 q^2) + pi^2/(2 q^2) sum_{j=1}^{q-1} B_2({ja/q}) csc^2(pi j/q)
+    # for gcd(a, q) = 1: the Fourier series of k -> B_2({ka/q}) mod q summed
+    # against Re Li_2(e(t)) = pi^2 B_2({t}); no Hurwitz value is involved
+    def reference(i, b):
+        a, q = Fraction(i, b).numerator, Fraction(i, b).denominator
+        total = mp.mpf(0)
+        for j in range(1, q // 2 + 1):
+            x = mp.mpf(j * a % q) / q
+            term = (x * x - x + mp.mpf(1) / 6) / mp.sin(mp.pi * j / q) ** 2
+            total += term if 2 * j == q else 2 * term
+        return mp.pi**2 * (mp.mpf(1) / 36 + total / 2) / q**2
+
+    for b, points in ((16383, (1, 2, 5461, 8191, 12000)), (16384, (1, 4097, 6144, 8191, 16383))):
+        grid = phi2_unit_grid(b)
+        for i in points:
+            assert abs(grid[i] - float(reference(i, b))) <= 1e-15, (b, i)
 
 
 def test_phi2_grid_consistency():

@@ -3,9 +3,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from frac_autocorr.rational_core import farey_sequence, frac_rational, reduce
+from frac_autocorr.rational_core import (
+    divisors,
+    farey_sequence,
+    frac_rational,
+    reduce,
+    unit_coordinates,
+    unit_group,
+)
 
 
 def totient_sum(n: int) -> int:
@@ -74,3 +81,37 @@ def test_frac_rational_periodicity(x, n):
     assert frac_rational(x + n) == frac_rational(x)
     r = frac_rational(x)
     assert 0 <= r < 1 and (x - r).denominator == 1
+
+
+_COORDS = st.lists(st.integers(min_value=0, max_value=10**6), min_size=6, max_size=6)
+
+
+@given(st.integers(min_value=1, max_value=5000), _COORDS, _COORDS)
+@example(1, [0] * 6, [0] * 6).via("trivial group, the unit 0 = 1 mod 1")
+@example(8, [1] * 6, [3] * 6).via("(Z/8)^* = <-1> x <5>")
+@example(2 * 3**7, [5] * 6, [1457] * 6).via("2 times an odd prime power")
+def test_unit_coordinates_bijective_and_additive(m, xs, ys):
+    u = unit_coordinates(m)
+    units = [x for x in range(m) if math.gcd(x, m) == 1] if m > 1 else [0]
+    assert u.dtype == np.int64 and sorted(u.ravel().tolist()) == units
+    assert u.ndim <= 6
+    e = tuple(x % n for x, n in zip(xs, u.shape))
+    f = tuple(y % n for y, n in zip(ys, u.shape))
+    total = tuple((x + y) % n for x, y, n in zip(e, f, u.shape))
+    assert int(u[e]) * int(u[f]) % m == int(u[total])
+
+
+@given(st.integers(min_value=1, max_value=5000))
+def test_divisors_brute_force(n):
+    assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+
+
+def test_unit_group_lifts_primitive_root_past_p_squared():
+    # 5 is the least primitive root mod 40487 but 5^40486 = 1 mod 40487^2,
+    # so the generator mod 40487^2 must be 5 + 40487
+    p = 40487
+    assert pow(5, p - 1, p * p) == 1
+    [(g, n)] = unit_group(p * p)
+    assert (g, n) == (5 + p, p * (p - 1))
+    for f in (2, 31, 653, p):  # the primes dividing p (p - 1)
+        assert pow(g, n // f, p * p) != 1
