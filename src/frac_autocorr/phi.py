@@ -4,7 +4,9 @@ phi_n at a rational p/q is resummed exactly through Hurwitz zeta values,
 phi_n(p/q) = q^{-n} sum_{r=1}^{q} B_n(rp/q) zeta(n, r/q),
 which is the only route that reaches machine precision for n = 2 (direct
 truncation converges like 1/K and is kept as a cross-check).  The module
-also owns the uniform phi_2 grids and the integration-by-parts tails of
+also owns the uniform phi_2 grids, built in O(b log b) by FFT correlations
+over the unit groups (Z/m)^* with m | b and sampled through one helper
+(``phi2_grid_samples``), and the integration-by-parts tails of
 integral_X^inf phi_2(x0 + t) t^{-a} dt used by the autocorrelation and
 Mellin modules.
 """
@@ -210,12 +212,8 @@ def phi2_unit_grid(b: int) -> np.ndarray:
         c[u] = np.fft.irfftn(spec, s=u.shape, axes=axes)
         units[m], corr[m] = u.ravel(), c
     out = np.empty(b, dtype=np.float64)
-    for q in units:
-        a = units[q]
-        acc = np.zeros(a.size, dtype=np.float64)
-        for m in divisors(q):
-            acc += corr[m][a % m]
-        out[a * (b // q)] = acc / (q * q)
+    for q, a in units.items():
+        out[a * (b // q)] = sum(corr[m][a % m] for m in divisors(q)) / (q * q)
     return out
 
 
@@ -275,7 +273,7 @@ def phi2_tail_weighted(lam: Fraction, exponent: int = 3, big_x: int | None = Non
     if lam <= 0:
         raise ValueError("phi2_tail_weighted requires lam > 0")
     big_x = big_x or max(16, math.ceil(lam) + 4)
-    # panel edges k/b from lam to X (exact alignment: b is a multiple of q)
+    # panel edges k/b from lam to X (exact alignment: b is a multiple of lam's denominator)
     _, t, f = phi2_grid_samples(Fraction(0), lam.denominator, lam, big_x, 8192)
     val_mid = _linear_panels_power(t, f, float(exponent)).real
     tail_val, tail_err = phi2_tail_integral(Fraction(0), big_x, float(exponent))

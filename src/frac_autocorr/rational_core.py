@@ -79,15 +79,8 @@ def farey_sequence(order: int, lo: Fraction | int = 0, hi: Fraction | int = 1) -
 
 def divisors(n: int) -> list[int]:
     """Positive divisors of n >= 1, ascending."""
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def _prime_powers(n: int) -> list[tuple[int, int]]:
