@@ -65,10 +65,7 @@ def check_vasyunin(qmax: int = 200, tol: float = 1e-8, seed: int = 1) -> list[Ch
     out = []
     worst_psi = worst_b1 = 0.0
     for q in range(1, qmax + 1):
-        for p in range(1, q + 1):
-            if math.gcd(p, q) != 1:
-                continue
-            v = vasyunin.vasyunin_cot(p, q)
+        for p, v in vasyunin.v_row(q):
             worst_b1 = max(worst_b1, abs(v - vasyunin.vasyunin_b1cot(p, q)) / q)
             worst_psi = max(worst_psi, abs(v - vasyunin.vasyunin_psi(p, q)) / q)
     out.append(_result("vasyunin", "cot_vs_b1cot_per_q", worst_b1, 1e-10))
@@ -108,7 +105,7 @@ def check_estermann(qmax: int = 20, tol: float = 1e-8, seed: int = 1) -> list[Ch
             k = rng.randint(1, qmax)
             hs = [h for h in range(1, k + 1) if math.gcd(h, k) == 1]
             h = rng.choice(hs)
-            s = _strip_point(rng)
+            s = strip_point(rng)
             worst = max(worst, estermann.functional_equation_residual(which, s, h, k))
         out.append(_result("estermann", f"fe_residual_{which}", worst, tol))
     res = estermann.laurent_coefficient(lambda s: estermann.g1(s, 1, 3), -2.0 + 0.0j, -1)
@@ -116,11 +113,12 @@ def check_estermann(qmax: int = 20, tol: float = 1e-8, seed: int = 1) -> list[Ch
     return out
 
 
-def _strip_point(rng: random.Random) -> complex:
+def strip_point(rng: random.Random) -> complex:
+    """A random s, -2 <= Re s <= 3, |Im s| <= 3, with Re s more than 0.15 from every
+    integer unless |Im s| > 0.25, and s more than 0.2 from 0 and +-1."""
     while True:
         s = complex(rng.uniform(-2.0, 3.0), rng.uniform(-3.0, 3.0))
-        near_int = min(abs(s.real - round(s.real)), abs(s.real + 3 - round(s.real + 3)))
-        if near_int > 0.15 or abs(s.imag) > 0.25:
+        if abs(s.real - round(s.real)) > 0.15 or abs(s.imag) > 0.25:
             if min(abs(s), abs(s - 1.0), abs(s + 1.0)) > 0.2:
                 return s
 

@@ -125,7 +125,6 @@ def _cmd_dump(args) -> int:
         print(f"wrote vtable for q <= {args.qmax} to {args.out}")
         return 0
     if args.table == "fe-residuals":
-        import math
         import random
 
         rng = random.Random(args.seed)
@@ -133,13 +132,8 @@ def _cmd_dump(args) -> int:
         for which in ("E", "Esin", "Ecos", "G0", "G1"):
             for _ in range(args.count):
                 k = rng.randint(1, args.qmax)
-                hs = [h for h in range(1, k + 1) if math.gcd(h, k) == 1]
-                h = rng.choice(hs)
-                while True:
-                    s = complex(rng.uniform(-2.0, 3.0), rng.uniform(-3.0, 3.0))
-                    if min(abs(s.real - n) for n in range(-4, 5)) > 0.15 or abs(s.imag) > 0.25:
-                        if min(abs(s), abs(s - 1.0), abs(s + 1.0)) > 0.2:
-                            break
+                h = rng.choice([h for h in range(1, k + 1) if math.gcd(h, k) == 1])
+                s = checks.strip_point(rng)
                 rows.append((which, s, h, k, estermann.functional_equation_residual(which, s, h, k)))
         with open(args.out, "w", newline="\n") as fh:
             fh.write("which,s_re,s_im,h,k,residual\n")

@@ -34,10 +34,9 @@ from .phi import (
 )
 from .rational_core import divisors
 from .specfun import EULER_GAMMA, LOG_2PI, PI, riemann_zeta
-from .vasyunin import vasyunin_cot
+from .vasyunin import _v_rows, vasyunin_cot
 
 _GRID_Q = 1 << 14
-_A_BLOCK = 1 << 17  # elements per V-row block of a_unit_grid, so its temporaries stay small
 _V_CUT = 32  # the [0, 1/V] end of the unit interval is handled analytically
 
 
@@ -101,43 +100,40 @@ def _mellin_fracpart(s: complex, scale: Fraction, tol: float) -> complex:
 
 @functools.lru_cache(maxsize=2)
 def a_unit_grid(big_q: int = _GRID_Q) -> np.ndarray:
-    """A(k/Q) for k = 0 .. Q via the closed form, batched per denominator."""
-    from .vasyunin import _cot_table
+    """A(k/Q) for k = 0 .. Q via the closed form, batched per denominator.
 
+    k = g j with j/q' reduced, q' = Q/g.  V(j, q') takes one kernel call per
+    q' (the half j < q'/2; the rest by oddness in the numerator), and
+    V(q' mod j, j) one call per j over the pairs of every q' at once.
+    """
     out = np.zeros(big_q + 1, dtype=np.float64)
-    for g in divisors(big_q):
-        qp = big_q // g  # reduced denominator of k = g*j
-        if qp == 1:
-            out[big_q] = a_rational(1, 1)
-            continue
-        js = np.array([j for j in range(1, qp) if math.gcd(j, qp) == 1], dtype=np.int64)
-        ct = _cot_table(qp)
-        k = np.arange(1, qp, dtype=np.int64)
-        half = js[js * 2 < qp]
-        v1 = np.zeros(js.size, dtype=np.float64)
-        vmap = {}
-        block = max(1, _A_BLOCK // qp)
-        for start in range(0, half.size, block):
-            rows = half[start : start + block]
-            r = (rows[:, None] * k[None, :]) % qp
-            vals = (r / qp) @ ct
-            for j, v in zip(rows.tolist(), vals.tolist()):
-                vmap[j] = v
-        for idx, j in enumerate(js.tolist()):
-            if 2 * j < qp:
-                v1[idx] = vmap[j]
-            elif 2 * j == qp:
-                v1[idx] = 0.0  # q' = 2, j = 1: single vanishing term
-            else:
-                v1[idx] = -vmap[qp - j]  # oddness in the numerator
+    out[big_q] = a_rational(1, 1)
+    cells = []  # (g, q', numerators j coprime to q'), q' > 1
+    for g in divisors(big_q)[:-1]:
+        qp = big_q // g
+        js = np.arange(1, qp, dtype=np.int64)
+        cells.append((g, qp, js[np.gcd(js, qp) == 1]))
+    if not cells:
+        return out
+    den = np.concatenate([js for _, _, js in cells])
+    num = np.concatenate([qp % js for _, qp, js in cells])
+    v2 = np.zeros(den.size, dtype=np.float64)
+    order = np.argsort(den, kind="stable")
+    for idx in np.split(order, np.flatnonzero(np.diff(den[order])) + 1):
+        if den[idx[0]] > 1:  # V(0, 1) = 0
+            v2[idx] = _v_rows(int(den[idx[0]]), num[idx])
+    at = 0
+    for g, qp, js in cells:
+        # the j < q'/2 come first, the rest are q' - j; q' = 2 has V(1, 2) = 0
+        v_half = _v_rows(qp, js[: js.size // 2])
+        v1 = np.concatenate([v_half, np.zeros(js.size % 2), -v_half[::-1]])
         lam = js / qp
-        v2 = np.array([vasyunin_cot(qp % j, j) if j > 1 else 0.0 for j in js.tolist()])
-        a_vals = (
+        out[js * g] = (
             0.5 * (1.0 - lam) * np.log(lam)
             + 0.5 * (lam + 1.0) * (LOG_2PI - EULER_GAMMA)
-            - PI / (2.0 * qp) * (v1 + v2)
+            - PI / (2.0 * qp) * (v1 + v2[at : at + js.size])
         )
-        out[js * g] = a_vals
+        at += js.size
     return out
 
 
@@ -221,9 +217,10 @@ def _mellin_delta(s: complex, p: int, q: int) -> complex:
     model = (tw * np.log(tw) + cp * tw - 0.5 * q * tw * tw) / q
     total += _linear_panels_power(tw, d[1 : k_w + 1] - model, 1.0 - s)
     # [W, 1] on the grid, then whole periods with the shifted kernel
-    total += _linear_panels_power(t[k_w:], d[k_w:], 1.0 - s)
+    slope = np.diff(d) * b  # panels of width 1/b on every period
+    total += _linear_panels_power(t[k_w:], d[k_w:], 1.0 - s, slope[k_w:])
     for j in range(1, _DELTA_PERIODS):
-        total += _linear_panels_power(t + j, d, 1.0 - s)
+        total += _linear_panels_power(t + j, d, 1.0 - s, slope)
     # beyond the last period: mean part exactly, oscillation by parts
     big_j = _DELTA_PERIODS
     total += c * big_j**s / s

@@ -285,21 +285,21 @@ def phi2_tail_weighted(lam: Fraction, exponent: int = 3, big_x: int | None = Non
     return CertifiedReal(val_mid + tail_val.real, est + tail_err)
 
 
-def _linear_panels_power(t: np.ndarray, f: np.ndarray, a: complex) -> complex:
+def _linear_panels_power(
+    t: np.ndarray, f: np.ndarray, a: complex, slope: np.ndarray | None = None
+) -> complex:
     """integral of the piecewise-linear interpolant of f against t^{-a}.
 
-    Panels are consecutive (t[i], t[i+1]); exact antiderivative per panel.
+    Panels are consecutive (t[i], t[i+1]); exact antiderivative per panel,
+    from one power t^(1-a) over the grid and t^(2-a) = t t^(1-a).  A caller
+    integrating the same f on shifted grids passes the panel slopes once.
     """
-    t0, t1 = t[:-1], t[1:]
-    f0, f1 = f[:-1], f[1:]
-    c1 = (f1 - f0) / (t1 - t0)
-    c0 = f0 - c1 * t0
-    e1 = 1.0 - a
-    e2 = 2.0 - a
-    p0 = (t1**e1 - t0**e1) / e1
-    p1 = (t1**e2 - t0**e2) / e2
-    vals = c0 * p0 + c1 * p1
-    return complex(vals.sum())
+    c1 = np.diff(f) / np.diff(t) if slope is None else slope
+    c0 = f[:-1] - c1 * t[:-1]
+    w = t ** (1.0 - a)
+    p0 = np.diff(w) / (1.0 - a)
+    p1 = np.diff(t * w) / (2.0 - a)
+    return complex((c0 * p0 + c1 * p1).sum())
 
 
 def phi2_continuity_scan(dlt: float, grid: int = 4096) -> float:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 import numpy as np
 
@@ -38,37 +37,30 @@ def frac_rational(x: Fraction | int) -> Fraction:
     return x - math.floor(x)
 
 
-def _farey_unit(order: int) -> Iterator[tuple[int, int]]:
-    """Reduced fractions of denominator <= order in [0, 1], ascending.
-
-    Mediant stepping from (0/1, 1/order): O(1) memory per step.
-    """
-    a, b, c, d = 0, 1, 1, order
-    yield a, b
-    while c <= order:
-        k = (order + b) // d
-        a, b, c, d = c, d, k * c - a, k * d - b
-        yield a, b
-
-
 def farey_sequence(order: int, lo: Fraction | int = 0, hi: Fraction | int = 1) -> list[Fraction]:
     """All reduced fractions with denominator <= order in [lo, hi], ascending.
 
-    For lo = 0, hi = 1 consecutive terms a/b, c/d satisfy bc - ad = 1.
+    Consecutive terms a/b, c/d satisfy bc - ad = 1.  The walk starts at the
+    first term >= lo and its predecessor, found by comparing ceil(lo d)/d
+    over d <= order, then steps by mediants, O(1) integer work per term.
     """
     if order < 1:
         raise ValueError("farey_sequence requires order >= 1")
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi:
         raise ValueError("farey_sequence requires lo < hi")
+    a, b, c, d = -1, 0, 1, 0  # predecessor a/b < lo <= c/d, as +-infinity
+    for den in range(1, order + 1):
+        num = -(-lo.numerator * den // lo.denominator)  # the least num/den >= lo
+        if num * d < c * den:
+            c, d = num, den
+        if (num - 1) * b > a * den:
+            a, b = num - 1, den
     out: list[Fraction] = []
-    for base in range(math.floor(lo), math.floor(hi) + 1):
-        for p, q in _farey_unit(order):
-            if p == q and base + 1 <= math.floor(hi):
-                continue  # integer endpoint reappears as 0/1 of the next cell
-            f = Fraction(base * q + p, q)
-            if lo <= f <= hi:
-                out.append(f)
+    while c * hi.denominator <= hi.numerator * d:
+        out.append(Fraction(c, d))
+        k = (order + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
     return out
 
 

@@ -2,8 +2,13 @@
 
 Three independent evaluation routes are exposed (cotangent definition,
 half-range B_1 form, digamma form) so that they can be played against each
-other; a direct O(q) sum with a shared cotangent table per q is fast enough
-for all desk-scale sweeps.
+other.  Every value of the defining sum, one entry or a whole row, comes
+from one kernel, ``_v_rows``, over a cotangent table per q.  Error model:
+each term carries about two roundings and numpy's pairwise row sum adds
+O(log q eps sum |terms|) (Higham, SIAM J. Sci. Comput. 14, 1993); against
+a 30-digit reference the worst error for q <= 4096 is about 5e-16 q (the
+acceptance bound is 1e-8 q).  A row's sum does not depend on the rows
+beside it, so an entry and the same entry of a whole row are bit-identical.
 """
 
 from __future__ import annotations
@@ -43,6 +48,28 @@ def _cot_table(q: int) -> np.ndarray:
     return cot_pi_frac_table(q)
 
 
+_V_BLOCK = 1 << 17  # elements per block of _v_rows, so its temporaries stay small
+
+
+def _v_rows(q: int, ps: np.ndarray) -> np.ndarray:
+    """V(p, q) for each p of the int64 array ps, every p in [0, q) coprime to q >= 2.
+
+    Rows ((p k) mod q)/q cot(k pi/q), k < q, in blocks of at most _V_BLOCK
+    elements (a longer row block by block), reduced by numpy's pairwise row
+    sum; not by BLAS, whose rounding depends on the row count.
+    """
+    ct = _cot_table(q)
+    k = np.arange(1, q, dtype=np.int64)
+    width = min(q - 1, _V_BLOCK)
+    rows = _V_BLOCK // width
+    out = np.zeros(ps.size, dtype=np.float64)
+    for i in range(0, ps.size, rows):
+        p = ps[i : i + rows, None]
+        for j in range(0, q - 1, width):
+            out[i : i + rows] += ((p * k[j : j + width]) % q / q * ct[j : j + width]).sum(axis=-1)
+    return out
+
+
 @functools.lru_cache(maxsize=1024)
 def _psi_table(q: int) -> np.ndarray:
     """psi(k/q) for k = 1 .. q-1."""
@@ -54,9 +81,7 @@ def vasyunin_cot(p: int, q: int) -> float:
     _require_coprime(p, q)
     if q == 1:
         return 0.0
-    k = np.arange(1, q, dtype=np.int64)
-    r = (k * (p % q)) % q
-    return math.fsum((r / q) * _cot_table(q))
+    return float(_v_rows(q, np.array([p % q], dtype=np.int64))[0])
 
 
 def vasyunin_b1cot(p: int, q: int) -> float:
@@ -145,15 +170,9 @@ def centered_trig_sum(p: int, q: int) -> complex:
 
 
 def v_row(q: int) -> list[tuple[int, float]]:
-    """(p, V(p, q)) for all coprime 1 <= p <= q, reusing one cot table."""
+    """(p, V(p, q)) for all coprime 1 <= p <= q, in one kernel call."""
     if q == 1:
         return [(1, 0.0)]
-    out = []
-    ct = _cot_table(q)
-    k = np.arange(1, q, dtype=np.int64)
-    for p in range(1, q + 1):
-        if math.gcd(p, q) != 1:
-            continue
-        r = (k * p) % q
-        out.append((p, float(math.fsum((r / q) * ct))))
-    return out
+    ps = np.arange(1, q, dtype=np.int64)
+    ps = ps[np.gcd(ps, q) == 1]
+    return list(zip(ps.tolist(), _v_rows(q, ps).tolist()))

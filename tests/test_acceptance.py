@@ -15,6 +15,7 @@ import pytest
 from conftest import record_criterion
 from frac_autocorr import autocorr, estermann, fracpart, mellin_verify, vasyunin
 from frac_autocorr.autocorr import QuadratureConfig, a_quadrature, a_rational, local_model
+from frac_autocorr.checks import strip_point
 from frac_autocorr.rational_core import farey_sequence
 from frac_autocorr.specfun import EULER_GAMMA, LOG_2PI
 
@@ -112,14 +113,6 @@ def test_criterion_5_estermann_at_zero():
     assert ok
 
 
-def _strip_point(rng: random.Random) -> complex:
-    while True:
-        s = complex(rng.uniform(-2.0, 3.0), rng.uniform(-3.0, 3.0))
-        if min(abs(s.real - k) for k in range(-4, 5)) > 0.15 or abs(s.imag) > 0.25:
-            if min(abs(s), abs(s - 1.0), abs(s + 1.0)) > 0.2:
-                return s
-
-
 def test_criterion_6_functional_equation_residuals():
     rng = random.Random(42)
     worst_all = {}
@@ -129,7 +122,7 @@ def test_criterion_6_functional_equation_residuals():
             k = rng.randint(1, 20)
             hs = [h for h in range(1, k + 1) if math.gcd(h, k) == 1]
             h = rng.choice(hs)
-            s = _strip_point(rng)
+            s = strip_point(rng)
             worst = max(worst, estermann.functional_equation_residual(which, s, h, k))
         worst_all[which] = worst
     ok = all(v <= 1e-8 for v in worst_all.values())

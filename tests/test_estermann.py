@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from frac_autocorr.checks import strip_point
 from frac_autocorr.errors import DomainError, PoleError
 from frac_autocorr.estermann import (
     EstermannPoint,
@@ -21,14 +22,6 @@ from frac_autocorr.estermann import (
 )
 from frac_autocorr.specfun import EULER_GAMMA, LOG_2PI, PI, riemann_zeta
 from frac_autocorr.vasyunin import modular_inverse, vasyunin_cot
-
-
-def _random_strip_point(rng):
-    while True:
-        s = complex(rng.uniform(-2.0, 3.0), rng.uniform(-3.0, 3.0))
-        if min(abs(s.real - k) for k in range(-4, 5)) > 0.15 or abs(s.imag) > 0.25:
-            if min(abs(s), abs(s - 1.0), abs(s + 1.0)) > 0.2:
-                return s
 
 
 def test_estermann_point_validation():
@@ -183,7 +176,7 @@ def test_tilde_symmetry():
         hs = [h for h in range(1, k) if math.gcd(h, k) == 1]
         h = rng.choice(hs)
         hbar = modular_inverse(h, k)
-        s = _random_strip_point(rng)
+        s = strip_point(rng)
         a, b = esin_tilde(s, h, k), esin_tilde(1.0 - s, hbar, k)
         assert abs(a - b) / (1.0 + abs(a)) < 1e-8
         a, b = ecos_tilde(s, h, k), ecos_tilde(1.0 - s, hbar, k)

@@ -8,6 +8,7 @@ import pytest
 from frac_autocorr.errors import ToleranceError
 from frac_autocorr.phi import (
     PhiEvalConfig,
+    _linear_panels_power,
     delta,
     divisor_sieve,
     expansion_coeffs,
@@ -261,3 +262,22 @@ def test_phi_at_zero():
     assert phi_at_zero(2) == pytest.approx(PI2 / 36.0, rel=1e-12)
     assert phi_at_zero(3) == 0.0
     assert phi_at_zero(4) == pytest.approx(-(PI2 * PI2) / 2700.0, rel=1e-10)
+
+
+@pytest.mark.parametrize("shift, a", [(0, 3.0), (0, 1.3 - 0.4j), (5, 1.5 - 2.0j)])
+def test_linear_panels_power_against_mpmath(mp, shift, a):
+    # the piecewise-linear interpolant of f integrated against t^-a by mpmath
+    # quadrature panel by panel, with and without slopes from the caller; the
+    # panel differences cancel, so the error is measured against the integral
+    # of |f| t^-Re(a), not the (possibly much smaller) result
+    b = 32
+    t = shift + np.arange(1, 2 * b + 1) / b
+    f = np.random.default_rng(7).standard_normal(t.size)
+    ref = mp.mpf(0)
+    for i in range(t.size - 1):
+        t0, t1, f0, f1 = (mp.mpf(float(x)) for x in (t[i], t[i + 1], f[i], f[i + 1]))
+        ref += mp.quad(lambda x: (f0 + (f1 - f0) * (x - t0) / (t1 - t0)) * x ** (-mp.mpc(a)), [t0, t1])
+    ref = complex(ref)
+    scale = float(np.sum(np.abs(f) * t ** (-np.real(a)))) / b
+    assert abs(_linear_panels_power(t, f, a) - ref) <= 1e-11 * scale
+    assert abs(_linear_panels_power(t, f, a, np.diff(f) * b) - ref) <= 1e-11 * scale

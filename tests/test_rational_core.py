@@ -15,6 +15,27 @@ from frac_autocorr.rational_core import (
 )
 
 
+def _farey_full_walk(order: int, lo: Fraction, hi: Fraction) -> list[Fraction]:
+    """Test oracle: every term of F_order in each unit cell from floor(lo)
+    to floor(hi), kept when it lies in [lo, hi] (the shipped walk before it
+    started at lo)."""
+    out = []
+    for base in range(math.floor(lo), math.floor(hi) + 1):
+        a, b, c, d = 0, 1, 1, order
+        cell = [(a, b)]
+        while c <= order:
+            k = (order + b) // d
+            a, b, c, d = c, d, k * c - a, k * d - b
+            cell.append((a, b))
+        for p, q in cell:
+            if p == q and base + 1 <= math.floor(hi):
+                continue  # integer endpoint reappears as 0/1 of the next cell
+            f = Fraction(base * q + p, q)
+            if lo <= f <= hi:
+                out.append(f)
+    return out
+
+
 def totient_sum(n: int) -> int:
     """Brute-force oracle: number of reduced fractions p/q, q <= n, in (0, 1]."""
     phi = np.arange(n + 1, dtype=np.int64)
@@ -58,6 +79,24 @@ def test_farey_subrange_and_wide_range():
     assert Fraction(4, 3) in fs and Fraction(5, 4) not in fs
     wide = farey_sequence(2, 0, 3)
     assert wide == [Fraction(k, 2) for k in range(0, 7)]
+
+
+@given(
+    st.integers(1, 60),
+    st.fractions(min_value=-3, max_value=3, max_denominator=100),
+    st.fractions(min_value=Fraction(1, 100), max_value=3, max_denominator=100),
+)
+@example(2, Fraction(0), Fraction(3))  # several unit cells
+@example(7, Fraction(1, 3), Fraction(3, 2))  # lo in F_7
+@example(7, Fraction(2, 17), Fraction(5, 11))  # lo outside F_7
+@example(1, Fraction(-2), Fraction(1))  # integer endpoints, order 1
+@example(5, Fraction(1), Fraction(2))  # one whole cell
+@example(1, Fraction(1, 2), Fraction(1, 6))  # no term in [1/2, 2/3]
+@example(60, Fraction(-1, 100), Fraction(1, 50))  # straddles 0
+def test_farey_walk_matches_full_walk(order, lo, width):
+    got = farey_sequence(order, lo, lo + width)
+    assert got == _farey_full_walk(order, lo, lo + width)
+    assert all(type(f) is Fraction for f in got)
 
 
 @pytest.mark.parametrize("order", [50, 120, 300])

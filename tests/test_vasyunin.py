@@ -1,10 +1,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from frac_autocorr import vasyunin
 from frac_autocorr.errors import DomainError, NonCoprimeError, PoleError
-from frac_autocorr.specfun import EULER_GAMMA, PI
+from frac_autocorr.specfun import EULER_GAMMA, PI, cot_pi_frac_table
 from frac_autocorr.vasyunin import (
     centered_trig_sum,
     modular_inverse,
@@ -17,6 +20,22 @@ from frac_autocorr.vasyunin import (
 )
 
 SQRT3 = math.sqrt(3.0)
+
+
+def _v_cot_fsum(p: int, q: int) -> float:
+    """Test oracle: the defining sum over the full range, correctly rounded
+    by math.fsum (the shipped route before the pairwise-summed kernel)."""
+    if q == 1:
+        return 0.0
+    k = np.arange(1, q, dtype=np.int64)
+    r = (k * (p % q)) % q
+    return math.fsum((r / q) * cot_pi_frac_table(q))
+
+
+def _coprime_at_or_above(p: int, q: int) -> int:
+    while math.gcd(p, q) != 1:
+        p += 1
+    return p
 
 
 def test_defining_sum_hand_values():
@@ -146,3 +165,41 @@ def test_modular_inverse():
     assert modular_inverse(5, 1) == 1
     with pytest.raises(NonCoprimeError):
         modular_inverse(6, 9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4096), st.integers(0, 4095))
+@example(1, 0)
+@example(4096, 4095)
+@example(4093, 1)
+@example(3001, 1500)
+def test_v_against_mpmath_and_fsum_oracle(mp, q, p):
+    # 30-digit reference of the defining sum: nothing shared with the engine
+    # but the integers r = kp mod q
+    p = _coprime_at_or_above(p % q, q)
+    ref = mp.fsum(mp.mpf((k * p) % q) / q * mp.cot(mp.pi * k / q) for k in range(1, q))
+    v = vasyunin_cot(p, q)
+    assert abs(v - float(ref)) <= 2e-15 * q
+    assert abs(v - _v_cot_fsum(p, q)) <= 2e-15 * q
+
+
+@pytest.mark.parametrize("q", [97, 1000, 1023, 4093, 4096])
+def test_scattered_value_is_bit_identical_to_row_entry(q):
+    # v_row's blocks hold many rows, vasyunin_cot's one: the pairwise row
+    # sum must not depend on that
+    row = dict(v_row(q))
+    assert list(row) == [p for p in range(1, q) if math.gcd(p, q) == 1]
+    for p, v in row.items():
+        assert vasyunin_cot(p, q) == v
+        assert vasyunin_cot(p + 3 * q, q) == v
+
+
+@pytest.mark.parametrize("block, q", [(50, 97), (64, 1000), (1000, 4093)])
+def test_rows_longer_than_a_block(monkeypatch, block, q):
+    # small blocks force the path taken by rows longer than 2^17 elements
+    monkeypatch.setattr(vasyunin, "_V_BLOCK", block)
+    row = v_row(q)
+    for p, v in row:
+        assert vasyunin_cot(p, q) == v
+    for p, v in row[::7]:
+        assert abs(v - _v_cot_fsum(p, q)) <= 2e-15 * q
