@@ -40,7 +40,7 @@ from .phi import (
 from .piecewise import merged_breakpoints
 from .rational_core import FareyScanRecord, farey_sequence
 from .specfun import EULER_GAMMA, LOG_2PI, PI, CertifiedReal
-from .vasyunin import modular_inverse, vasyunin_cot
+from .vasyunin import _v_pairs, modular_inverse, vasyunin_cot
 
 
 @dataclass(frozen=True)
@@ -308,11 +308,16 @@ def a_rational(p: int, q: int) -> float:
         raise DomainError("a_rational requires coprime p >= 0, q >= 1")
     if p == 0:
         return 0.0
+    return _a_closed(p, q, vasyunin_cot(p, q) + vasyunin_cot(q, p))
+
+
+def _a_closed(p: int, q: int, v: float) -> float:
+    """A(p/q) for coprime p, q >= 1 from v = V(p, q) + V(q, p)."""
     lam = p / q
     return (
         0.5 * (1.0 - lam) * math.log(lam)
         + 0.5 * (lam + 1.0) * (LOG_2PI - EULER_GAMMA)
-        - PI / (2 * q) * (vasyunin_cot(p, q) + vasyunin_cot(q, p))
+        - PI / (2 * q) * v
     )
 
 
@@ -417,15 +422,22 @@ def delta_functional_equation_residual(
 
 
 def farey_scan(order: int, lo: Fraction | int = 0, hi: Fraction | int = 1) -> list[FareyScanRecord]:
-    """A(p/q) over the Farey fractions of the given order in [lo, hi]."""
+    """A(p/q) over the Farey fractions of the given order in [lo, hi].
+
+    V(p mod q, q) and V(q mod p, p) for all records come from one kernel
+    call per denominator; an entry equals its single-value call bit for bit,
+    so every record equals a_rational(p, q).
+    """
     if Fraction(lo) < 0:
         raise DomainError("farey_scan requires lo >= 0")
-    records = []
-    for f in farey_sequence(order, lo, hi):
-        p, q = f.numerator, f.denominator
-        value = 0.0 if p == 0 else a_rational(p, q)
-        records.append(FareyScanRecord(p=p, q=q, lam=p / q, a_value=value))
-    return records
+    pairs = [(f.numerator, f.denominator) for f in farey_sequence(order, lo, hi)]
+    p, q = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    pos = np.maximum(p, 1)  # the record 0/1 has A = 0 and needs no V
+    v = (_v_pairs(p % q, q) + _v_pairs(q % pos, pos)).tolist()
+    return [
+        FareyScanRecord(p=a, q=b, lam=a / b, a_value=_a_closed(a, b, vab) if a else 0.0)
+        for (a, b), vab in zip(pairs, v)
+    ]
 
 
 def write_farey_csv(records: list[FareyScanRecord], path: str) -> None:

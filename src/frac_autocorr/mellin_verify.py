@@ -34,7 +34,7 @@ from .phi import (
 )
 from .rational_core import divisors
 from .specfun import EULER_GAMMA, LOG_2PI, PI, riemann_zeta
-from .vasyunin import _v_rows, vasyunin_cot
+from .vasyunin import _v_pairs, _v_rows, vasyunin_cot
 
 _GRID_Q = 1 << 14
 _V_CUT = 32  # the [0, 1/V] end of the unit interval is handled analytically
@@ -116,12 +116,7 @@ def a_unit_grid(big_q: int = _GRID_Q) -> np.ndarray:
     if not cells:
         return out
     den = np.concatenate([js for _, _, js in cells])
-    num = np.concatenate([qp % js for _, qp, js in cells])
-    v2 = np.zeros(den.size, dtype=np.float64)
-    order = np.argsort(den, kind="stable")
-    for idx in np.split(order, np.flatnonzero(np.diff(den[order])) + 1):
-        if den[idx[0]] > 1:  # V(0, 1) = 0
-            v2[idx] = _v_rows(int(den[idx[0]]), num[idx])
+    v2 = _v_pairs(np.concatenate([qp % js for _, qp, js in cells]), den)
     at = 0
     for g, qp, js in cells:
         # the j < q'/2 come first, the rest are q' - j; q' = 2 has V(1, 2) = 0
@@ -217,10 +212,9 @@ def _mellin_delta(s: complex, p: int, q: int) -> complex:
     model = (tw * np.log(tw) + cp * tw - 0.5 * q * tw * tw) / q
     total += _linear_panels_power(tw, d[1 : k_w + 1] - model, 1.0 - s)
     # [W, 1] on the grid, then whole periods with the shifted kernel
-    slope = np.diff(d) * b  # panels of width 1/b on every period
-    total += _linear_panels_power(t[k_w:], d[k_w:], 1.0 - s, slope[k_w:])
+    total += _linear_panels_power(t[k_w:], d[k_w:], 1.0 - s)
     for j in range(1, _DELTA_PERIODS):
-        total += _linear_panels_power(t + j, d, 1.0 - s, slope)
+        total += _linear_panels_power(t + j, d, 1.0 - s)
     # beyond the last period: mean part exactly, oscillation by parts
     big_j = _DELTA_PERIODS
     total += c * big_j**s / s

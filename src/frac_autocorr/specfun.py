@@ -3,8 +3,9 @@
 Everything here is scalar binary64 (complex128) with conventional error
 targets: digamma and log-gamma aim at <= 1e-13 relative error away from
 poles, the Euler-Maclaurin Hurwitz zeta at <= 1e-12 relative error for
-moderate |Im s|.  Vectorised real variants for integer first argument are
-provided for the grid computations of the phi modules.
+moderate |Im s|.  The Hurwitz zeta also takes an array of a (one row per
+call); vectorised real variants for integer first argument are provided
+for the grid computations of the phi modules.
 """
 
 from __future__ import annotations
@@ -189,36 +190,41 @@ def trigamma_vec(a: np.ndarray) -> np.ndarray:
 _EM_ORDER = 12  # Bernoulli correction order (B_2 .. B_24)
 
 
-def hurwitz_zeta(s: complex | float, a: float) -> complex:
-    """zeta(s, a) for complex s != 1 and real a in (0, 1].
+def hurwitz_zeta(s: complex | float, a):
+    """zeta(s, a) for complex s != 1 and real a in (0, 1], a float or an ndarray.
 
     Euler-Maclaurin with an upward shift of a until the order-12 Bernoulli
-    tail is negligible; valid on the whole s-plane minus the pole at 1.
+    tail is negligible; valid on the whole s-plane minus the pole at 1.  The
+    shift depends on s only, so an array of a (a whole row zeta(s, j/k)) is
+    one vectorised pass; a float gives a complex, an array a complex array.
+    Every entry is checked before any work is done.
     """
     s = complex(s)
     if s == 1:
         raise PoleError("hurwitz_zeta pole at s=1", location=1.0 + 0.0j)
-    if not 0.0 < a <= 1.0 + 1e-15:
-        raise DomainError(f"hurwitz_zeta requires a in (0,1], got {a}")
+    x = np.asarray(a, dtype=np.float64)
+    ok = (x > 0.0) & (x <= 1.0 + 1e-15)
+    if not ok.all():
+        raise DomainError(f"hurwitz_zeta requires a in (0,1], got {x[~ok].flat[0]}")
     n_shift = max(10, int(0.6 * abs(s)) + 8, int(4 - s.real))
-    head = 0.0 + 0.0j
-    for n in range(n_shift):
-        head += (a + n) ** (-s)
-    w = a + n_shift
-    lw = math.log(w)
-    tail = cmath.exp((1.0 - s) * lw) / (s - 1.0) + 0.5 * cmath.exp(-s * lw)
-    # Bernoulli corrections: B_{2j}/(2j)! * (s)_{2j-1} * w^{-s-2j+1}
-    poch = s
-    wpow = cmath.exp((-s - 1.0) * lw)
-    fact = 2.0
-    corr = 0.0 + 0.0j
-    w2 = w * w
+    head = np.exp(-s * np.log(x[..., None] + np.arange(n_shift))).sum(axis=-1)
+    w = x + n_shift
+    ws = np.exp(-s * np.log(w))  # w^{-s}
+    tail = w * ws / (s - 1.0) + 0.5 * ws
+    # Bernoulli corrections B_{2j}/(2j)! (s)_{2j-1} w^{-s-2j+1}, summed by
+    # Horner in w^-2 from the smallest term
+    coef = []
+    poch, fact = s, 2.0
     for j, b in enumerate(_BERNOULLI_2N[:_EM_ORDER], start=1):
-        corr += b / fact * poch * wpow
+        coef.append(b / fact * poch)
         poch *= (s + 2 * j - 1) * (s + 2 * j)
-        wpow /= w2
         fact *= (2 * j + 1) * (2 * j + 2)
-    return head + tail + corr
+    w2 = 1.0 / (w * w)
+    corr = coef[-1]
+    for c in reversed(coef[:-1]):
+        corr = corr * w2 + c
+    out = head + tail + corr * ws / w
+    return complex(out) if out.ndim == 0 else out
 
 
 def riemann_zeta(s: complex | float) -> complex:

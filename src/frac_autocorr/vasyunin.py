@@ -70,6 +70,17 @@ def _v_rows(q: int, ps: np.ndarray) -> np.ndarray:
     return out
 
 
+def _v_pairs(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """V(num[i], den[i]) for int64 arrays, each num in [0, den) coprime to den
+    (V(0, 1) = 0), by one _v_rows call per distinct denominator."""
+    out = np.zeros(den.size, dtype=np.float64)
+    order = np.argsort(den, kind="stable")
+    for idx in np.split(order, np.flatnonzero(np.diff(den[order])) + 1):
+        if idx.size and den[idx[0]] > 1:
+            out[idx] = _v_rows(int(den[idx[0]]), num[idx])
+    return out
+
+
 @functools.lru_cache(maxsize=1024)
 def _psi_table(q: int) -> np.ndarray:
     """psi(k/q) for k = 1 .. q-1."""

@@ -5,6 +5,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from frac_autocorr.autocorr import (
     QuadratureConfig,
@@ -206,6 +207,23 @@ def test_farey_scan_order_three_symmetry():
     for r in recs[1:]:
         lam = r.p / r.q
         assert r.a_value == pytest.approx(lam * a_rational(r.q, r.p), rel=1e-13)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 80),
+    st.fractions(min_value=0, max_value=3, max_denominator=100),
+    st.fractions(min_value=Fraction(1, 100), max_value=3, max_denominator=100),
+)
+@example(1, Fraction(0), Fraction(3))  # only integers: every V is V(., 1) = 0
+@example(80, Fraction(0), Fraction(1))  # all of F_80
+@example(13, Fraction(7, 3), Fraction(1, 2))  # p > q, so V(q mod p, p) with q < p
+def test_farey_scan_batched_equals_a_rational(order, lo, width):
+    # V by denominator, one kernel call each, gives every record exactly
+    recs = farey_scan(order, lo, lo + width)
+    for r in recs:
+        assert r.a_value == (a_rational(r.p, r.q) if r.p else 0.0)
+        assert type(r.a_value) is float
 
 
 def test_farey_emitters(tmp_path):

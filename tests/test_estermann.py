@@ -2,10 +2,12 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from frac_autocorr.checks import strip_point
-from frac_autocorr.errors import DomainError, PoleError
+from frac_autocorr.errors import DomainError, NonCoprimeError, PoleError
 from frac_autocorr.estermann import (
     EstermannPoint,
     ecos,
@@ -20,14 +22,50 @@ from frac_autocorr.estermann import (
     g1_residue_polynomial,
     laurent_coefficient,
 )
-from frac_autocorr.specfun import EULER_GAMMA, LOG_2PI, PI, riemann_zeta
+from frac_autocorr.specfun import EULER_GAMMA, LOG_2PI, PI, hurwitz_zeta, riemann_zeta
 from frac_autocorr.vasyunin import modular_inverse, vasyunin_cot
+
+
+def _estermann_direct(s: complex, h: int, k: int) -> tuple[complex, float]:
+    """The O(k^2) double sum k^{-2s} sum_{j,l} e(jlh/k) z(s, j/k) z(s, l/k),
+    the row from scalar Hurwitz calls, and the scale |k^{-2s}| (sum_j |z|)^2."""
+    zv = np.array([hurwitz_zeta(s, j / k) for j in range(1, k + 1)])
+    j = np.arange(1, k + 1, dtype=np.int64)
+    roots = np.exp(2j * PI * np.arange(k) / k)
+    double = (roots[(np.outer(j, j) * (h % k)) % k] * np.outer(zv, zv)).sum()
+    kpow = cmath.exp(-2.0 * s * math.log(k))
+    return complex(kpow * double), abs(kpow) * float(np.abs(zv).sum()) ** 2
 
 
 def test_estermann_point_validation():
     with pytest.raises(ValueError):
         EstermannPoint(2.0, 2, 4)
     EstermannPoint(0.5 + 1j, 3, 7)
+
+
+def test_non_coprime_points_raise_non_coprime_error():
+    for h, k in [(2, 4), (0, 6), (-3, 9)]:
+        with pytest.raises(NonCoprimeError):
+            estermann(0.5, h, k)
+        with pytest.raises(NonCoprimeError):
+            EstermannPoint(0.5, h, k)
+    with pytest.raises(DomainError):
+        estermann(0.5, 1, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 512), st.integers(-2048, 2048), st.integers(0, 2**32 - 1))
+@example(1, 0, 0)  # zeta(s)^2
+@example(512, -1, 1)
+@example(509, 508, 2)  # a prime k, h = -1 mod k
+def test_dft_double_sum_matches_direct(k, h, seed):
+    # one DFT of the Hurwitz row against the O(k^2) sum; the DFT rounding is
+    # about eps log k relative to (sum_j |z(s, j/k)|)^2 |k^{-2s}|
+    while math.gcd(h, k) != 1:
+        h += 1
+    s = strip_point(random.Random(seed))
+    want, scale = _estermann_direct(s, h, k)
+    assert abs(estermann(s, h, k) - want) <= 1e-14 * scale
 
 
 def test_squared_zeta_at_k1():

@@ -264,20 +264,46 @@ def test_phi_at_zero():
     assert phi_at_zero(4) == pytest.approx(-(PI2 * PI2) / 2700.0, rel=1e-10)
 
 
-@pytest.mark.parametrize("shift, a", [(0, 3.0), (0, 1.3 - 0.4j), (5, 1.5 - 2.0j)])
-def test_linear_panels_power_against_mpmath(mp, shift, a):
-    # the piecewise-linear interpolant of f integrated against t^-a by mpmath
-    # quadrature panel by panel, with and without slopes from the caller; the
-    # panel differences cancel, so the error is measured against the integral
-    # of |f| t^-Re(a), not the (possibly much smaller) result
-    b = 32
-    t = shift + np.arange(1, 2 * b + 1) / b
+def _panels_exact(mp, t, f, a):
+    """The interpolant's integral from the global antiderivative per panel,
+    at 40 digits, where its cancellation costs nothing."""
+    with mp.workdps(40):
+        am = mp.mpc(a)
+        ts = [mp.mpf(float(x)) for x in t]
+        fs = [mp.mpf(float(x)) for x in f]
+        w = [x ** (1 - am) for x in ts]
+        ref = mp.mpf(0)
+        for i in range(len(ts) - 1):
+            c1 = (fs[i + 1] - fs[i]) / (ts[i + 1] - ts[i])
+            c0 = fs[i] - c1 * ts[i]
+            ref += c0 * (w[i + 1] - w[i]) / (1 - am)
+            ref += c1 * (ts[i + 1] * w[i + 1] - ts[i] * w[i]) / (2 - am)
+        return complex(ref)
+
+
+@pytest.mark.parametrize("shift, k0, k1, b, a", [
+    pytest.param(0, 1, 64, 32, 3.0, id="0-3.0"),
+    pytest.param(0, 1, 64, 32, 1.3 - 0.4j, id="0-(1.3-0.4j)"),
+    pytest.param(5, 1, 64, 32, 1.5 - 2.0j, id="5-(1.5-2j)"),
+    pytest.param(1, 0, 16384, 16384, 1.5 - 2.0j, id="1-(1.5-2j)-b16384"),
+    pytest.param(30, 0, 16384, 16384, 1.5 - 2.0j, id="30-(1.5-2j)-b16384"),
+    pytest.param(10000, 0, 16384, 16384, 1.5 - 2.0j, id="10000-(1.5-2j)-b16384"),
+])
+def test_linear_panels_power_against_mpmath(mp, shift, k0, k1, b, a):
+    # the piecewise-linear interpolant of f on t = shift + k/b, k0 <= k <= k1,
+    # integrated against t^-a at 40 digits; on the short grids also by mpmath
+    # quadrature panel by panel.  The panel terms cancel, so the error is
+    # measured against the integral of |f| t^-Re(a), not the (possibly much
+    # smaller) result.  Far from 0 (h/t ~ 2e-6 at t = 30, 6e-9 at t = 1e4) a
+    # global antiderivative loses digits, and so does the closed form of P1
+    t = shift + np.arange(k0, k1 + 1) / b
     f = np.random.default_rng(7).standard_normal(t.size)
-    ref = mp.mpf(0)
-    for i in range(t.size - 1):
-        t0, t1, f0, f1 = (mp.mpf(float(x)) for x in (t[i], t[i + 1], f[i], f[i + 1]))
-        ref += mp.quad(lambda x: (f0 + (f1 - f0) * (x - t0) / (t1 - t0)) * x ** (-mp.mpc(a)), [t0, t1])
-    ref = complex(ref)
+    ref = _panels_exact(mp, t, f, a)
     scale = float(np.sum(np.abs(f) * t ** (-np.real(a)))) / b
+    if t.size <= 64:
+        quad = mp.mpf(0)
+        for i in range(t.size - 1):
+            t0, t1, f0, f1 = (mp.mpf(float(x)) for x in (t[i], t[i + 1], f[i], f[i + 1]))
+            quad += mp.quad(lambda x: (f0 + (f1 - f0) * (x - t0) / (t1 - t0)) * x ** (-mp.mpc(a)), [t0, t1])
+        assert abs(complex(quad) - ref) <= 1e-20 * scale
     assert abs(_linear_panels_power(t, f, a) - ref) <= 1e-11 * scale
-    assert abs(_linear_panels_power(t, f, a, np.diff(f) * b) - ref) <= 1e-11 * scale

@@ -148,6 +148,23 @@ def test_hurwitz_against_mpmath(mp):
         got = hurwitz_zeta(s, a)
         tol = 1e-12 if s.real >= -2 else 5e-9
         assert abs(got - want) <= tol * (1.0 + abs(want)), (s, a)
+    # the array form, as used for a whole row zeta(s, j/k), at the same bound
+    for s in (pts[0], pts[45], -1.5 + 0.5j):
+        a = np.array([rng.uniform(0.05, 1.0) for _ in range(6)] + [1.0, 1 / 7])
+        got = hurwitz_zeta(s, a)
+        assert got.shape == a.shape and got.dtype == np.complex128
+        tol = 1e-12 if s.real >= -2 else 5e-9
+        for ai, gi in zip(a, got):
+            want = complex(mp.zeta(mp.mpc(s), mp.mpf(float(ai))))
+            assert abs(gi - want) <= tol * (1.0 + abs(want)), (s, ai)
+
+
+def test_hurwitz_array_domain_checked_entrywise():
+    for bad in (0.0, -0.25, 1.5, float("nan")):
+        with pytest.raises(DomainError):
+            hurwitz_zeta(0.5, np.array([0.25, bad, 1.0]))
+    with pytest.raises(PoleError):
+        hurwitz_zeta(1.0, np.array([0.25, 0.5]))
 
 
 def test_riemann_values(mp):
