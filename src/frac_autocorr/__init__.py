@@ -8,7 +8,6 @@ from .autocorr import (
     QuadratureConfig,
     a_quadrature,
     a_rational,
-    a_via_phi1,
     farey_scan,
     local_model,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "ToleranceError",
     "a_quadrature",
     "a_rational",
-    "a_via_phi1",
     "delta",
     "digamma",
     "expansion_coeffs",

@@ -3,8 +3,9 @@
 Two fully independent evaluation paths:
 
 * ``a_quadrature``: piecewise-exact integration.  For rational lambda = p/q
-  the integrand's numerator is q-periodic; the head is summed in closed form
-  over M periods and the tail is mu/T + nu/T^2.  mu = 1/4 + 1/(12pq) is the
+  the integrand's numerator is q-periodic; the head is summed over M
+  periods, each piece as a power series in 1/t whose coefficients are shared
+  by every period, and the tail is mu/T + nu/T^2.  mu = 1/4 + 1/(12pq) is the
   per-period mean of the integrand (closed form, Franel's integral); nu, the
   mean of its oscillation antiderivative, and the antiderivative bounds are
   float64 sums over one period, with a rigorous remainder bound from the
@@ -29,7 +30,6 @@ from .phi import (
     _linear_panels_power,
     delta as phi_delta,
     expansion_coeffs,
-    phi1_rational,
     phi2_grid_samples,
     phi2_tail_integral,
     phi2_tail_weighted,
@@ -60,7 +60,8 @@ class QuadratureConfig:
 
 _DEFAULT_QCFG = QuadratureConfig()
 _MAX_PIECES = 2**23  # pieces per period, p + q - 1 (2/3 +- 2^-20 has ~5.2M)
-_HEAD_BLOCK = 1 << 16  # pieces per head-sum block, so its temporaries stay in cache
+_BLOCK = 1 << 14  # pieces per block of the head sum and the statistics, so they stay in cache
+_SERIES_X = 0.1  # the head series serves pieces at a >= h_max/_SERIES_X, log1p forms nearer t = 0
 
 
 @dataclass(frozen=True)
@@ -109,95 +110,120 @@ def _period_stats(p: int, q: int, du: np.ndarray, f0: np.ndarray, f1: np.ndarray
 
     mu is exact: by Franel's integral int_0^1 B1(ax) B1(bx) dx = 1/(12ab)
     for coprime a, b, the mean of {t}{(p/q)t} over a period is
-    1/4 + 1/(12pq).  nu, sup_f and sup_g are float64 accumulations over the
-    pieces, with sup_f, sup_g inflated to cover their rounding.  Returns
-    (mu, nu, sup_f, sup_g).
+    1/4 + 1/(12pq).  nu, sup_f and sup_g are float64 accumulations over
+    blocks of _BLOCK pieces, piece integrals in Horner form in the width dt,
+    cumulative sums carried between blocks; sup_f, sup_g are inflated to
+    cover their rounding.  Returns (mu, nu, sup_f, sup_g).
     """
     lam = p / q
     mu = (3 * p * q + 1) / (12 * p * q)
-    dt = du / p
-    dt2 = dt * dt
-    dt3 = dt2 * dt
-    ig = lam * dt3 / 3.0 + f1 * dt2 / 2.0 + f0 * dt
-    iosc = ig - mu * dt
-    f_bp = np.concatenate([[0.0], np.cumsum(iosc)[:-1]])
-    ifs = f_bp * dt + lam * dt2 * dt2 / 12.0 + f1 * dt3 / 6.0 + (f0 - mu) * dt2 / 2.0
+    ifs = np.empty(du.size)  # the second pass needs nu, the sum of these
+    f_acc = g_acc = max_f = max_g = 0.0
+    for c in (slice(c0, c0 + _BLOCK) for c0 in range(0, du.size, _BLOCK)):
+        dt, g0 = du[c] / p, f0[c] - mu
+        iosc = (((lam / 3.0) * dt + 0.5 * f1[c]) * dt + g0) * dt
+        iosc[0] += f_acc
+        f_bp = np.concatenate([[f_acc], np.cumsum(iosc)])  # F at the left edges, then the end
+        f_acc, f_bp = float(f_bp[-1]), f_bp[:-1]
+        max_f = max(max_f, float(np.abs(f_bp).max()))
+        ifs[c] = ((((lam / 12.0) * dt + f1[c] / 6.0) * dt + 0.5 * g0) * dt + f_bp) * dt
     nu = float(ifs.sum() / q)
-    g_bp = np.cumsum(ifs - nu * dt)
-    maxgap = float(dt.max())
-    max_f = float(np.abs(f_bp).max())
-    max_g = float(np.abs(g_bp).max())
+    for c in (slice(c0, c0 + _BLOCK) for c0 in range(0, du.size, _BLOCK)):
+        g_bp = ifs[c] - (nu / p) * du[c]
+        g_bp[0] += g_acc
+        np.cumsum(g_bp, out=g_bp)
+        g_acc, max_g = float(g_bp[-1]), max(max_g, float(np.abs(g_bp).max()))
+    maxgap = float(du.max() / p)
     sup_f = 1.000001 * (max_f + maxgap) + 1e-12
     sup_g = 1.000001 * (max_g + maxgap * (max_f + abs(nu) + maxgap)) + 1e-12
     return mu, nu, sup_f, sup_g
 
 
-def _kernels(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(log1p(x) - x/(1+x), x(2+x)/(1+x) - 2 log1p(x)), values ~ x^2/2, x^3/3.
-
-    Each element takes one branch: the power series where x < 0.01, the
-    log1p form elsewhere.
-    """
-    big = x >= 0.01
-    mixed = big.any()
-    xs = x[~big] if mixed else x
-    v = xs * xs * (
-        1.0 / 2.0
-        - xs * (2.0 / 3.0 - xs * (3.0 / 4.0 - xs * (4.0 / 5.0 - xs * (5.0 / 6.0 - xs * 6.0 / 7.0))))
-    )
-    u = xs**3 * (
-        1.0 / 3.0
-        - xs * (2.0 / 4.0 - xs * (3.0 / 5.0 - xs * (4.0 / 6.0 - xs * 5.0 / 7.0)))
-    )
-    if not mixed:
-        return v, u
-    kv = np.empty_like(x)
-    ku = np.empty_like(x)
-    kv[~big], ku[~big] = v, u
-    xb = x[big]
-    lg = np.log1p(xb)
-    kv[big] = lg - xb / (1.0 + xb)
-    ku[big] = xb * (2.0 + xb) / (1.0 + xb) - 2.0 * lg
-    return kv, ku
+def _series_coeffs(lam: float, h: np.ndarray, f0: np.ndarray, f1: np.ndarray, m_top: int):
+    """Rows c_2 .. c_M of the head series (see _head_sum)."""
+    coef = np.empty((m_top - 1, h.size))
+    s, nh, hf1, h2l = h.copy(), -h, h * f1, (lam * h) * h  # s = (-1)^m h^(m-1)
+    for m, row in zip(range(2, m_top + 1), coef):
+        np.multiply(hf1, (m - 1) / m, out=row)
+        row += f0
+        row += h2l * ((m - 1) / (m + 1))
+        row *= s
+        s *= nh
+    return coef
 
 
 def _head_sum(
     p: int, q: int, u_left: np.ndarray, du: np.ndarray, f0: np.ndarray, f1: np.ndarray,
     n_periods: int,
-) -> tuple[float, float]:
-    """Closed-form sum of integral {t}{(p/q)t}/t^2 over [0, n_periods*q].
+) -> tuple[float, float, float]:
+    """Sum of integral {t}{(p/q)t}/t^2 over [0, n_periods*q], piece by piece.
 
-    Each piece is integrated in local coordinates t = a + tau, where the
-    integrand is (f2 tau^2 + f1 tau + f0)/(a+tau)^2 with f0, f1 of unit
-    size, so no large cancelling terms appear.  Pieces are summed in blocks
-    of about _HEAD_BLOCK: whole periods when a period is shorter, else
-    slices of one period.  A block broadcasts its left edges j*pq + u_left
-    (in u = p*t, exact in float64 while n_periods*pq <= 2^53) against the
-    period-invariant arrays.  Returns a pair (value, rounding_estimate).
+    A piece of width h at t = a has the numerator f0 + f1 tau + lam tau^2,
+    tau = t - a, so with x = h/a and w = 1/a its integral is
+      f0 h/(a(a+h)) + f1 (log(1+x) - x/(1+x)) + lam a (x(2+x)/(1+x) - 2 log(1+x))
+      = sum_{m>=2} c_m w^m,  c_m = (-1)^m h^(m-1) (f0 + h((m-1)/m f1 + h (m-1)/(m+1) lam)).
+    The c_m depend on the piece alone: built once per block of _BLOCK pieces
+    (or of whole short periods), they serve every period, each one Horner
+    pass in w = p/(j*pq + u_left) (u = p*t, exact while n_periods*pq <= 2^53).
+    Over each stretch where a grows 100-fold the degree M is the smallest
+    with x_max^(M-1) <= eps/8, x_max = h_max/a_min.  The pieces with
+    a < h_max/_SERIES_X, next to t = 0, keep the log1p form, whose
+    cancellation costs about 2 lam h eps a piece.
+
+    Truncation bound.  The parts in f0, f1 and lam each alternate, and for
+    x < 2/3 their terms fall (ratios x, <= 4x/3, <= 3x/2), so each remainder
+    is at most its first omitted term, all of sign (-1)^(M+1).  A piece's
+    remainder is thus at most h^M (f0 + h f1 + h^2 lam)/a^(M+1), and
+    f0 + h f1 + h^2 lam = ({t} + h)({lam t} + lam h) <= 1, the numerator at
+    the right edge.  As h/a^(M+1) <= (1+x)^(M+1) int_a^(a+h) t^-(M+1) dt, a
+    stretch's remainders sum to at most (1+x_max)^(M+1) h_max^(M-1) a_min^-M / M.
+
+    Returns (value, rounding estimate, truncation bound); the rounding
+    estimate, 4e-16 (sum of squared piece integrals)^(1/2) + 1e-16 |value|,
+    is an RMS estimate, not a bound.
     """
-    lam = p / q
-    pq = p * q
-    duf = du.astype(np.float64)
-    u_leftf = u_left.astype(np.float64)
-    f0pdu = f0 * (p * duf)
-    rows = max(1, _HEAD_BLOCK // du.size)
-    sums = []
-    sq_acc = 0.0
-    for j0 in range(0, n_periods, rows):
-        js = np.arange(j0, min(j0 + rows, n_periods), dtype=np.float64) * pq
-        for c0 in range(0, du.size, _HEAD_BLOCK):
-            c = slice(c0, c0 + _HEAD_BLOCK)
-            leftf = js[:, None] + u_leftf[c]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                kv, ku = _kernels(duf[c] / leftf)
-                terms = (
-                    f0pdu[c] / (leftf * (leftf + duf[c])) + f1[c] * kv + lam * (leftf / p) * ku
-                )
-            if j0 == 0 and c0 == 0:
-                terms[0, 0] = lam * duf[0] / p  # piece at t = 0: integrand == lam
+    lam, pq = p / q, p * q
+    rows = max(1, _BLOCK // du.size)  # a block holds this many short periods
+    sums, sq_acc, trunc = [], 0.0, 0.0
+    for c0 in range(0, du.size, _BLOCK):
+        c = slice(c0, c0 + _BLOCK)
+        cols = (du[c].astype(np.float64), f0[c], f1[c])
+        d, fa, fb = (np.tile(a, rows) for a in cols) if rows > 1 else cols
+        ul = (np.arange(rows, dtype=np.float64)[:, None] * pq + u_left[c]).reshape(-1)
+        d_max, coef = float(d.max()), None
+        for j0 in range(0, n_periods, rows):
+            size = min(rows, n_periods - j0) * (d.size // rows)
+            left = j0 * pq + ul[:size]  # left edges and widths d in u
+            terms = np.empty(size)
+            k = int(np.searchsorted(left, d_max / _SERIES_X))
+            if k:  # x = inf at t = 0, where the integrand is lam
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    lk, dk, x = left[:k], d[:k], d[:k] / left[:k]
+                    lg = np.log1p(x)
+                    terms[:k] = (
+                        fa[:k] * (p * dk) / (lk * (lk + dk)) + fb[:k] * (lg - x / (1.0 + x))
+                        + lam * (lk / p) * (x * (2.0 + x) / (1.0 + x) - 2.0 * lg)
+                    )
+                if j0 == c0 == 0:
+                    terms[0] = lam * d[0] / p
+            while k < size:
+                end = int(np.searchsorted(left, 100.0 * left[k]))
+                x_max = d_max / left[k]
+                m_top = next(m for m in range(2, 64) if x_max ** (m - 1) <= 2.0**-55)
+                if coef is None:  # the block's first stretch needs the highest degree
+                    coef = _series_coeffs(lam, d / p, fa, fb, m_top)
+                w = p / left[k:end]
+                acc = w * coef[m_top - 2, k:end]
+                for row in coef[: m_top - 2, k:end][::-1]:
+                    acc += row
+                    acc *= w
+                terms[k:end] = acc * w
+                trunc += (1.0 + x_max) ** (m_top + 1) * x_max ** (m_top - 1) * p / (m_top * left[k])
+                k = end
             sums.append(float(terms.sum()))
-            sq_acc += float((terms * terms).sum())
-    return math.fsum(sums), 4e-16 * math.sqrt(sq_acc) + 1e-16 * abs(math.fsum(sums))
+            sq_acc += float(np.einsum("i,i->", terms, terms))
+    value = math.fsum(sums)
+    return value, 4e-16 * math.sqrt(sq_acc) + 1e-16 * abs(value), 1.000001 * trunc
 
 
 def a_quadrature(lam, cfg: QuadratureConfig | None = None) -> CertifiedReal:
@@ -206,6 +232,10 @@ def a_quadrature(lam, cfg: QuadratureConfig | None = None) -> CertifiedReal:
     Rational lambda (Fraction or int) takes the periodic closed-form path;
     float lambda takes the best-effort cutoff path with a wide certified
     tail bracket.
+
+    The rational path's radius sums the tail bound (2 sup_g/T^3, or 2 sup_f/T^2
+    at tail_order 1), the head's rigorous truncation bound (see _head_sum), its
+    rounding term (an RMS estimate, not a bound) and a floor 2e-16 (1 + |value|).
 
     The rational path raises ToleranceError before allocating anything
     (``achieved`` = inf) for p + q - 1 > 2^23 pieces per period or 2pq > 2^53,
@@ -254,7 +284,7 @@ def _a_quad_rational(lam: Fraction, cfg: QuadratureConfig) -> CertifiedReal:
             achieved=achieved,
         )
     big_t = n_periods * q
-    head, round_err = _head_sum(p, q, u_left, du, f0, f1, n_periods)
+    head, round_err, trunc_err = _head_sum(p, q, u_left, du, f0, f1, n_periods)
     if cfg.tail_order == 2:
         tail = mu / big_t + nu / big_t**2
         tail_err = 2.0 * sup_g / big_t**3
@@ -262,7 +292,7 @@ def _a_quad_rational(lam: Fraction, cfg: QuadratureConfig) -> CertifiedReal:
         tail = mu / big_t
         tail_err = 2.0 * sup_f / big_t**2
     value = head + tail
-    return CertifiedReal(value, tail_err + round_err + 2e-16 * (1.0 + abs(value)))
+    return CertifiedReal(value, tail_err + trunc_err + round_err + 2e-16 * (1.0 + abs(value)))
 
 
 def _a_quad_irrational(lam: float, cfg: QuadratureConfig) -> CertifiedReal:
@@ -288,7 +318,7 @@ def _a_quad_irrational(lam: float, cfg: QuadratureConfig) -> CertifiedReal:
     m = np.floor(mid)
     n = np.floor(lam * mid)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ell = np.log(b / a)
+        ell = np.log1p((b - a) / a)
         rr = 1.0 / a - 1.0 / b
         terms = lam * (b - a) - (n + lam * m) * ell + m * n * rr
     terms[0] = lam * (b[0] - a[0])
@@ -318,19 +348,6 @@ def _a_closed(p: int, q: int, v: float) -> float:
         0.5 * (1.0 - lam) * math.log(lam)
         + 0.5 * (lam + 1.0) * (LOG_2PI - EULER_GAMMA)
         - PI / (2 * q) * v
-    )
-
-
-def a_via_phi1(p: int, q: int) -> float:
-    """A(p/q) through phi_1: algebraically identical to a_rational."""
-    if q < 1 or p < 1 or math.gcd(p, q) != 1:
-        raise DomainError("a_via_phi1 requires coprime p, q >= 1")
-    lam = p / q
-    return (
-        0.5 * (1.0 - lam) * math.log(lam)
-        + 0.5 * (lam + 1.0) * (LOG_2PI - EULER_GAMMA)
-        - phi1_rational(p, q)
-        - lam * phi1_rational(q, p)
     )
 
 
@@ -369,7 +386,8 @@ def _delta_weighted_integral(pbar: int, q: int, v0: Fraction, n: int, big_x: int
     """integral_{v0}^inf Delta_{pbar,q}(v) v^{-n} dv.
 
     Grid panels on [v0, X] from the phi_2 unit grid (X integer), then the
-    integration-by-parts tail, minus the exact mean part.
+    integration-by-parts tail, minus the exact mean part.  The tail's bound is
+    dropped: no radius, checked only through the functional-equation residual.
     """
     x0 = Fraction(pbar % q if q > 1 else 0, q)
     c = phi_resum_rational(2, x0)

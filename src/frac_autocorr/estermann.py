@@ -43,16 +43,6 @@ def _require_coprime(h: int, k: int) -> None:
 
 
 @dataclass(frozen=True)
-class EstermannPoint:
-    s: complex
-    h: int
-    k: int
-
-    def __post_init__(self):
-        _require_coprime(self.h, self.k)
-
-
-@dataclass(frozen=True)
 class LaurentData:
     """Singular part at ``location``: list of (order, coefficient) pairs
     with strictly increasing orders (order -n is the (s-s0)^{-n} term)."""

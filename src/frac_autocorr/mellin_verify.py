@@ -147,7 +147,8 @@ def _rho_tail(v: int, a: complex) -> complex:
 
     Reduced exactly (Fubini on the defining double integral) to
     W(a+1) (1/2 - 1/(2-a)) + V^{2-a} W(3) / (2-a) with
-    W(b) = integral_V^inf phi_2(t) t^{-b} dt.
+    W(b) = integral_V^inf phi_2(t) t^{-b} dt.  The bounds of W are dropped:
+    no radius, checked only through the Mellin identity residual.
     """
     w_a1, _ = phi2_tail_integral(Fraction(0), v, a + 1.0)
     w_3, _ = phi2_tail_integral(Fraction(0), v, 3.0)
@@ -185,6 +186,7 @@ def _mellin_delta(s: complex, p: int, q: int) -> complex:
     form over its whole validity window [0, W], W ~ 1/(2q), and only the
     smooth remainder Delta - model is handled on the grid there; this kills
     the trapezoid bias of the t log t curvature against the singular kernel.
+    The tail's bound is dropped: no radius, checked only through the residual.
     """
     x0 = Fraction(p % q, q)
     c = phi_resum_rational(2, x0)
@@ -231,7 +233,10 @@ def _mellin_delta(s: complex, p: int, q: int) -> complex:
 def mellin_numeric(
     target: MellinTarget, s: complex | float, cfg: QuadratureConfig | None = None
 ) -> complex:
-    """Numeric Mellin transform of the target at s inside the strip (-1, 0)."""
+    """Numeric Mellin transform of the target at s inside the strip (-1, 0).
+
+    The A and Delta values carry no radius (their phi_2 tails drop their
+    bounds) and are checked only through mellin_identity_residual's bounds."""
     s = _require_strip(s)
     tol = (cfg.tol if cfg else 1e-10)
     if target.kind == "fracpart":

@@ -13,7 +13,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -354,23 +353,6 @@ def j12(z: complex | float, x: float, tol: float = 1e-13):
 # ----------------------------------------------------------------------
 # stable cotangent
 # ----------------------------------------------------------------------
-
-
-def cot_stable(x: float) -> float:
-    """cot x with argument reduction modulo pi."""
-    r = math.remainder(x, PI)
-    if r == 0.0:
-        raise PoleError(f"cot pole at x={x}", location=x)
-    return 1.0 / math.tan(r)
-
-
-def cot_pi_frac(k: int, q: int) -> float:
-    """cot(k*pi/q) for integers, reducing k mod q exactly before the trig call."""
-    d = k % q
-    if d == 0:
-        raise PoleError(f"cot pole at k*pi/q with k={k}, q={q}", location=Fraction(k, q))
-    num = d if 2 * d <= q else d - q
-    return 1.0 / math.tan(PI * num / q)
 
 
 def cot_pi_frac_table(q: int) -> np.ndarray:

@@ -4,17 +4,19 @@ import sys
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from frac_autocorr import autocorr
 from frac_autocorr.autocorr import (
     QuadratureConfig,
     _period_stats,
     _piece_coeffs,
+    _head_sum,
     a_phi2_relation_residual,
     a_quadrature,
     a_rational,
-    a_via_phi1,
     delta_functional_equation_residual,
     farey_scan,
     local_model,
@@ -95,6 +97,69 @@ def test_a_quadrature_irrational_brackets():
     assert abs(r1.value - want) <= r1.err + 1e-6
     r2 = a_quadrature(lam, QuadratureConfig(tol=1e-4, tail_order=2))
     assert abs(r2.value - want) <= r2.err
+
+
+def test_a_quadrature_float_lambda_covers_convergent():
+    # cutoff edges near T = 1/tol lie less than 1 apart, where log(b / a) cancels
+    lam = 1.0 / math.sqrt(2.0)
+    r = a_quadrature(lam, QuadratureConfig(tol=1e-7))
+    ref = a_rational(6625109, 9369319)  # a convergent of the binary64 lam, 4e-15 away
+    assert abs(r.value - ref) <= r.err
+
+
+@pytest.mark.parametrize(
+    "lam",
+    [
+        Fraction(11, 5) + Fraction(1, 2**16),
+        Fraction(11, 5) - Fraction(1, 2**16),
+        Fraction(3, 7) - Fraction(1, 2**17),
+        Fraction(11, 5) + Fraction(1, 2**17),
+    ],
+    ids=["11/5+2^-16", "11/5-2^-16", "3/7-2^-17", "11/5+2^-17"],
+)
+def test_near_rational_radius_covers_closed_form(lam):
+    r = a_quadrature(lam, QuadratureConfig(tol=1e-12))
+    assert abs(r.value - a_rational(lam.numerator, lam.denominator)) <= r.err
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lam=st.fractions(Fraction(1, 20), 20, max_denominator=50),
+    x=st.floats(1e-9, 0.09),
+    h_frac=st.floats(0.001, 1.0),
+    sa=st.floats(0.0, 1.0),
+    sb=st.floats(0.0, 1.0),
+)
+@example(lam=Fraction(1), x=0.09, h_frac=1.0, sa=0.0, sb=0.0)
+@example(lam=Fraction(20), x=1e-9, h_frac=1.0, sa=1.0, sb=1.0)
+def test_head_series_against_mpmath(lam, x, h_frac, sa, sb):
+    import mpmath as mp
+
+    # one piece of width h at t = a = h/x with no breakpoint inside it:
+    # {t} + h <= 1 and {lam t} + lam h <= 1 at its left edge
+    p, q = lam.numerator, lam.denominator
+    h = h_frac * min(1.0, q / p)
+    fa, fb = sa * (1.0 - h), sb * (1.0 - p / q * h)
+    f0, f1 = fa * fb, fb + p / q * fa
+    d = h * p  # width and left edge in u = p t
+    piece = (np.array([v]) for v in (d / x, d, f0, f1))
+    got, _, bound = _head_sum(p, q, *piece, 1)
+    with mp.workdps(40):
+        a, mh, ml = mp.mpf(d / x) / p, mp.mpf(d) / p, mp.mpf(p) / q
+        ref = mp.quad(lambda tau: (f0 + f1 * tau + ml * tau**2) / (a + tau) ** 2, [0, mh])
+        assert abs(got - ref) <= bound + 8 * sys.float_info.epsilon * abs(ref)
+
+
+def a_via_phi1(p: int, q: int) -> float:
+    """A(p/q) through phi_1: algebraically identical to a_rational, so it
+    checks the phi_1 route rather than giving A an independent one."""
+    lam = p / q
+    return (
+        0.5 * (1.0 - lam) * math.log(lam)
+        + 0.5 * (lam + 1.0) * (LOG_2PI - EULER_GAMMA)
+        - phi1_rational(p, q)
+        - lam * phi1_rational(q, p)
+    )
 
 
 def test_a_via_phi1_identity():
@@ -307,3 +372,22 @@ def test_period_stats_against_fraction_oracle():
             # float64 accumulation over p + q - 1 pieces
             assert abs(got_nu - float(nu)) <= 4 * eps * (p + q) * abs(float(nu))
             assert got_f >= sup_f and got_g >= sup_g
+
+
+@pytest.mark.parametrize("block", [1, 5, 64])
+def test_blocks_carry_their_sums(monkeypatch, block):
+    # small blocks force the paths of lattices longer than a block (sums and
+    # maxima carried between blocks) and of several short periods per block
+    eps = sys.float_info.epsilon
+    for p, q, n in [(3, 7, 5), (13, 4, 3), (47, 41, 2), (1, 1, 40)]:
+        u_left, du, f0, f1 = _piece_coeffs(p, q, merged_breakpoints(p, q, 0, p * q))
+        one_block = _head_sum(p, q, u_left, du, f0, f1, n)
+        _, nu, sup_f, sup_g = _period_stats_oracle(p, q)
+        monkeypatch.setattr(autocorr, "_BLOCK", block)
+        _, got_nu, got_f, got_g = _period_stats(p, q, du, f0, f1)
+        head, _, _ = _head_sum(p, q, u_left, du, f0, f1, n)
+        monkeypatch.undo()
+        assert abs(got_nu - float(nu)) <= 4 * eps * (p + q) * abs(float(nu))
+        assert sup_f <= got_f <= 1.000002 * float(sup_f) + 2e-12
+        assert sup_g <= got_g <= 1.000002 * float(sup_g) + 2e-12
+        assert abs(head - one_block[0]) <= 1e-14 * abs(one_block[0])

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 from frac_autocorr.checks import strip_point
 from frac_autocorr.errors import DomainError, NonCoprimeError, PoleError
 from frac_autocorr.estermann import (
-    EstermannPoint,
     ecos,
     ecos_tilde,
     esin,
@@ -37,18 +36,10 @@ def _estermann_direct(s: complex, h: int, k: int) -> tuple[complex, float]:
     return complex(kpow * double), abs(kpow) * float(np.abs(zv).sum()) ** 2
 
 
-def test_estermann_point_validation():
-    with pytest.raises(ValueError):
-        EstermannPoint(2.0, 2, 4)
-    EstermannPoint(0.5 + 1j, 3, 7)
-
-
 def test_non_coprime_points_raise_non_coprime_error():
     for h, k in [(2, 4), (0, 6), (-3, 9)]:
         with pytest.raises(NonCoprimeError):
             estermann(0.5, h, k)
-        with pytest.raises(NonCoprimeError):
-            EstermannPoint(0.5, h, k)
     with pytest.raises(DomainError):
         estermann(0.5, 1, 0)
 

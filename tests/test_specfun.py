@@ -11,8 +11,7 @@ from frac_autocorr.specfun import (
     EULER_GAMMA,
     LOG_2PI,
     PI,
-    cot_pi_frac,
-    cot_stable,
+    cot_pi_frac_table,
     digamma,
     gamma_fn,
     hurwitz_zeta,
@@ -324,11 +323,12 @@ def test_partial_x_trigamma_integral(u):
 
 
 def test_cot_values():
-    assert cot_stable(PI / 4.0) == pytest.approx(1.0, rel=1e-14)
-    assert abs(cot_stable(PI / 2.0)) < 1e-15
-    assert cot_stable(PI / 3.0) == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-14)
-    with pytest.raises(PoleError):
-        cot_stable(0.0)
-    assert cot_pi_frac(3, 4) == pytest.approx(-1.0, rel=1e-14)
+    # cot(k pi/q) = table[k - 1], the numerator reduced to |k| <= q/2 before the tangent
+    assert cot_pi_frac_table(4)[0] == pytest.approx(1.0, rel=1e-14)
+    assert abs(cot_pi_frac_table(2)[0]) < 1e-15
+    assert abs(cot_pi_frac_table(4)[1]) < 1e-15
+    assert cot_pi_frac_table(3)[0] == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-14)
+    assert cot_pi_frac_table(4)[2] == pytest.approx(-1.0, rel=1e-14)
     big = 509
-    assert cot_pi_frac(508, big) == pytest.approx(1.0 / math.tan(-PI / big), rel=1e-12)
+    assert cot_pi_frac_table(big)[507] == pytest.approx(1.0 / math.tan(-PI / big), rel=1e-12)
+    assert cot_pi_frac_table(1).size == 0  # no k in 1 .. q-1, so no pole at k = 0
