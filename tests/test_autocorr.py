@@ -11,9 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 from frac_autocorr import autocorr
 from frac_autocorr.autocorr import (
     QuadratureConfig,
+    _head_sum,
     _period_stats,
     _piece_coeffs,
-    _head_sum,
     a_phi2_relation_residual,
     a_quadrature,
     a_rational,
@@ -132,9 +132,7 @@ def test_near_rational_radius_covers_closed_form(lam):
 )
 @example(lam=Fraction(1), x=0.09, h_frac=1.0, sa=0.0, sb=0.0)
 @example(lam=Fraction(20), x=1e-9, h_frac=1.0, sa=1.0, sb=1.0)
-def test_head_series_against_mpmath(lam, x, h_frac, sa, sb):
-    import mpmath as mp
-
+def test_head_series_against_mpmath(mp, lam, x, h_frac, sa, sb):
     # one piece of width h at t = a = h/x with no breakpoint inside it:
     # {t} + h <= 1 and {lam t} + lam h <= 1 at its left edge
     p, q = lam.numerator, lam.denominator
