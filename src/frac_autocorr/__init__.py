@@ -20,7 +20,7 @@ from .errors import (
     ToleranceError,
 )
 from .phi import ExpansionCoefficients, PhiEvalConfig, delta, expansion_coeffs, phi1_rational, phi_n
-from .rational_core import FareyScanRecord, farey_sequence, frac_rational, reduce
+from .rational_core import FareyScanRecord, farey_sequence, frac_rational
 from .specfun import CertifiedReal, digamma, hurwitz_zeta, log_gamma, riemann_zeta
 from .vasyunin import vasyunin_cot, vasyunin_noncoprime
 
@@ -50,7 +50,6 @@ __all__ = [
     "log_gamma",
     "phi1_rational",
     "phi_n",
-    "reduce",
     "riemann_zeta",
     "vasyunin_cot",
     "vasyunin_noncoprime",

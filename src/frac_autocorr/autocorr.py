@@ -5,11 +5,13 @@ Two fully independent evaluation paths:
 * ``a_quadrature``: piecewise-exact integration.  For rational lambda = p/q
   the integrand's numerator is q-periodic; the head is summed over M
   periods, each piece as a power series in 1/t whose coefficients are shared
-  by every period, and the tail is mu/T + nu/T^2.  mu = 1/4 + 1/(12pq) is the
-  per-period mean of the integrand (closed form, Franel's integral); nu, the
-  mean of its oscillation antiderivative, and the antiderivative bounds are
-  float64 sums over one period, with a rigorous remainder bound from the
-  second antiderivative.
+  by every period, and the tail is mu/T + nu/T^2.  mu = 1/4 + 1/(12pq), the
+  per-period mean of the integrand (Franel's integral), and
+  nu = -(p + q)/(24p), the mean of its oscillation antiderivative, are
+  closed forms; the antiderivative bounds are float64 sums over one period,
+  with a rigorous remainder bound from the second antiderivative.  One
+  period's lattice is streamed in blocks of about _BLOCK pieces, each built
+  from its slice of the breakpoints, so memory is O(_BLOCK) whatever p + q is.
 * ``a_rational``: the closed form in Vasyunin sums.
 
 They share nothing beyond primitive arithmetic, which is the point: their
@@ -59,8 +61,11 @@ class QuadratureConfig:
 
 
 _DEFAULT_QCFG = QuadratureConfig()
-_MAX_PIECES = 2**23  # pieces per period, p + q - 1 (2/3 +- 2^-20 has ~5.2M)
-_BLOCK = 1 << 14  # pieces per block of the head sum and the statistics, so they stay in cache
+# Pieces per period, p + q - 1, capped by time: memory is O(_BLOCK) at any
+# size, and a quadrature costs about 72 ns a piece at two periods (2-core
+# x86-64, numpy 2.4), so 11/5 - 2^-21 (2^25 - 6 pieces) takes 2.4 s.
+_MAX_PIECES = 2**25
+_BLOCK = 1 << 14  # pieces per lattice block; every pass holds one block at a time, in cache
 _SERIES_X = 0.1  # the head series serves pieces at a >= h_max/_SERIES_X, log1p forms nearer t = 0
 
 
@@ -86,54 +91,100 @@ class LocalModel:
 
 
 # ----------------------------------------------------------------------
-# per-period statistics for the quadrature tail
+# one period of the lattice in blocks, and its statistics for the tail
 # ----------------------------------------------------------------------
 
 
-def _piece_coeffs(p: int, q: int, u: np.ndarray):
-    """Per-piece arrays of one period, shared by every period.
+def _piece_coeffs(p: int, q: int, last: int, u: np.ndarray):
+    """Per-piece arrays of the pieces ending at the lattice slice u, shared by
+    every period.
 
-    For the piece starting at u_left (u = p*t) the integrand's numerator is
+    The first piece starts at last, the breakpoint before the slice.  For the
+    piece starting at u_left (u = p*t) the integrand's numerator is
     f0 + f1 tau + (p/q) tau^2 in local coordinates tau = t - u_left/p, with
     f0 = {t}{(p/q)t} and f1 = {(p/q)t} + (p/q){t} at the left edge.  Since
-    (j*pq + u) % p = u % p, the arrays hold for every period j.  Returns
-    (u_left, du, f0, f1).
+    (j*pq + u) % p = u % p, the arrays hold for every period j.  The
+    remainders are u - p*floor(u/p) in float64: for integers u < 2^53 the
+    rounded quotient is off by less than 1/p, so its floor is exact.
+    Returns (u_left, du, f0, f1), all float64.
     """
-    u_left = np.concatenate([[0], u[:-1]])
-    fp0 = (u_left % p) / p
-    fq0 = (u_left % q) / q
-    return u_left, u - u_left, fp0 * fq0, fq0 + (p / q) * fp0
+    u_right = u.astype(np.float64)
+    u_left = np.concatenate([[last], u_right[:-1]])
+    fp0, fq0 = ((u_left - m * np.floor(u_left / m)) / m for m in (p, q))
+    return u_left, u_right - u_left, fp0 * fq0, fq0 + (p / q) * fp0
 
 
-def _period_stats(p: int, q: int, du: np.ndarray, f0: np.ndarray, f1: np.ndarray):
-    """Per-period means and antiderivative bounds for the quadrature tail.
+def _lattice_blocks(p: int, q: int):
+    """One period's pieces in blocks of about _BLOCK, as a zero-argument
+    callable that returns an iterator over (u_left, du, f0, f1).
 
-    mu is exact: by Franel's integral int_0^1 B1(ax) B1(bx) dx = 1/(12ab)
-    for coprime a, b, the mean of {t}{(p/q)t} over a period is
-    1/4 + 1/(12pq).  nu, sup_f and sup_g are float64 accumulations over
-    blocks of _BLOCK pieces, piece integrals in Horner form in the width dt,
-    cumulative sums carried between blocks; sup_f, sup_g are inflated to
-    cover their rounding.  Returns (mu, nu, sup_f, sup_g).
+    Block k holds the pieces ending in (pq (k-1)/n, pq k/n] for n blocks,
+    built by merged_breakpoints over that u range; every call rebuilds them
+    one at a time, so a pass holds O(_BLOCK) memory whatever p + q is.  A
+    period that fits in one block is built once and kept.
+    """
+    n_blocks = -(-(p + q - 1) // _BLOCK)
+
+    def build():
+        lo = last = 0
+        for k in range(1, n_blocks + 1):
+            hi = p * q * k // n_blocks
+            u = merged_breakpoints(p, q, lo, hi)
+            if u.size:
+                yield _piece_coeffs(p, q, last, u)
+                last = int(u[-1])
+            lo = hi
+
+    return list(build()).__iter__ if n_blocks == 1 else build
+
+
+def _horner(x: np.ndarray, *coeffs) -> np.ndarray:
+    """((c0 x + c1) x + ... + c_n) x, in place on one fresh array."""
+    acc = coeffs[0] * x
+    for c in coeffs[1:]:
+        acc += c
+        acc *= x
+    return acc
+
+
+def _period_stats(p: int, q: int, blocks, visit=None):
+    """Per-period means and antiderivative bounds for the quadrature tail, in
+    one pass over blocks() (see _lattice_blocks).
+
+    mu and nu are exact.  By Franel's integral int_0^1 B1(ax) B1(bx) dx =
+    1/(12ab) for coprime a, b, the mean of h(t) = {t}{(p/q)t} over a period
+    is mu = 1/4 + 1/(12pq).  nu, the mean of F(t) = int_0^t (h - mu), is
+    mu q/2 - (1/q) int_0^q t h(t) dt; reflecting t -> q - t, where
+    h(q - t) = (1 - {t})(1 - {(p/q)t}), leaves the moments int_0^q t{t} dt and
+    int_0^q t{(p/q)t} dt, so nu = -(p + q)/(24p).  sup_f and sup_g, the
+    bounds on |F| and on |G|, G(t) = int_0^t (F - nu), are float64
+    accumulations: piece integrals in Horner form in the width dt, cumulative
+    sums carried between blocks, inflated to cover their rounding.
+    visit(block), if given, sees every block first.
+    Returns (mu, nu, sup_f, sup_g).
     """
     lam = p / q
     mu = (3 * p * q + 1) / (12 * p * q)
-    ifs = np.empty(du.size)  # the second pass needs nu, the sum of these
-    f_acc = g_acc = max_f = max_g = 0.0
-    for c in (slice(c0, c0 + _BLOCK) for c0 in range(0, du.size, _BLOCK)):
-        dt, g0 = du[c] / p, f0[c] - mu
-        iosc = (((lam / 3.0) * dt + 0.5 * f1[c]) * dt + g0) * dt
+    nu = -(p + q) / (24 * p)
+    f_acc = g_acc = max_f = max_g = maxgap = 0.0
+    for block in blocks():
+        if visit:
+            visit(block)
+        _, du, f0, f1 = block
+        dt, g0 = du / p, f0 - mu
+        iosc = _horner(dt, lam / 3.0, 0.5 * f1, g0)
         iosc[0] += f_acc
-        f_bp = np.concatenate([[f_acc], np.cumsum(iosc)])  # F at the left edges, then the end
+        f_bp = np.empty(iosc.size + 1)  # F at the left edges, then at the end
+        f_bp[0] = f_acc
+        np.cumsum(iosc, out=f_bp[1:])
         f_acc, f_bp = float(f_bp[-1]), f_bp[:-1]
-        max_f = max(max_f, float(np.abs(f_bp).max()))
-        ifs[c] = ((((lam / 12.0) * dt + f1[c] / 6.0) * dt + 0.5 * g0) * dt + f_bp) * dt
-    nu = float(ifs.sum() / q)
-    for c in (slice(c0, c0 + _BLOCK) for c0 in range(0, du.size, _BLOCK)):
-        g_bp = ifs[c] - (nu / p) * du[c]
+        g_bp = _horner(dt, lam / 12.0, f1 / 6.0, 0.5 * g0, f_bp - nu)  # piece integrals of F - nu
         g_bp[0] += g_acc
         np.cumsum(g_bp, out=g_bp)
-        g_acc, max_g = float(g_bp[-1]), max(max_g, float(np.abs(g_bp).max()))
-    maxgap = float(du.max() / p)
+        g_acc = float(g_bp[-1])
+        max_f = max(max_f, float(np.abs(f_bp).max()))
+        max_g = max(max_g, float(np.abs(g_bp).max()))
+        maxgap = max(maxgap, float(du.max()) / p)
     sup_f = 1.000001 * (max_f + maxgap) + 1e-12
     sup_g = 1.000001 * (max_g + maxgap * (max_f + abs(nu) + maxgap)) + 1e-12
     return mu, nu, sup_f, sup_g
@@ -152,19 +203,61 @@ def _series_coeffs(lam: float, h: np.ndarray, f0: np.ndarray, f1: np.ndarray, m_
     return coef
 
 
-def _head_sum(
-    p: int, q: int, u_left: np.ndarray, du: np.ndarray, f0: np.ndarray, f1: np.ndarray,
-    n_periods: int,
-) -> tuple[float, float, float]:
-    """Sum of integral {t}{(p/q)t}/t^2 over [0, n_periods*q], piece by piece.
+def _head_block(p: int, q: int, block, j_lo: int, j_hi: int):
+    """One block's share of the head over periods j_lo .. j_hi - 1.
+
+    Returns (partial sums, sum of squared piece integrals, truncation bound)
+    for _head_sum to combine.  A block shorter than _BLOCK is tiled over as
+    many periods as fit in _BLOCK pieces.
+    """
+    u_left, du, f0, f1 = block
+    lam, pq = p / q, p * q
+    rows = min(max(1, _BLOCK // du.size), j_hi - j_lo)  # periods per Horner pass
+    d, fa, fb = (np.tile(a, rows) for a in (du, f0, f1)) if rows > 1 else (du, f0, f1)
+    ul = (np.arange(rows, dtype=np.float64)[:, None] * pq + u_left).reshape(-1)
+    d_max, coef = float(du.max()), None
+    sums, sq_acc, trunc = [], 0.0, 0.0
+    for j0 in range(j_lo, j_hi, rows):
+        size = min(rows, j_hi - j0) * du.size
+        left = j0 * pq + ul[:size]  # left edges and widths d in u
+        terms = np.empty(size)
+        k = int(np.searchsorted(left, d_max / _SERIES_X))
+        if k:  # x = inf at t = 0, where the integrand is lam
+            with np.errstate(divide="ignore", invalid="ignore"):
+                lk, dk, x = left[:k], d[:k], d[:k] / left[:k]
+                lg = np.log1p(x)
+                terms[:k] = (
+                    fa[:k] * (p * dk) / (lk * (lk + dk)) + fb[:k] * (lg - x / (1.0 + x))
+                    + lam * (lk / p) * (x * (2.0 + x) / (1.0 + x) - 2.0 * lg)
+                )
+            if left[0] == 0.0:
+                terms[0] = lam * d[0] / p
+        while k < size:
+            end = int(np.searchsorted(left, 100.0 * left[k]))
+            x_max = d_max / left[k]
+            m_top = next(m for m in range(2, 64) if x_max ** (m - 1) <= 2.0**-55)
+            if coef is None:  # the block's first stretch needs the highest degree
+                coef = _series_coeffs(lam, d / p, fa, fb, m_top)
+            w = p / left[k:end]
+            terms[k:end] = _horner(w, *coef[m_top - 2 :: -1, k:end]) * w
+            trunc += (1.0 + x_max) ** (m_top + 1) * x_max ** (m_top - 1) * p / (m_top * left[k])
+            k = end
+        sums.append(float(terms.sum()))
+        sq_acc += float(np.einsum("i,i->", terms, terms))
+    return sums, sq_acc, trunc
+
+
+def _head_sum(parts) -> tuple[float, float, float]:
+    """Sum of integral {t}{(p/q)t}/t^2 over [0, n*q], piece by piece, from the
+    _head_block parts of every block and every period range.
 
     A piece of width h at t = a has the numerator f0 + f1 tau + lam tau^2,
     tau = t - a, so with x = h/a and w = 1/a its integral is
       f0 h/(a(a+h)) + f1 (log(1+x) - x/(1+x)) + lam a (x(2+x)/(1+x) - 2 log(1+x))
       = sum_{m>=2} c_m w^m,  c_m = (-1)^m h^(m-1) (f0 + h((m-1)/m f1 + h (m-1)/(m+1) lam)).
-    The c_m depend on the piece alone: built once per block of _BLOCK pieces
-    (or of whole short periods), they serve every period, each one Horner
-    pass in w = p/(j*pq + u_left) (u = p*t, exact while n_periods*pq <= 2^53).
+    The c_m depend on the piece alone: built once per block (or tile of whole
+    short periods) and pass, they serve every period of the pass, each one
+    Horner pass in w = p/(j*pq + u_left) (u = p*t, exact while n*pq <= 2^53).
     Over each stretch where a grows 100-fold the degree M is the smallest
     with x_max^(M-1) <= eps/8, x_max = h_max/a_min.  The pieces with
     a < h_max/_SERIES_X, next to t = 0, keep the log1p form, whose
@@ -182,47 +275,9 @@ def _head_sum(
     estimate, 4e-16 (sum of squared piece integrals)^(1/2) + 1e-16 |value|,
     is an RMS estimate, not a bound.
     """
-    lam, pq = p / q, p * q
-    rows = max(1, _BLOCK // du.size)  # a block holds this many short periods
-    sums, sq_acc, trunc = [], 0.0, 0.0
-    for c0 in range(0, du.size, _BLOCK):
-        c = slice(c0, c0 + _BLOCK)
-        cols = (du[c].astype(np.float64), f0[c], f1[c])
-        d, fa, fb = (np.tile(a, rows) for a in cols) if rows > 1 else cols
-        ul = (np.arange(rows, dtype=np.float64)[:, None] * pq + u_left[c]).reshape(-1)
-        d_max, coef = float(d.max()), None
-        for j0 in range(0, n_periods, rows):
-            size = min(rows, n_periods - j0) * (d.size // rows)
-            left = j0 * pq + ul[:size]  # left edges and widths d in u
-            terms = np.empty(size)
-            k = int(np.searchsorted(left, d_max / _SERIES_X))
-            if k:  # x = inf at t = 0, where the integrand is lam
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    lk, dk, x = left[:k], d[:k], d[:k] / left[:k]
-                    lg = np.log1p(x)
-                    terms[:k] = (
-                        fa[:k] * (p * dk) / (lk * (lk + dk)) + fb[:k] * (lg - x / (1.0 + x))
-                        + lam * (lk / p) * (x * (2.0 + x) / (1.0 + x) - 2.0 * lg)
-                    )
-                if j0 == c0 == 0:
-                    terms[0] = lam * d[0] / p
-            while k < size:
-                end = int(np.searchsorted(left, 100.0 * left[k]))
-                x_max = d_max / left[k]
-                m_top = next(m for m in range(2, 64) if x_max ** (m - 1) <= 2.0**-55)
-                if coef is None:  # the block's first stretch needs the highest degree
-                    coef = _series_coeffs(lam, d / p, fa, fb, m_top)
-                w = p / left[k:end]
-                acc = w * coef[m_top - 2, k:end]
-                for row in coef[: m_top - 2, k:end][::-1]:
-                    acc += row
-                    acc *= w
-                terms[k:end] = acc * w
-                trunc += (1.0 + x_max) ** (m_top + 1) * x_max ** (m_top - 1) * p / (m_top * left[k])
-                k = end
-            sums.append(float(terms.sum()))
-            sq_acc += float(np.einsum("i,i->", terms, terms))
-    value = math.fsum(sums)
+    value = math.fsum(s for sums, _, _ in parts for s in sums)
+    sq_acc = sum(sq for _, sq, _ in parts)
+    trunc = sum(tr for _, _, tr in parts)
     return value, 4e-16 * math.sqrt(sq_acc) + 1e-16 * abs(value), 1.000001 * trunc
 
 
@@ -237,10 +292,17 @@ def a_quadrature(lam, cfg: QuadratureConfig | None = None) -> CertifiedReal:
     at tail_order 1), the head's rigorous truncation bound (see _head_sum), its
     rounding term (an RMS estimate, not a bound) and a floor 2e-16 (1 + |value|).
 
-    The rational path raises ToleranceError before allocating anything
-    (``achieved`` = inf) for p + q - 1 > 2^23 pieces per period or 2pq > 2^53,
-    and, with the attainable radius, when cfg.tol needs more periods n than
-    cfg.max_periods or than keep the lattice n*pq exact in float64 (<= 2^53).
+    The rational path streams one period's lattice in blocks of about _BLOCK
+    pieces, so its memory is O(_BLOCK) whatever p + q is.  One pass over the
+    blocks takes sup_f, sup_g and the head of periods 0 and 1 (n >= 2);
+    periods 2 .. n - 1, when the tolerance needs them, take a second pass
+    that builds the blocks again.  A period of one block is built once.
+
+    It raises ToleranceError before allocating anything (``achieved`` = inf)
+    for p + q - 1 > 2^25 pieces per period (a cap set by time, about 2.4 s at
+    the cap) or 2pq > 2^53, and, with the attainable radius, when cfg.tol
+    needs more periods n than cfg.max_periods or than keep the lattice n*pq
+    exact in float64 (<= 2^53).
     """
     cfg = cfg or _DEFAULT_QCFG
     if isinstance(lam, (Fraction, int)):
@@ -265,8 +327,12 @@ def _a_quad_rational(lam: Fraction, cfg: QuadratureConfig) -> CertifiedReal:
     if p + q - 1 > _MAX_PIECES:
         msg = f"a_quadrature({lam}): {p + q - 1} pieces per period (max {_MAX_PIECES})"
         raise ToleranceError(msg, achieved=math.inf)
-    u_left, du, f0, f1 = _piece_coeffs(p, q, merged_breakpoints(p, q, 0, p * q))
-    mu, nu, sup_f, sup_g = _period_stats(p, q, du, f0, f1)
+    # The statistics' pass over the blocks also takes the head of periods 0
+    # and 1 (n >= 2); periods 2 .. n - 1 take one more pass.
+    blocks, parts = _lattice_blocks(p, q), []
+    mu, nu, sup_f, sup_g = _period_stats(
+        p, q, blocks, lambda block: parts.append(_head_block(p, q, block, 0, 2))
+    )
     if cfg.tail_order == 2:
         t_needed = (4.0 * sup_g / cfg.tol) ** (1.0 / 3.0)
     else:
@@ -284,7 +350,9 @@ def _a_quad_rational(lam: Fraction, cfg: QuadratureConfig) -> CertifiedReal:
             achieved=achieved,
         )
     big_t = n_periods * q
-    head, round_err, trunc_err = _head_sum(p, q, u_left, du, f0, f1, n_periods)
+    if n_periods > 2:
+        parts += [_head_block(p, q, block, 2, n_periods) for block in blocks()]
+    head, round_err, trunc_err = _head_sum(parts)
     if cfg.tail_order == 2:
         tail = mu / big_t + nu / big_t**2
         tail_err = 2.0 * sup_g / big_t**3

@@ -19,16 +19,21 @@ def merged_breakpoints(p: int, q: int, u_lo: int, u_hi: int) -> np.ndarray:
 
     Scatter merge, O(p + q) with no sort: a multiple m lands at index
     #(p-multiples) + #(q-multiples) - #(lcm-multiples) in (u_lo, m], minus 1.
-    A common multiple is written twice, to the same index.
+    A common multiple is written twice, to the same index; a range holding
+    none has no lcm count to take.
     """
     u_hi = max(u_hi, u_lo)
     lcm = p // math.gcd(p, q) * q
-    mp = np.arange(u_lo // p + 1, u_hi // p + 1, dtype=np.int64) * p
-    mq = np.arange(u_lo // q + 1, u_hi // q + 1, dtype=np.int64) * q
-    out = np.empty(mp.size + mq.size - (u_hi // lcm - u_lo // lcm), dtype=np.int64)
-    for mine, other in ((mp, q), (mq, p)):
-        idx = mine // other - mine // lcm
-        idx += np.arange(mine.size) + (u_lo // lcm - u_lo // other)
+    n_common = u_hi // lcm - u_lo // lcm
+    out = np.empty(u_hi // p - u_lo // p + u_hi // q - u_lo // q - n_common, dtype=np.int64)
+    for m, other in ((p, q), (q, p)):
+        k = np.arange(u_lo // m + 1, u_hi // m + 1, dtype=np.int64)  # mine = k m
+        mine = k * m
+        idx = mine // other
+        if n_common:
+            idx -= mine // lcm
+        idx += k
+        idx += (u_lo // lcm if n_common else 0) - u_lo // other - u_lo // m - 1
         out[idx] = mine
     return out
 

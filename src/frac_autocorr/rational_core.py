@@ -24,13 +24,6 @@ class FareyScanRecord:
     a_value: float
 
 
-def reduce(num: int, den: int) -> Fraction:
-    """Reduced fraction with positive denominator; den = 0 is an error."""
-    if den == 0:
-        raise ZeroDivisionError("rational with zero denominator")
-    return Fraction(num, den)
-
-
 def frac_rational(x: Fraction | int) -> Fraction:
     """Exact fractional part {x} in [0, 1)."""
     x = Fraction(x)

@@ -11,9 +11,10 @@ from hypothesis import example, given, settings, strategies as st
 from frac_autocorr import autocorr
 from frac_autocorr.autocorr import (
     QuadratureConfig,
+    _head_block,
     _head_sum,
+    _lattice_blocks,
     _period_stats,
-    _piece_coeffs,
     a_phi2_relation_residual,
     a_quadrature,
     a_rational,
@@ -74,7 +75,7 @@ def test_a_quadrature_tolerance_error():
     "lam, match",
     [
         (Fraction(2**27 + 1, 2**27), "2pq exceeds 2\\^53"),  # 2pq = 2^55 + 2^28
-        (Fraction(2**24 + 1), "pieces per period"),  # 2^24 + 1 pieces, pq = 2^24 + 1
+        (Fraction(2**26 + 1), "pieces per period"),  # 2^26 + 1 pieces, pq = 2^26 + 1
     ],
     ids=["float64-exactness", "pieces-per-period"],
 )
@@ -114,12 +115,56 @@ def test_a_quadrature_float_lambda_covers_convergent():
         Fraction(11, 5) - Fraction(1, 2**16),
         Fraction(3, 7) - Fraction(1, 2**17),
         Fraction(11, 5) + Fraction(1, 2**17),
+        Fraction(11, 5) + Fraction(1, 2**19),  # 8,388,612 pieces, 512 blocks
+        Fraction(11, 5) - Fraction(1, 2**19),
     ],
-    ids=["11/5+2^-16", "11/5-2^-16", "3/7-2^-17", "11/5+2^-17"],
+    ids=["11/5+2^-16", "11/5-2^-16", "3/7-2^-17", "11/5+2^-17", "11/5+2^-19", "11/5-2^-19"],
 )
 def test_near_rational_radius_covers_closed_form(lam):
     r = a_quadrature(lam, QuadratureConfig(tol=1e-12))
     assert abs(r.value - a_rational(lam.numerator, lam.denominator)) <= r.err
+
+
+def test_quadrature_memory_is_one_block():
+    # 2/3 + 2^-20 has 5,242,883 pieces per period, 42 MB in each float64
+    # per-piece array; the streamed passes hold one block at a time
+    lam = Fraction(2, 3) + Fraction(1, 2**20)
+    tracemalloc.start()
+    try:
+        r = a_quadrature(lam, QuadratureConfig(tol=1e-12))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    assert r.err < 1e-12
+
+
+@pytest.mark.parametrize(
+    "lam, passes",
+    [(Fraction(3, 7), 1), (Fraction(3, 7) - Fraction(1, 2**13), 1), (Fraction(307, 256), 2)],
+    ids=["one-block", "one-pass", "two-passes"],
+)
+def test_lattice_slices_rebuilt_per_pass(monkeypatch, lam, passes):
+    # a one-block period is built once; a longer one once per pass: one for
+    # the statistics and periods 0 and 1, another when the tolerance needs
+    # more periods
+    p, q = lam.numerator, lam.denominator
+    calls = []
+
+    def traced(p_, q_, lo, hi):
+        out = merged_breakpoints(p_, q_, lo, hi)
+        calls.append(out.size)
+        return out
+
+    monkeypatch.setattr(autocorr, "merged_breakpoints", traced)
+    block = autocorr._BLOCK if lam == Fraction(3, 7) else 64
+    monkeypatch.setattr(autocorr, "_BLOCK", block)
+    cfg = QuadratureConfig(tol=1e-12)
+    value = a_quadrature(lam, cfg)
+    monkeypatch.undo()
+    assert sum(calls) == passes * (p + q - 1)
+    assert max(calls) <= block + 2
+    assert abs(value.value - a_quadrature(lam, cfg).value) <= value.err
 
 
 @settings(max_examples=200, deadline=None)
@@ -140,8 +185,8 @@ def test_head_series_against_mpmath(mp, lam, x, h_frac, sa, sb):
     fa, fb = sa * (1.0 - h), sb * (1.0 - p / q * h)
     f0, f1 = fa * fb, fb + p / q * fa
     d = h * p  # width and left edge in u = p t
-    piece = (np.array([v]) for v in (d / x, d, f0, f1))
-    got, _, bound = _head_sum(p, q, *piece, 1)
+    piece = tuple(np.array([v]) for v in (d / x, d, f0, f1))
+    got, _, bound = _head_sum([_head_block(p, q, piece, 0, 1)])
     with mp.workdps(40):
         a, mh, ml = mp.mpf(d / x) / p, mp.mpf(d) / p, mp.mpf(p) / q
         ref = mp.quad(lambda tau: (f0 + f1 * tau + ml * tau**2) / (a + tau) ** 2, [0, mh])
@@ -356,20 +401,25 @@ def _period_stats_oracle(p: int, q: int):
     return mu, nu, max_f + maxgap, max_g + maxgap * (max_f + abs(nu) + maxgap)
 
 
-def test_period_stats_against_fraction_oracle():
+def test_period_stats_against_fraction_oracle(monkeypatch):
+    # the default block holds every period here; blocks of 1, 5 and 64
+    # pieces split the lattice slices mid-period
     eps = sys.float_info.epsilon
     for q in range(1, 30):
         for p in range(1, 60):
             if math.gcd(p, q) != 1:
                 continue
             mu, nu, sup_f, sup_g = _period_stats_oracle(p, q)
-            _, du, f0, f1 = _piece_coeffs(p, q, merged_breakpoints(p, q, 0, p * q))
-            got_mu, got_nu, got_f, got_g = _period_stats(p, q, du, f0, f1)
             assert mu == Fraction(1, 4) + Fraction(1, 12 * p * q)
-            assert got_mu == float(mu)
-            # float64 accumulation over p + q - 1 pieces
-            assert abs(got_nu - float(nu)) <= 4 * eps * (p + q) * abs(float(nu))
-            assert got_f >= sup_f and got_g >= sup_g
+            assert nu == Fraction(-(p + q), 24 * p)
+            for block in (autocorr._BLOCK, 1, 5, 64):
+                monkeypatch.setattr(autocorr, "_BLOCK", block)
+                got_mu, got_nu, got_f, got_g = _period_stats(p, q, _lattice_blocks(p, q))
+                assert got_mu == float(mu)
+                # the bound of the former float64 sum; the closed form is rounded once
+                assert abs(got_nu - float(nu)) <= 4 * eps * (p + q) * abs(float(nu))
+                assert got_f >= sup_f and got_g >= sup_g
+            monkeypatch.undo()
 
 
 @pytest.mark.parametrize("block", [1, 5, 64])
@@ -378,12 +428,18 @@ def test_blocks_carry_their_sums(monkeypatch, block):
     # maxima carried between blocks) and of several short periods per block
     eps = sys.float_info.epsilon
     for p, q, n in [(3, 7, 5), (13, 4, 3), (47, 41, 2), (1, 1, 40)]:
-        u_left, du, f0, f1 = _piece_coeffs(p, q, merged_breakpoints(p, q, 0, p * q))
-        one_block = _head_sum(p, q, u_left, du, f0, f1, n)
+        whole = _lattice_blocks(p, q)
+        one_block = _head_sum([_head_block(p, q, b, 0, n) for b in whole()])
         _, nu, sup_f, sup_g = _period_stats_oracle(p, q)
         monkeypatch.setattr(autocorr, "_BLOCK", block)
-        _, got_nu, got_f, got_g = _period_stats(p, q, du, f0, f1)
-        head, _, _ = _head_sum(p, q, u_left, du, f0, f1, n)
+        blocks = _lattice_blocks(p, q)
+        # the pipeline's split: periods 0 and 1 in the statistics' pass
+        parts = []
+        _, got_nu, got_f, got_g = _period_stats(
+            p, q, blocks, lambda b: parts.append(_head_block(p, q, b, 0, min(n, 2)))
+        )
+        parts += [_head_block(p, q, b, 2, n) for b in blocks() if n > 2]
+        head, _, _ = _head_sum(parts)
         monkeypatch.undo()
         assert abs(got_nu - float(nu)) <= 4 * eps * (p + q) * abs(float(nu))
         assert sup_f <= got_f <= 1.000002 * float(sup_f) + 2e-12

@@ -33,3 +33,27 @@ def test_merged_breakpoints_matches_union(p, q, u_lo, span):
     want = _union_oracle(p, q, u_lo, u_hi)
     assert got.dtype == want.dtype
     np.testing.assert_array_equal(got, want)
+
+
+@given(
+    st.integers(1, 80),
+    st.integers(1, 80),
+    st.integers(-300, 20_000),
+    st.integers(0, 20_000),
+    st.integers(0, 10**6),
+    st.sampled_from([1, "p", "q", "lcm"]),
+)
+@example(7, 3, 0, 42, 1, "lcm")  # two whole periods split at pq
+@example(7, 3, 10, 40, 0, "p")  # mid = 14, the first p-multiple past lo
+@example(7, 3, 0, 21, 7, "q")  # mid = 21 = hi: an empty second range
+@example(1, 1, 3, 9, 0, 1)  # mid = lo: an empty first range
+def test_merged_breakpoints_splits_at_any_mid(p, q, u_lo, span, pick, step):
+    # (lo, mid] then (mid, hi] is the one range (lo, hi]: the lattice blocks
+    # of a streamed quadrature concatenate to the whole period
+    step = {"p": p, "q": q, "lcm": p // math.gcd(p, q) * q}.get(step, step)
+    u_hi = u_lo + span
+    first = -(-u_lo // step) * step
+    assume(first <= u_hi)
+    mid = first + step * (pick % ((u_hi - first) // step + 1))
+    halves = [merged_breakpoints(p, q, u_lo, mid), merged_breakpoints(p, q, mid, u_hi)]
+    np.testing.assert_array_equal(np.concatenate(halves), merged_breakpoints(p, q, u_lo, u_hi))

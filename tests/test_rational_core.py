@@ -9,7 +9,6 @@ from frac_autocorr.rational_core import (
     divisors,
     farey_sequence,
     frac_rational,
-    reduce,
     unit_coordinates,
     unit_group,
 )
@@ -43,14 +42,6 @@ def totient_sum(n: int) -> int:
         if phi[p] == p:  # p prime
             phi[p::p] -= phi[p::p] // p
     return int(phi[1 : n + 1].sum())
-
-
-def test_reduce_examples():
-    assert reduce(2, 4) == Fraction(1, 2)
-    assert reduce(-3, -9) == Fraction(1, 3)
-    assert reduce(0, 5) == Fraction(0, 1)
-    with pytest.raises(ZeroDivisionError):
-        reduce(1, 0)
 
 
 def test_farey_small():
