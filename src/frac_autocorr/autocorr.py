@@ -147,7 +147,7 @@ def _horner(x: np.ndarray, *coeffs) -> np.ndarray:
     return acc
 
 
-def _period_stats(p: int, q: int, blocks, visit=None):
+def _period_stats(p: int, q: int, blocks):
     """Per-period means and antiderivative bounds for the quadrature tail, in
     one pass over blocks() (see _lattice_blocks).
 
@@ -160,16 +160,15 @@ def _period_stats(p: int, q: int, blocks, visit=None):
     bounds on |F| and on |G|, G(t) = int_0^t (F - nu), are float64
     accumulations: piece integrals in Horner form in the width dt, cumulative
     sums carried between blocks, inflated to cover their rounding.
-    visit(block), if given, sees every block first.
-    Returns (mu, nu, sup_f, sup_g).
+    Yields (block, (mu, nu, sup_f, sup_g)) for each block, the bounds over the
+    pieces so far: they only grow, and after the last block they hold for
+    the period.
     """
     lam = p / q
     mu = (3 * p * q + 1) / (12 * p * q)
     nu = -(p + q) / (24 * p)
     f_acc = g_acc = max_f = max_g = maxgap = 0.0
     for block in blocks():
-        if visit:
-            visit(block)
         _, du, f0, f1 = block
         dt, g0 = du / p, f0 - mu
         iosc = _horner(dt, lam / 3.0, 0.5 * f1, g0)
@@ -185,9 +184,9 @@ def _period_stats(p: int, q: int, blocks, visit=None):
         max_f = max(max_f, float(np.abs(f_bp).max()))
         max_g = max(max_g, float(np.abs(g_bp).max()))
         maxgap = max(maxgap, float(du.max()) / p)
-    sup_f = 1.000001 * (max_f + maxgap) + 1e-12
-    sup_g = 1.000001 * (max_g + maxgap * (max_f + abs(nu) + maxgap)) + 1e-12
-    return mu, nu, sup_f, sup_g
+        sup_f = 1.000001 * (max_f + maxgap) + 1e-12
+        sup_g = 1.000001 * (max_g + maxgap * (max_f + abs(nu) + maxgap)) + 1e-12
+        yield block, (mu, nu, sup_f, sup_g)
 
 
 def _series_coeffs(lam: float, h: np.ndarray, f0: np.ndarray, f1: np.ndarray, m_top: int):
@@ -294,9 +293,10 @@ def a_quadrature(lam, cfg: QuadratureConfig | None = None) -> CertifiedReal:
 
     The rational path streams one period's lattice in blocks of about _BLOCK
     pieces, so its memory is O(_BLOCK) whatever p + q is.  One pass over the
-    blocks takes sup_f, sup_g and the head of periods 0 and 1 (n >= 2);
-    periods 2 .. n - 1, when the tolerance needs them, take a second pass
-    that builds the blocks again.  A period of one block is built once.
+    blocks takes sup_f, sup_g and, block by block, the head over the periods
+    that the bounds so far need; the blocks left short of the final count n
+    (a prefix, as the bounds only grow) are built again for the remaining
+    periods.  A period of one block is built once.
 
     It raises ToleranceError before allocating anything (``achieved`` = inf)
     for p + q - 1 > 2^25 pieces per period (a cap set by time, about 2.4 s at
@@ -327,18 +327,23 @@ def _a_quad_rational(lam: Fraction, cfg: QuadratureConfig) -> CertifiedReal:
     if p + q - 1 > _MAX_PIECES:
         msg = f"a_quadrature({lam}): {p + q - 1} pieces per period (max {_MAX_PIECES})"
         raise ToleranceError(msg, achieved=math.inf)
-    # The statistics' pass over the blocks also takes the head of periods 0
-    # and 1 (n >= 2); periods 2 .. n - 1 take one more pass.
-    blocks, parts = _lattice_blocks(p, q), []
-    mu, nu, sup_f, sup_g = _period_stats(
-        p, q, blocks, lambda block: parts.append(_head_block(p, q, block, 0, 2))
-    )
-    if cfg.tail_order == 2:
-        t_needed = (4.0 * sup_g / cfg.tol) ** (1.0 / 3.0)
-    else:
-        t_needed = (4.0 * sup_f / cfg.tol) ** 0.5
-    n_periods = max(2, math.ceil(t_needed / q))
     n_max = min(cfg.max_periods, n_exact)
+
+    def periods(sup_f: float, sup_g: float) -> int:  # n with the tail bound within tol/2
+        if cfg.tail_order == 2:
+            return max(2, math.ceil((4.0 * sup_g / cfg.tol) ** (1.0 / 3.0) / q))
+        return max(2, math.ceil((4.0 * sup_f / cfg.tol) ** 0.5 / q))
+
+    # One pass: each block takes the head over the periods that the bounds
+    # so far need, never more than the final count; blocks left short take
+    # the rest in a second pass.  (On the near-rational ops measured, the
+    # first block's bounds already give the final count.)
+    blocks, parts, reached = _lattice_blocks(p, q), [], []
+    for block, (mu, nu, sup_f, sup_g) in _period_stats(p, q, blocks):
+        reached.append(periods(sup_f, sup_g))
+        if reached[-1] <= n_max:
+            parts.append(_head_block(p, q, block, 0, reached[-1]))
+    n_periods = periods(sup_f, sup_g)
     if n_periods > n_max:
         big_t = n_max * q
         achieved = (
@@ -349,9 +354,9 @@ def _a_quad_rational(lam: Fraction, cfg: QuadratureConfig) -> CertifiedReal:
             f"(max {cfg.max_periods}; exact float64 lattice up to {n_exact})",
             achieved=achieved,
         )
+    short = [n for n in reached if n < n_periods]  # a prefix: reached only grows
+    parts += [_head_block(p, q, block, n, n_periods) for n, block in zip(short, blocks())]
     big_t = n_periods * q
-    if n_periods > 2:
-        parts += [_head_block(p, q, block, 2, n_periods) for block in blocks()]
     head, round_err, trunc_err = _head_sum(parts)
     if cfg.tail_order == 2:
         tail = mu / big_t + nu / big_t**2

@@ -140,14 +140,13 @@ def test_quadrature_memory_is_one_block():
 
 
 @pytest.mark.parametrize(
-    "lam, passes",
-    [(Fraction(3, 7), 1), (Fraction(3, 7) - Fraction(1, 2**13), 1), (Fraction(307, 256), 2)],
-    ids=["one-block", "one-pass", "two-passes"],
+    "lam, block, rebuilt",
+    [(Fraction(3, 7), 1 << 14, 0), (Fraction(3, 7) - Fraction(1, 2**13), 64, 0), (Fraction(307, 256), 64, 4)],
+    ids=["one-block", "one-pass", "short-prefix"],
 )
-def test_lattice_slices_rebuilt_per_pass(monkeypatch, lam, passes):
-    # a one-block period is built once; a longer one once per pass: one for
-    # the statistics and periods 0 and 1, another when the tolerance needs
-    # more periods
+def test_lattice_built_once_then_short_prefix(monkeypatch, lam, block, rebuilt):
+    # every block is built once; the prefix of blocks whose head stopped short
+    # of the final period count (307/256: four of nine) is built again
     p, q = lam.numerator, lam.denominator
     calls = []
 
@@ -157,13 +156,14 @@ def test_lattice_slices_rebuilt_per_pass(monkeypatch, lam, passes):
         return out
 
     monkeypatch.setattr(autocorr, "merged_breakpoints", traced)
-    block = autocorr._BLOCK if lam == Fraction(3, 7) else 64
     monkeypatch.setattr(autocorr, "_BLOCK", block)
     cfg = QuadratureConfig(tol=1e-12)
     value = a_quadrature(lam, cfg)
     monkeypatch.undo()
-    assert sum(calls) == passes * (p + q - 1)
-    assert max(calls) <= block + 2
+    n_blocks = -(-(p + q - 1) // block)
+    assert len(calls) == n_blocks + rebuilt and sum(calls[:n_blocks]) == p + q - 1
+    assert calls[n_blocks:] == calls[:rebuilt] and max(calls) <= block + 2
+    # against the default block, which holds the whole period
     assert abs(value.value - a_quadrature(lam, cfg).value) <= value.err
 
 
@@ -414,7 +414,7 @@ def test_period_stats_against_fraction_oracle(monkeypatch):
             assert nu == Fraction(-(p + q), 24 * p)
             for block in (autocorr._BLOCK, 1, 5, 64):
                 monkeypatch.setattr(autocorr, "_BLOCK", block)
-                got_mu, got_nu, got_f, got_g = _period_stats(p, q, _lattice_blocks(p, q))
+                *_, (_, (got_mu, got_nu, got_f, got_g)) = _period_stats(p, q, _lattice_blocks(p, q))
                 assert got_mu == float(mu)
                 # the bound of the former float64 sum; the closed form is rounded once
                 assert abs(got_nu - float(nu)) <= 4 * eps * (p + q) * abs(float(nu))
@@ -432,13 +432,9 @@ def test_blocks_carry_their_sums(monkeypatch, block):
         one_block = _head_sum([_head_block(p, q, b, 0, n) for b in whole()])
         _, nu, sup_f, sup_g = _period_stats_oracle(p, q)
         monkeypatch.setattr(autocorr, "_BLOCK", block)
-        blocks = _lattice_blocks(p, q)
-        # the pipeline's split: periods 0 and 1 in the statistics' pass
         parts = []
-        _, got_nu, got_f, got_g = _period_stats(
-            p, q, blocks, lambda b: parts.append(_head_block(p, q, b, 0, min(n, 2)))
-        )
-        parts += [_head_block(p, q, b, 2, n) for b in blocks() if n > 2]
+        for b, (_, got_nu, got_f, got_g) in _period_stats(p, q, _lattice_blocks(p, q)):
+            parts.append(_head_block(p, q, b, 0, n))
         head, _, _ = _head_sum(parts)
         monkeypatch.undo()
         assert abs(got_nu - float(nu)) <= 4 * eps * (p + q) * abs(float(nu))
