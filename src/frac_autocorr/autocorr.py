@@ -105,7 +105,8 @@ def _piece_coeffs(p: int, q: int, last: int, u: np.ndarray):
     f0 = {t}{(p/q)t} and f1 = {(p/q)t} + (p/q){t} at the left edge.  Since
     (j*pq + u) % p = u % p, the arrays hold for every period j.  The
     remainders are u - p*floor(u/p) in float64: for integers u < 2^53 the
-    rounded quotient is off by less than 1/p, so its floor is exact.
+    rounded quotient u/p is off by less than 1/p, the least distance from a
+    non-integer u/p to an integer, so its floor is exact.
     Returns (u_left, du, f0, f1), all float64.
     """
     u_right = u.astype(np.float64)
