@@ -40,7 +40,7 @@ from .phi import (
     phi_resum_rational,
 )
 from .piecewise import merged_breakpoints
-from .rational_core import FareyScanRecord, farey_sequence
+from .rational_core import FareyScanRecord, farey_sequence, frac_ratio
 from .specfun import EULER_GAMMA, LOG_2PI, PI, CertifiedReal
 from .vasyunin import _v_pairs, modular_inverse, vasyunin_cot
 
@@ -104,14 +104,12 @@ def _piece_coeffs(p: int, q: int, last: int, u: np.ndarray):
     f0 + f1 tau + (p/q) tau^2 in local coordinates tau = t - u_left/p, with
     f0 = {t}{(p/q)t} and f1 = {(p/q)t} + (p/q){t} at the left edge.  Since
     (j*pq + u) % p = u % p, the arrays hold for every period j.  The
-    remainders are u - p*floor(u/p) in float64: for integers u < 2^53 the
-    rounded quotient u/p is off by less than 1/p, the least distance from a
-    non-integer u/p to an integer, so its floor is exact.
+    remainders are exact float64 remainders (frac_ratio).
     Returns (u_left, du, f0, f1), all float64.
     """
     u_right = u.astype(np.float64)
     u_left = np.concatenate([[last], u_right[:-1]])
-    fp0, fq0 = ((u_left - m * np.floor(u_left / m)) / m for m in (p, q))
+    fp0, fq0 = (frac_ratio(u_left, m) for m in (p, q))
     return u_left, u_right - u_left, fp0 * fq0, fq0 + (p / q) * fp0
 
 
@@ -302,8 +300,11 @@ def a_quadrature(lam, cfg: QuadratureConfig | None = None) -> CertifiedReal:
     It raises ToleranceError before allocating anything (``achieved`` = inf)
     for p + q - 1 > 2^25 pieces per period (a cap set by time, about 2.4 s at
     the cap) or 2pq > 2^53, and, with the attainable radius, when cfg.tol
-    needs more periods n than cfg.max_periods or than keep the lattice n*pq
-    exact in float64 (<= 2^53).
+    needs more periods n than cfg.max_periods, than keep the lattice n*pq
+    exact in float64 (<= 2^53), or than keep (p + q - 1) n within 2^26
+    pieces, the cap's own two-period budget.  As the running count of
+    periods only grows, no head past the budget is summed: such a call
+    costs one pass over a period plus at most the budget.
     """
     cfg = cfg or _DEFAULT_QCFG
     if isinstance(lam, (Fraction, int)):
@@ -328,7 +329,9 @@ def _a_quad_rational(lam: Fraction, cfg: QuadratureConfig) -> CertifiedReal:
     if p + q - 1 > _MAX_PIECES:
         msg = f"a_quadrature({lam}): {p + q - 1} pieces per period (max {_MAX_PIECES})"
         raise ToleranceError(msg, achieved=math.inf)
-    n_max = min(cfg.max_periods, n_exact)
+    # Pieces times periods within 2 _MAX_PIECES, the cap's own two-period time.
+    n_budget = 2 * _MAX_PIECES // (p + q - 1)
+    n_max = min(cfg.max_periods, n_exact, n_budget)
 
     def periods(sup_f: float, sup_g: float) -> int:  # n with the tail bound within tol/2
         if cfg.tail_order == 2:
@@ -352,7 +355,8 @@ def _a_quad_rational(lam: Fraction, cfg: QuadratureConfig) -> CertifiedReal:
         )
         raise ToleranceError(
             f"a_quadrature({lam}): tol {cfg.tol} needs {n_periods} periods "
-            f"(max {cfg.max_periods}; exact float64 lattice up to {n_exact})",
+            f"(max {cfg.max_periods}; exact float64 lattice up to {n_exact}; "
+            f"{n_budget} periods of {p + q - 1} pieces within the budget of 2^26 pieces)",
             achieved=achieved,
         )
     short = [n for n in reached if n < n_periods]  # a prefix: reached only grows

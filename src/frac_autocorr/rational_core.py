@@ -57,6 +57,25 @@ def farey_sequence(order: int, lo: Fraction | int = 0, hi: Fraction | int = 1) -
     return out
 
 
+def frac_ratio(u: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray:
+    """(u mod m)/m for a float64 array u of integers in [0, 2^53), m >= 1.
+
+    Computed as (u - m floor(u/m))/m in float64, into out (a new array if
+    None), which also holds the intermediates; u is left unchanged.  Every
+    step before the last division is exact: for an integer u < 2^53 the
+    rounded quotient u/m is off by less than 1/m, the least distance from a
+    non-integer u/m to an integer, so its floor is exact, and m floor(u/m) <=
+    u is an integer below 2^53.  So the result is the same double as the
+    int64 (u % m) / m.
+    """
+    out = np.divide(u, m, out=out)
+    np.floor(out, out=out)
+    out *= m
+    np.subtract(u, out, out=out)
+    out /= m
+    return out
+
+
 # ----------------------------------------------------------------------
 # divisors and unit groups
 # ----------------------------------------------------------------------

@@ -355,8 +355,26 @@ def j12(z: complex | float, x: float, tol: float = 1e-13):
 # ----------------------------------------------------------------------
 
 
+# Largest q of a cotangent table (and of a V kernel row): 2^25 entries take
+# 256 MB, and the float64 remainders of the V kernel are exact for q^2 < 2^53.
+COT_TABLE_MAX_Q = 2**25
+
+
 def cot_pi_frac_table(q: int) -> np.ndarray:
-    """Array of cot(k*pi/q) for k = 1 .. q-1."""
-    k = np.arange(1, q)
-    num = np.where(2 * k <= q, k, k - q)
-    return 1.0 / np.tan(PI * num / q)
+    """Array of cot(k*pi/q) for k = 1 .. q-1, 1 <= q <= 2^25.
+
+    tan is taken only for 2k <= q, at pi*k/q; an entry with 2k > q is
+    cot(-pi*(q-k)/q), so it is the negated entry q-k, filled by negation:
+    the table is exactly odd.  Raises DomainError for q > 2^25 before
+    allocating anything.
+    """
+    if q > COT_TABLE_MAX_Q:
+        raise DomainError(f"cot_pi_frac_table: q = {q} exceeds 2^25")
+    out = np.arange(1.0, q)
+    half = out[: q // 2]
+    half *= PI
+    half /= q
+    np.tan(half, out=half)
+    np.divide(1.0, half, out=half)
+    np.negative(out[: q - 1 - half.size][::-1], out=out[half.size :])
+    return out

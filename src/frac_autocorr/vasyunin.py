@@ -3,12 +3,15 @@
 Three independent evaluation routes are exposed (cotangent definition,
 half-range B_1 form, digamma form) so that they can be played against each
 other.  Every value of the defining sum, one entry or a whole row, comes
-from one kernel, ``_v_rows``, over a cotangent table per q.  Error model:
-each term carries about two roundings and numpy's pairwise row sum adds
-O(log q eps sum |terms|) (Higham, SIAM J. Sci. Comput. 14, 1993); against
-a 30-digit reference the worst error for q <= 4096 is about 5e-16 q (the
-acceptance bound is 1e-8 q).  A row's sum does not depend on the rows
-beside it, so an entry and the same entry of a whole row are bit-identical.
+from one kernel, ``_v_rows``, over a cotangent table per q.  The kernel
+takes the remainders (p k) mod q in float64, exactly (q^2 < 2^53), and
+serves q <= 2^25 (DomainError above).  Error model: each term carries
+about two roundings and numpy's pairwise row sum adds O(log q eps
+sum |terms|) (Higham, SIAM J. Sci. Comput. 14, 1993); against a 30-digit
+reference the worst error for q <= 4096 is about 5e-16 q (the acceptance
+bound is 1e-8 q).  A row's sum does not depend on the rows beside it, so
+an entry and the same entry of a whole row are bit-identical.  The other
+routes keep their own int64 remainders, independent of the kernel.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ import math
 import numpy as np
 
 from .errors import DomainError, NonCoprimeError
-from .specfun import EULER_GAMMA, PI, cot_pi_frac_table, digamma
+from .rational_core import frac_ratio
+from .specfun import COT_TABLE_MAX_Q, EULER_GAMMA, PI, cot_pi_frac_table, digamma
 
 
 def modular_inverse(p: int, q: int) -> int:
@@ -52,21 +56,34 @@ _V_BLOCK = 1 << 17  # elements per block of _v_rows, so its temporaries stay sma
 
 
 def _v_rows(q: int, ps: np.ndarray) -> np.ndarray:
-    """V(p, q) for each p of the int64 array ps, every p in [0, q) coprime to q >= 2.
+    """V(p, q) for each p of the int64 array ps, every p in [0, q) coprime to
+    q, 2 <= q <= 2^25 (DomainError above, before anything is allocated).
 
     Rows ((p k) mod q)/q cot(k pi/q), k < q, in blocks of at most _V_BLOCK
     elements (a longer row block by block), reduced by numpy's pairwise row
-    sum; not by BLAS, whose rounding depends on the row count.
+    sum; not by BLAS, whose rounding depends on the row count.  Each block
+    runs in place on two buffers: p k in float64 (exact, below q^2 <= 2^50),
+    then frac_ratio's exact remainder over q, the same double as the int64
+    (p k % q) / q, times the cotangents.
     """
+    if q > COT_TABLE_MAX_Q:
+        raise DomainError(f"V(p, q): q = {q} exceeds 2^25, the largest q of the V kernel")
     ct = _cot_table(q)
-    k = np.arange(1, q, dtype=np.int64)
+    k = np.arange(1.0, q)
     width = min(q - 1, _V_BLOCK)
     rows = _V_BLOCK // width
+    pf = ps.astype(np.float64)[:, None]
+    x, r = np.empty((2, min(rows, ps.size) * width))
     out = np.zeros(ps.size, dtype=np.float64)
     for i in range(0, ps.size, rows):
-        p = ps[i : i + rows, None]
+        p = pf[i : i + rows]
         for j in range(0, q - 1, width):
-            out[i : i + rows] += ((p * k[j : j + width]) % q / q * ct[j : j + width]).sum(axis=-1)
+            kb = k[j : j + width]
+            size = p.size * kb.size
+            xb = np.multiply(p, kb, out=x[:size].reshape(p.size, kb.size))
+            rb = frac_ratio(xb, q, out=r[:size].reshape(xb.shape))
+            rb *= ct[j : j + width]
+            out[i : i + rows] += rb.sum(axis=-1)
     return out
 
 

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -89,6 +90,15 @@ def test_a_quadrature_size_guards_raise_before_allocating(lam, match):
         tracemalloc.stop()
     assert e.value.achieved == math.inf
     assert peak < 1 << 20
+
+
+def test_a_quadrature_pieces_times_periods_guard():
+    # 2^22 + 1 pieces a period; tol 1e-10 needs 544 periods, 15 fit in 2^26 pieces
+    start = time.perf_counter()
+    with pytest.raises(ToleranceError, match="budget of 2\\^26 pieces") as e:
+        a_quadrature(Fraction(2**22 + 1))
+    assert time.perf_counter() - start < 1.0
+    assert 1e-10 < e.value.achieved < math.inf
 
 
 def test_a_quadrature_irrational_brackets():

@@ -1,11 +1,14 @@
 import math
 import random
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from frac_autocorr import vasyunin
+from frac_autocorr import mellin_verify, vasyunin
+from frac_autocorr.autocorr import a_rational
 from frac_autocorr.errors import DomainError, NonCoprimeError, PoleError
 from frac_autocorr.specfun import EULER_GAMMA, PI, cot_pi_frac_table
 from frac_autocorr.vasyunin import (
@@ -22,14 +25,39 @@ from frac_autocorr.vasyunin import (
 SQRT3 = math.sqrt(3.0)
 
 
+def _cot_full_range(q: int) -> np.ndarray:
+    """Test oracle: cot(k pi/q), k = 1 .. q-1, one tangent per entry, the
+    numerator reduced to |k| <= q/2 first (the table before its half-range
+    fill)."""
+    k = np.arange(1, q)
+    num = np.where(2 * k <= q, k, k - q)
+    return 1.0 / np.tan(PI * num / q)
+
+
 def _v_cot_fsum(p: int, q: int) -> float:
-    """Test oracle: the defining sum over the full range, correctly rounded
-    by math.fsum (the shipped route before the pairwise-summed kernel)."""
+    """Test oracle: the defining sum over the full range, with its own
+    cotangents, correctly rounded by math.fsum (the shipped route before
+    the pairwise-summed kernel)."""
     if q == 1:
         return 0.0
     k = np.arange(1, q, dtype=np.int64)
     r = (k * (p % q)) % q
-    return math.fsum((r / q) * cot_pi_frac_table(q))
+    return math.fsum((r / q) * _cot_full_range(q))
+
+
+def _v_rows_int64(q: int, ps: np.ndarray) -> np.ndarray:
+    """Test oracle: the V kernel with int64 remainders (the shipped kernel
+    before the float64 remainders), with the same blocks and row sums."""
+    ct = _cot_full_range(q)
+    k = np.arange(1, q, dtype=np.int64)
+    width = min(q - 1, vasyunin._V_BLOCK)
+    rows = vasyunin._V_BLOCK // width
+    out = np.zeros(ps.size, dtype=np.float64)
+    for i in range(0, ps.size, rows):
+        p = ps[i : i + rows, None]
+        for j in range(0, q - 1, width):
+            out[i : i + rows] += ((p * k[j : j + width]) % q / q * ct[j : j + width]).sum(axis=-1)
+    return out
 
 
 def _coprime_at_or_above(p: int, q: int) -> int:
@@ -203,3 +231,53 @@ def test_rows_longer_than_a_block(monkeypatch, block, q):
         assert vasyunin_cot(p, q) == v
     for p, v in row[::7]:
         assert abs(v - _v_cot_fsum(p, q)) <= 2e-15 * q
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 2**14 + 1),
+    st.lists(st.integers(0, 2**14), min_size=1, max_size=6),
+    st.sampled_from([None, 50, 1000]),
+)
+@example(2**14 + 1, [1, 2**14], None)
+@example(2**14, [1, 8191], 50)
+@example(2, [1], 1000)
+def test_float_remainder_kernel_is_bit_identical_to_int64_oracle(q, ps, block):
+    ps = np.array([_coprime_at_or_above(p % q, q) % q for p in ps], dtype=np.int64)
+    with mock.patch.object(vasyunin, "_V_BLOCK", block or vasyunin._V_BLOCK):
+        assert np.array_equal(vasyunin._v_rows(q, ps), _v_rows_int64(q, ps))
+
+
+def test_cot_table_half_range_is_bit_identical_to_full_range():
+    for q in [*range(1, 5001), 2**14, 2**14 + 1, 2**20 + 7]:
+        assert np.array_equal(cot_pi_frac_table(q), _cot_full_range(q)), q
+
+
+def test_a_unit_grid_is_bit_identical_with_int64_oracle_kernel():
+    want = mellin_verify.a_unit_grid(1024)
+    with mock.patch.object(vasyunin, "_v_rows", _v_rows_int64), mock.patch.object(
+        mellin_verify, "_v_rows", _v_rows_int64
+    ):
+        got = mellin_verify.a_unit_grid.__wrapped__(1024)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (vasyunin.vasyunin_cot, (1, 2**25 + 1)),
+        (a_rational, (1, 2**25 + 1)),
+        (cot_pi_frac_table, (2**25 + 1,)),
+    ],
+    ids=["vasyunin_cot", "a_rational", "cot_pi_frac_table"],
+)
+def test_v_kernel_size_guard_raises_before_allocating(fn, args):
+    # float64 remainders p k mod q are exact only while q^2 < 2^53
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="exceeds 2\\^25"):
+            fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
