@@ -104,7 +104,7 @@ def _piece_coeffs(p: int, q: int, last: int, u: np.ndarray):
     f0 + f1 tau + (p/q) tau^2 in local coordinates tau = t - u_left/p, with
     f0 = {t}{(p/q)t} and f1 = {(p/q)t} + (p/q){t} at the left edge.  Since
     (j*pq + u) % p = u % p, the arrays hold for every period j.  The
-    remainders are exact float64 remainders (frac_ratio).
+    fractional parts come from frac_ratio, exact in float64.
     Returns (u_left, du, f0, f1), all float64.
     """
     u_right = u.astype(np.float64)
