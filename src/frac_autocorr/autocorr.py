@@ -12,6 +12,8 @@ Two fully independent evaluation paths:
   with a rigorous remainder bound from the second antiderivative.  One
   period's lattice is streamed in blocks of about _BLOCK pieces, each built
   from its slice of the breakpoints, so memory is O(_BLOCK) whatever p + q is.
+  A float lambda is an exact rational, reduced to a convergent mu with a
+  continuity bound on |A(lambda) - A(mu)| added to the radius.
 * ``a_rational``: the closed form in Vasyunin sums.
 
 They share nothing beyond primitive arithmetic, which is the point: their
@@ -48,16 +50,10 @@ from .vasyunin import _v_pairs, modular_inverse, vasyunin_cot
 @dataclass(frozen=True)
 class QuadratureConfig:
     tol: float = 1e-10
-    max_periods: int = 5_000_000
-    tail_order: int = 2
 
     def __post_init__(self):
         if self.tol < 1e-13:
             raise ValueError("tol below 1e-13 is not supported")
-        if self.max_periods < 1:
-            raise ValueError("max_periods must be at least 1")
-        if self.tail_order not in (1, 2):
-            raise ValueError("tail_order must be 1 or 2")
 
 
 _DEFAULT_QCFG = QuadratureConfig()
@@ -282,13 +278,15 @@ def _head_sum(parts) -> tuple[float, float, float]:
 def a_quadrature(lam, cfg: QuadratureConfig | None = None) -> CertifiedReal:
     """A(lambda) by certified piecewise-exact quadrature.
 
-    Rational lambda (Fraction or int) takes the periodic closed-form path;
-    float lambda takes the best-effort cutoff path with a wide certified
-    tail bracket.
+    A float lambda is the exact rational x = Fraction(lambda): the quadrature
+    runs to tol/2 at the first continued-fraction convergent mu = p/q of x
+    whose continuity bound L (see _continuity_bound) is within tol/2, and L
+    joins its radius.  When no convergent that passes the size guards below
+    reaches tol/2, ToleranceError carries L at the last that does.
 
-    The rational path's radius sums the tail bound (2 sup_g/T^3, or 2 sup_f/T^2
-    at tail_order 1), the head's rigorous truncation bound (see _head_sum), its
-    rounding term (an RMS estimate, not a bound) and a floor 2e-16 (1 + |value|).
+    The rational radius sums the tail bound 2 sup_g/T^3, the head's rigorous
+    truncation bound (see _head_sum), its rounding term (an RMS estimate, not
+    a bound) and a floor 2e-16 (1 + |value|).
 
     The rational path streams one period's lattice in blocks of about _BLOCK
     pieces, so its memory is O(_BLOCK) whatever p + q is.  One pass over the
@@ -299,27 +297,74 @@ def a_quadrature(lam, cfg: QuadratureConfig | None = None) -> CertifiedReal:
 
     It raises ToleranceError before allocating anything (``achieved`` = inf)
     for p + q - 1 > 2^25 pieces per period (a cap set by time, about 2.4 s at
-    the cap) or 2pq > 2^53, and, with the attainable radius, when cfg.tol
-    needs more periods n than cfg.max_periods, than keep the lattice n*pq
-    exact in float64 (<= 2^53), or than keep (p + q - 1) n within 2^26
-    pieces, the cap's own two-period budget.  As the running count of
-    periods only grows, no head past the budget is summed: such a call
-    costs one pass over a period plus at most the budget.
+    the cap) or 2pq > 2^53, and, with the attainable radius, when tol needs
+    more periods n than keep the lattice n*pq exact in float64 (<= 2^53) or
+    than keep (p + q - 1) n within 2^26 pieces, the cap's own two-period
+    budget.  As the running count of periods only grows, no head past the
+    budget is summed: such a call costs one pass over a period plus at most
+    the budget.
     """
-    cfg = cfg or _DEFAULT_QCFG
+    tol = (cfg or _DEFAULT_QCFG).tol
     if isinstance(lam, (Fraction, int)):
         lam = Fraction(lam)
-        if lam <= 0:
-            if lam == 0:
-                return CertifiedReal(0.0, 0.0)
+        if lam < 0:
             raise DomainError("a_quadrature requires lambda >= 0")
-        return _a_quad_rational(lam, cfg)
-    if lam <= 0:
-        raise DomainError("a_quadrature requires lambda > 0 (or exact 0)")
-    return _a_quad_irrational(float(lam), cfg)
+        return _a_quad_rational(lam, tol) if lam else CertifiedReal(0.0, 0.0)
+    lam = float(lam)
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise DomainError(f"a_quadrature requires a finite lambda > 0 (or exact 0), got {lam}")
+    x, achieved = Fraction(lam), math.inf
+    for p, q in _convergents(x):
+        if p + q - 1 > _MAX_PIECES or 2 * p * q > 2**53:
+            break
+        bound = _continuity_bound(float(abs(x - Fraction(p, q))), lam, p / q)
+        if bound <= tol / 2:
+            r = _a_quad_rational(Fraction(p, q), tol / 2) if p else CertifiedReal(0.0, 0.0)
+            return CertifiedReal(r.value, r.err + bound)
+        achieved = bound
+    raise ToleranceError(
+        f"a_quadrature({lam}): no convergent within the size guards has a continuity "
+        f"bound <= tol/2 = {tol / 2}",
+        achieved=achieved,
+    )
 
 
-def _a_quad_rational(lam: Fraction, cfg: QuadratureConfig) -> CertifiedReal:
+def _convergents(x: Fraction):
+    """The continued-fraction convergents (p, q) of x >= 0, the last one x."""
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        a = x.numerator // x.denominator
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        yield p1, q1
+        x -= a
+        if not x:
+            return
+        x = 1 / x
+
+
+def _continuity_bound(delta: float, lam: float, mu: float) -> float:
+    """L(delta) = delta (2 log(1/delta) + log max(1, lam, mu) + 3), a bound on
+    |A(lam) - A(mu)| for delta = |lam - mu| < 1 (0 at delta = 0).
+
+    Say lam > mu (else swap them) and put T = 1/delta > 1.  With
+    d(t) = |{lam t} - {mu t}| <= 1, |A(lam) - A(mu)| <= int_0^inf {t} d(t) t^-2 dt,
+    split three ways:
+    * off the jump set, floor(lam t) = floor(mu t) and d(t) = delta t; as
+      {t} <= min(t, 1), its share of [0, T] is at most delta (1 + log T);
+    * the jump set, where an integer n lies in (mu t, lam t], is the union
+      over n >= 1 of [n/lam, n/mu), and the integral of t^-2 over each
+      interval is exactly delta/n; those that start below T have
+      n < lam T, so their share is at most delta (1 + log T + log max(1, lam));
+    * beyond T, {t} d(t) < 1, so the tail is at most int_T^inf t^-2 dt = 1/T = delta.
+    The cusp |t| log|t|/(2p) of A at a rational p/q (see LocalModel) shows
+    that L is within a factor of about 4 of sharp.
+    """
+    if delta == 0.0:
+        return 0.0
+    return delta * (3.0 - 2.0 * math.log(delta) + math.log(max(1.0, lam, mu)))
+
+
+def _a_quad_rational(lam: Fraction, tol: float) -> CertifiedReal:
     p, q = lam.numerator, lam.denominator
     # Size guards, before anything is allocated.  float64 holds the lattice
     # positions j*pq + u of n periods exactly while n*pq <= 2^53; n >= 2.
@@ -331,79 +376,36 @@ def _a_quad_rational(lam: Fraction, cfg: QuadratureConfig) -> CertifiedReal:
         raise ToleranceError(msg, achieved=math.inf)
     # Pieces times periods within 2 _MAX_PIECES, the cap's own two-period time.
     n_budget = 2 * _MAX_PIECES // (p + q - 1)
-    n_max = min(cfg.max_periods, n_exact, n_budget)
+    n_max = min(n_exact, n_budget)
 
-    def periods(sup_f: float, sup_g: float) -> int:  # n with the tail bound within tol/2
-        if cfg.tail_order == 2:
-            return max(2, math.ceil((4.0 * sup_g / cfg.tol) ** (1.0 / 3.0) / q))
-        return max(2, math.ceil((4.0 * sup_f / cfg.tol) ** 0.5 / q))
+    def periods(sup_g: float) -> int:  # n with the tail bound within tol/2
+        return max(2, math.ceil((4.0 * sup_g / tol) ** (1.0 / 3.0) / q))
 
     # One pass: each block takes the head over the periods that the bounds
     # so far need, never more than the final count; blocks left short take
     # the rest in a second pass.  (On the near-rational ops measured, the
     # first block's bounds already give the final count.)
     blocks, parts, reached = _lattice_blocks(p, q), [], []
-    for block, (mu, nu, sup_f, sup_g) in _period_stats(p, q, blocks):
-        reached.append(periods(sup_f, sup_g))
+    for block, (mu, nu, _, sup_g) in _period_stats(p, q, blocks):
+        reached.append(periods(sup_g))
         if reached[-1] <= n_max:
             parts.append(_head_block(p, q, block, 0, reached[-1]))
-    n_periods = periods(sup_f, sup_g)
+    n_periods = periods(sup_g)
     if n_periods > n_max:
-        big_t = n_max * q
-        achieved = (
-            2.0 * sup_g / big_t**3 if cfg.tail_order == 2 else 2.0 * sup_f / big_t**2
-        )
         raise ToleranceError(
-            f"a_quadrature({lam}): tol {cfg.tol} needs {n_periods} periods "
-            f"(max {cfg.max_periods}; exact float64 lattice up to {n_exact}; "
+            f"a_quadrature({lam}): tol {tol} needs {n_periods} periods "
+            f"(exact float64 lattice up to {n_exact}; "
             f"{n_budget} periods of {p + q - 1} pieces within the budget of 2^26 pieces)",
-            achieved=achieved,
+            achieved=2.0 * sup_g / (n_max * q) ** 3,
         )
     short = [n for n in reached if n < n_periods]  # a prefix: reached only grows
     parts += [_head_block(p, q, block, n, n_periods) for n, block in zip(short, blocks())]
     big_t = n_periods * q
     head, round_err, trunc_err = _head_sum(parts)
-    if cfg.tail_order == 2:
-        tail = mu / big_t + nu / big_t**2
-        tail_err = 2.0 * sup_g / big_t**3
-    else:
-        tail = mu / big_t
-        tail_err = 2.0 * sup_f / big_t**2
+    tail = mu / big_t + nu / big_t**2
+    tail_err = 2.0 * sup_g / big_t**3
     value = head + tail
     return CertifiedReal(value, tail_err + trunc_err + round_err + 2e-16 * (1.0 + abs(value)))
-
-
-def _a_quad_irrational(lam: float, cfg: QuadratureConfig) -> CertifiedReal:
-    if cfg.tail_order == 2:
-        big_t = math.ceil(1.0 / cfg.tol)
-        tail, tail_err = 0.25 / big_t, 1.0 / big_t
-    else:
-        big_t = math.ceil(0.5 / cfg.tol)
-        tail, tail_err = 0.5 / big_t, 0.5 / big_t
-    n_pieces = big_t * (1.0 + lam)
-    if n_pieces > 4 * cfg.max_periods:
-        raise ToleranceError(
-            f"a_quadrature({lam}): cutoff {big_t} needs ~{n_pieces:.2e} pieces",
-            achieved=float("inf"),
-        )
-    ints = np.arange(1.0, math.floor(big_t) + 1.0)
-    lams = np.arange(1.0, math.floor(lam * big_t) + 1.0) / lam
-    edges = np.union1d(ints, lams)
-    edges = np.concatenate([[0.0], edges[edges <= big_t], [float(big_t)]])
-    edges = np.unique(edges)
-    a, b = edges[:-1], edges[1:]
-    mid = 0.5 * (a + b)
-    m = np.floor(mid)
-    n = np.floor(lam * mid)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ell = np.log1p((b - a) / a)
-        rr = 1.0 / a - 1.0 / b
-        terms = lam * (b - a) - (n + lam * m) * ell + m * n * rr
-    terms[0] = lam * (b[0] - a[0])
-    head = math.fsum(terms)
-    value = head + tail
-    return CertifiedReal(value, tail_err + 1e-15 * (1.0 + abs(value)))
-
 
 # ----------------------------------------------------------------------
 # closed forms
@@ -429,7 +431,7 @@ def _a_closed(p: int, q: int, v: float) -> float:
     )
 
 
-def a_phi2_relation_residual(lam: Fraction, cfg: QuadratureConfig | None = None) -> float:
+def a_phi2_relation_residual(lam: Fraction) -> float:
     """Residual of A(l) = log(l)/2 + (1 - gamma + log 2pi)/2 + phi_2(l)/(2l)
     - l integral_l^inf phi_2(t) t^-3 dt."""
     lam = Fraction(lam)
@@ -483,9 +485,7 @@ def _delta_weighted_integral(pbar: int, q: int, v0: Fraction, n: int, big_x: int
     return val + tail_osc.real + tail_mean
 
 
-def delta_functional_equation_residual(
-    p: int, q: int, t: Fraction, cfg: QuadratureConfig | None = None
-) -> float:
+def delta_functional_equation_residual(p: int, q: int, t: Fraction) -> float:
     """|LHS - RHS| of the functional equation of Delta_{p,q} at rational t > 0,
     the right side combining the inverted-argument term and its integral."""
     t = Fraction(t)

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .autocorr import QuadratureConfig, a_rational
+from .autocorr import a_rational
 from .errors import DomainError
 from .estermann import g1
 from .phi import (
@@ -230,17 +230,14 @@ def _mellin_delta(s: complex, p: int, q: int) -> complex:
 # ----------------------------------------------------------------------
 
 
-def mellin_numeric(
-    target: MellinTarget, s: complex | float, cfg: QuadratureConfig | None = None
-) -> complex:
+def mellin_numeric(target: MellinTarget, s: complex | float) -> complex:
     """Numeric Mellin transform of the target at s inside the strip (-1, 0).
 
     The A and Delta values carry no radius (their phi_2 tails drop their
     bounds) and are checked only through mellin_identity_residual's bounds."""
     s = _require_strip(s)
-    tol = (cfg.tol if cfg else 1e-10)
     if target.kind == "fracpart":
-        return _mellin_fracpart(s, target.scale, max(tol, 1e-12))
+        return _mellin_fracpart(s, target.scale, 1e-10)
     if target.kind == "autocorr":
         return _mellin_autocorr(s)
     p, q = target.params

@@ -36,8 +36,6 @@ from .vasyunin import vasyunin_cot
 @dataclass(frozen=True)
 class PhiEvalConfig:
     tol: float = 1e-10
-    max_terms: int = 10_000_000
-    rational_resum: bool = True
 
     def __post_init__(self):
         if self.tol < 1e-14:
@@ -45,6 +43,7 @@ class PhiEvalConfig:
 
 
 _DEFAULT_CFG = PhiEvalConfig()
+_MAX_TERMS = 10_000_000  # terms of the truncated phi_n series
 
 
 @dataclass(frozen=True)
@@ -104,25 +103,24 @@ def phi_resum_rational(n: int, x: Fraction) -> float:
 def phi_n(n: int, x, cfg: PhiEvalConfig | None = None) -> CertifiedReal:
     """phi_n(x) with a certified absolute error radius (n >= 2).
 
-    Rational x with cfg.rational_resum uses the exact resummation (error
-    from the Hurwitz evaluations only); otherwise the series is truncated
-    with the rigorous tail bound max|B_n| sum_{k>K} k^{-n}.
+    Rational x (Fraction or int) uses the exact resummation (error from the
+    Hurwitz evaluations only); a float x truncates the series with the
+    rigorous tail bound max|B_n| sum_{k>K} k^{-n}.
     """
     if n < 2:
         raise ValueError("phi_n requires n >= 2 (phi_1 only exists at rationals)")
     cfg = cfg or _DEFAULT_CFG
-    if cfg.rational_resum and isinstance(x, (Fraction, int)):
+    if isinstance(x, (Fraction, int)):
         val = phi_resum_rational(n, Fraction(x))
         err = 4e-15 * (abs(val) + phi_sup_bound(n))
         return CertifiedReal(val, err)
     xf = float(x)
     mn = max_abs_bernoulli(n)
     k_need = math.ceil((mn / ((n - 1) * cfg.tol)) ** (1.0 / (n - 1)))
-    if k_need > cfg.max_terms:
-        achieved = mn * cfg.max_terms ** (1 - n) / (n - 1)
+    if k_need > _MAX_TERMS:
+        achieved = mn * _MAX_TERMS ** (1 - n) / (n - 1)
         raise ToleranceError(
-            f"phi_{n}({x}): tolerance {cfg.tol} needs {k_need} terms "
-            f"(max_terms={cfg.max_terms})",
+            f"phi_{n}({x}): tolerance {cfg.tol} needs {k_need} terms (max {_MAX_TERMS})",
             achieved=achieved,
         )
     total = 0.0

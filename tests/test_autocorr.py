@@ -60,16 +60,24 @@ def test_a_quadrature_a1_example():
 
 def test_a_quadrature_zero_and_small():
     assert a_quadrature(Fraction(0)).value == 0.0
-    r = a_quadrature(1e-6, QuadratureConfig(tol=1e-3, tail_order=1))
+    r = a_quadrature(1e-6, QuadratureConfig(tol=1e-3))
     assert r.value < 2e-3
     # |A(lambda)| <= ||phi||^2 sqrt(lambda) specialised
     assert r.value <= A1 * math.sqrt(1e-6) + r.err
 
 
 def test_a_quadrature_tolerance_error():
+    # the convergent after 6625109/9369319 has 38.6M pieces a period, past the
+    # cap; the continuity bound at 9369319 is 2.8e-13, above tol/2
     with pytest.raises(ToleranceError) as e:
-        a_quadrature(Fraction(1), QuadratureConfig(tol=1e-13, max_periods=3))
-    assert e.value.achieved > 0
+        a_quadrature(1.0 / math.sqrt(2.0), QuadratureConfig(tol=1e-13))
+    assert 5e-14 < e.value.achieved < math.inf
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, -1.0, 0.0])
+def test_a_quadrature_rejects_nonfinite_and_nonpositive_float(lam):
+    with pytest.raises(DomainError, match="finite lambda > 0"):
+        a_quadrature(lam)
 
 
 @pytest.mark.parametrize(
@@ -103,19 +111,77 @@ def test_a_quadrature_pieces_times_periods_guard():
 
 def test_a_quadrature_irrational_brackets():
     lam = math.sqrt(2.0)
-    r1 = a_quadrature(lam, QuadratureConfig(tol=1e-4, tail_order=1))
+    r = a_quadrature(lam, QuadratureConfig(tol=1e-4))
     want = a_rational(665857, 470832)  # convergent of sqrt(2), 1.1e-12 away
-    assert abs(r1.value - want) <= r1.err + 1e-6
-    r2 = a_quadrature(lam, QuadratureConfig(tol=1e-4, tail_order=2))
-    assert abs(r2.value - want) <= r2.err
+    assert abs(r.value - want) <= r.err
 
 
 def test_a_quadrature_float_lambda_covers_convergent():
-    # cutoff edges near T = 1/tol lie less than 1 apart, where log(b / a) cancels
     lam = 1.0 / math.sqrt(2.0)
     r = a_quadrature(lam, QuadratureConfig(tol=1e-7))
     ref = a_rational(6625109, 9369319)  # a convergent of the binary64 lam, 4e-15 away
     assert abs(r.value - ref) <= r.err
+
+
+def _lemma_bound(lam: float, mu: Fraction) -> float:
+    """L(delta) = delta (2 log(1/delta) + log max(1, lam, mu) + 3), delta = |lam - mu|."""
+    delta = float(abs(Fraction(lam) - mu))
+    return delta * (2.0 * math.log(1.0 / delta) + math.log(max(1.0, lam, float(mu))) + 3.0)
+
+
+@pytest.mark.parametrize(
+    "lam, tol, mu",
+    [
+        (0.5 + 2.0**-20, 1e-4, Fraction(1, 2)),
+        (0.5 + 2.0**-20, 1e-9, Fraction(262144, 524287)),
+        (0.5 + 2.0**-20, 2e-10, Fraction(2**19 + 1, 2**20)),  # tol/2 < 1.0e-10 < tol
+        (3.0 - 2.0**-17, 1e-3, Fraction(3)),
+    ],
+)
+def test_float_lambda_reduces_to_first_convergent_within_tol(lam, tol, mu):
+    # the binary64 1/2 + 2^-20 is x = (2^19 + 1)/2^20, with convergents 1/2
+    # (L = 2.9e-5), 262144/524287 (L = 1.0e-10) and x itself (L = 0); at
+    # 3 - 2^-17 the convergent 3 has L = 2.1e-4, with log 3 in it
+    x = Fraction(lam)
+    r = a_quadrature(lam, QuadratureConfig(tol=tol))
+    at_mu = a_quadrature(mu, QuadratureConfig(tol=tol / 2))
+    widen = _lemma_bound(lam, mu) if mu != x else 0.0
+    assert r.value == at_mu.value
+    assert r.err == pytest.approx(at_mu.err + widen, rel=1e-12)
+    assert abs(r.value - a_rational(x.numerator, x.denominator)) <= r.err <= tol
+
+
+@pytest.mark.parametrize(
+    "lam, p, q",
+    [
+        (1.0 / math.sqrt(2.0), 6625109, 9369319),
+        (math.sqrt(2.0), 9369319, 6625109),
+        (math.pi / 4.0, 5419351, 6900132),
+        (math.e / 3.0, 9415243, 10391023),
+        ((1.0 + math.sqrt(5.0)) / 2.0, 14930352, 9227465),
+    ],
+    ids=["1/sqrt2", "sqrt2", "pi/4", "e/3", "golden"],
+)
+def test_float_lambda_default_tol_covers_convergent(lam, p, q):
+    # (p, q): a convergent of the binary64 lam with q near 10^7; a_rational
+    # there, widened by the continuity bound, must lie inside the radius
+    start = time.perf_counter()
+    r = a_quadrature(lam)
+    assert time.perf_counter() - start < 1.0
+    assert r.err <= 1e-10
+    assert abs(r.value - a_rational(p, q)) <= r.err + _lemma_bound(lam, Fraction(p, q))
+
+
+@pytest.mark.parametrize("p, q", [(1, 1), (1, 2), (2, 3)])
+def test_continuity_lemma_on_closed_forms(p, q):
+    # criterion 9's points p/q +- 2^-j, where A is a closed form on both sides
+    base = Fraction(p, q)
+    a_base = a_rational(p, q)
+    for j in range(8, 21):
+        for sign in (1, -1):
+            lam = base + Fraction(sign, 2**j)
+            got = abs(a_rational(lam.numerator, lam.denominator) - a_base)
+            assert got <= _lemma_bound(float(lam), base)
 
 
 @pytest.mark.parametrize(
@@ -369,15 +435,6 @@ def test_farey_emitters(tmp_path):
 def test_quadrature_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(tol=1e-14)
-    with pytest.raises(ValueError):
-        QuadratureConfig(tail_order=3)
-    for bad in (0, -3):
-        with pytest.raises(ValueError, match="max_periods"):
-            QuadratureConfig(max_periods=bad)
-    # the smallest allowed value reaches the period-count guard, not a division by zero
-    with pytest.raises(ToleranceError) as info:
-        a_quadrature(Fraction(1), QuadratureConfig(max_periods=1))
-    assert 0.0 < info.value.achieved < math.inf
 
 
 def _period_stats_oracle(p: int, q: int):

@@ -40,14 +40,14 @@ def test_phi2_special_values():
 
 def test_phi2_truncation_cross_check():
     # direct truncation at K = 10^6 converges like 1/K; compare loosely
-    r = phi_n(2, 0.5, PhiEvalConfig(tol=2e-7, rational_resum=False))
+    r = phi_n(2, 0.5, PhiEvalConfig(tol=2e-7))
     assert abs(r.value - (-PI2 / 288.0)) <= r.err + 1e-13
-    with pytest.raises(ToleranceError):
-        phi_n(2, 0.5, PhiEvalConfig(tol=1e-10, max_terms=10_000, rational_resum=False))
+    with pytest.raises(ToleranceError):  # 1.7e9 terms, past the 10^7 cap
+        phi_n(2, 0.5, PhiEvalConfig(tol=1e-10))
 
 
 def test_phi_n_float_matches_rational():
-    cfg = PhiEvalConfig(tol=1e-9, rational_resum=False)
+    cfg = PhiEvalConfig(tol=1e-9)
     for n in (3, 4):
         for x in (0.25, 0.8125):
             r = phi_n(n, x, cfg)
