@@ -319,7 +319,11 @@ def a_quadrature(lam, cfg: QuadratureConfig | None = None) -> CertifiedReal:
             break
         bound = _continuity_bound(float(abs(x - Fraction(p, q))), lam, p / q)
         if bound <= tol / 2:
-            r = _a_quad_rational(Fraction(p, q), tol / 2) if p else CertifiedReal(0.0, 0.0)
+            try:
+                r = _a_quad_rational(Fraction(p, q), tol / 2) if p else CertifiedReal(0.0, 0.0)
+            except ToleranceError as e:  # in the caller's lambda and tol, not mu and tol/2
+                msg = f"a_quadrature({lam}): tol {tol} is out of reach at its convergent {p}/{q}"
+                raise ToleranceError(msg, achieved=e.achieved) from e
             return CertifiedReal(r.value, r.err + bound)
         achieved = bound
     raise ToleranceError(

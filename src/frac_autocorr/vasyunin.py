@@ -10,8 +10,8 @@ about two roundings and numpy's pairwise row sum adds O(log q eps
 sum |terms|) (Higham, SIAM J. Sci. Comput. 14, 1993); against a 30-digit
 reference the worst error for q <= 4096 is about 5e-16 q (the acceptance
 bound is 1e-8 q).  A row's sum does not depend on the rows beside it, so
-an entry and the same entry of a whole row are bit-identical.  The other
-routes keep their own int64 remainders, independent of the kernel.
+an entry and the same entry of a whole row are bit-identical.  32 cot
+tables are cached.  The other routes keep their own int64 remainders.
 """
 
 from __future__ import annotations
@@ -47,12 +47,21 @@ def _require_coprime(p: int, q: int) -> None:
         )
 
 
-@functools.lru_cache(maxsize=1024)
+# A grid or scan meets most q once, a sweep or lookup batch repeats q within a
+# few calls: 16 to 128 entries save the same builds.  More entries keep
+# single-use tables (1,024 held 123 MB after a_unit_grid(2^14)) to spare
+# rebuilds that cost about half of a one-value kernel call each.
+@functools.lru_cache(maxsize=32)
 def _cot_table(q: int) -> np.ndarray:
     return cot_pi_frac_table(q)
 
 
 _V_BLOCK = 1 << 17  # elements per block of _v_rows, so its temporaries stay small
+
+
+@functools.lru_cache(maxsize=1)
+def _k_range(n: int) -> np.ndarray:
+    return np.arange(1.0, n + 1)  # k = 1 .. n, shared by every _v_rows call
 
 
 def _v_rows(q: int, ps: np.ndarray) -> np.ndarray:
@@ -62,25 +71,27 @@ def _v_rows(q: int, ps: np.ndarray) -> np.ndarray:
     Rows ((p k) mod q)/q cot(k pi/q), k < q, in blocks of at most _V_BLOCK
     elements (a longer row block by block), reduced by numpy's pairwise row
     sum; not by BLAS, whose rounding depends on the row count.  Each block
-    runs in place on two buffers: p k in float64 (exact, below q^2 <= 2^50),
-    then frac_ratio's exact remainder over q, the same double as the int64
-    (p k % q) / q, times the cotangents.
+    runs in place on the halves of one buffer: p k in float64 (exact, below
+    q^2 <= 2^50), then frac_ratio's exact remainder over q, the same double
+    as the int64 (p k % q) / q, times the cotangents.
     """
     if q > COT_TABLE_MAX_Q:
         raise DomainError(f"V(p, q): q = {q} exceeds 2^25, the largest q of the V kernel")
     ct = _cot_table(q)
-    k = np.arange(1.0, q)
     width = min(q - 1, _V_BLOCK)
     rows = _V_BLOCK // width
+    k = _k_range(_V_BLOCK)
     pf = ps.astype(np.float64)[:, None]
     x, r = np.empty((2, min(rows, ps.size) * width))
     out = np.zeros(ps.size, dtype=np.float64)
     for i in range(0, ps.size, rows):
         p = pf[i : i + rows]
         for j in range(0, q - 1, width):
-            kb = k[j : j + width]
+            kb = k[: min(width, q - 1 - j)]
             size = p.size * kb.size
             xb = np.multiply(p, kb, out=x[:size].reshape(p.size, kb.size))
+            if j:  # a row longer than a block (then one row): p (k + j), exact
+                xb += p * j
             rb = frac_ratio(xb, q, out=r[:size].reshape(xb.shape))
             rb *= ct[j : j + width]
             out[i : i + rows] += rb.sum(axis=-1)

@@ -109,6 +109,19 @@ def test_a_quadrature_pieces_times_periods_guard():
     assert 1e-10 < e.value.achieved < math.inf
 
 
+def test_float_lambda_tolerance_error_names_the_callers_lambda_and_tol():
+    # 3e7 is its own convergent; its rational quadrature at tol/2 = 5e-11
+    # needs 685 periods, past the pieces-times-periods budget
+    with pytest.raises(ToleranceError) as e:
+        a_quadrature(3e7)
+    msg = str(e.value)
+    assert "30000000.0" in msg and "1e-10" in msg
+    assert "5e-11" not in msg
+    with pytest.raises(ToleranceError) as inner:
+        a_quadrature(Fraction(30_000_000), QuadratureConfig(tol=5e-11))
+    assert e.value.achieved == inner.value.achieved
+
+
 def test_a_quadrature_irrational_brackets():
     lam = math.sqrt(2.0)
     r = a_quadrature(lam, QuadratureConfig(tol=1e-4))

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from frac_autocorr.errors import DomainError, PoleError
 from frac_autocorr.specfun import (
@@ -283,6 +284,39 @@ def test_j12_relations():
     assert abs(j12(2.0 + 1j, 3.7)) <= 1.0 / (2.0 * (3.7 + 2.0))
     with pytest.raises(DomainError):
         j12(-5.0, 1.0)
+
+
+def _j12_reference(mp, z: complex, x: float):
+    """30-digit J_{1,2}(z, x).  With n = floor(x), f = x - n and w = n + z,
+    periodicity shifts the integral to [f, inf) at w; over [0, inf) it is
+    psi(w) - log w + 1/(2w) (Binet), and over [0, f] the elementary
+    log((w + f)/w) + (w + 1/2)(1/(w + f) - 1/w).  Their difference, with
+    psi(w) + 1/w = psi(w + 1) and the log w terms cancelled, is
+    psi(w + 1) + 1 - log(x + z) - (w + 1/2)/(x + z): no pole at w = 0 and
+    no branch cut for Re w <= 0 < x + Re z."""
+    w = mp.mpf(math.floor(x)) + mp.mpc(z)
+    s = mp.mpf(x) + mp.mpc(z)
+    return mp.digamma(w + 1) + 1 - mp.log(s) - (w + mp.mpf(0.5)) / s
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.floats(0.0, 60.0) | st.integers(0, 60).map(float),
+    st.floats(1e-4, 20.0),
+    st.floats(-10.0, 10.0) | st.just(0.0),
+    st.booleans(),
+)
+@example(0.7, 0.7, 0.0, True)  # w = 0
+@example(0.0, 1.2e-4, -9.6e-4, False)  # |J| ~ 500: large first piece
+@example(14.0, 3e-4, 9e-4, False)
+def test_j12_error_below_tol_against_mpmath(mp, x, gap, im, real):
+    re = gap - x
+    assume(x + re > 0.0)
+    z = re if real else complex(re, im)
+    tol = 1e-13
+    got = j12(z, x, tol)
+    ref = _j12_reference(mp, complex(z), x)
+    assert float(abs(mp.mpc(got) - ref)) <= tol + 4 * 2.0**-52 * float(abs(ref))
 
 
 # ----------------------------------------------------------------------

@@ -281,3 +281,33 @@ def test_v_kernel_size_guard_raises_before_allocating(fn, args):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def _held_bytes_after(fn) -> int:
+    """tracemalloc's current (held) bytes after fn() from cold V caches."""
+    vasyunin._cot_table.cache_clear()
+    mellin_verify.a_unit_grid.cache_clear()
+    tracemalloc.start()
+    try:
+        fn()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return held
+
+
+def test_a_unit_grid_leaves_few_cot_tables_alive():
+    # the grid meets most denominators once: a large cot cache would keep
+    # its largest single-use tables (about 24 MB at Q = 4096)
+    assert _held_bytes_after(lambda: mellin_verify.a_unit_grid(4096)) < 4 << 20
+
+
+def test_scattered_values_leave_few_cot_tables_alive():
+    rng = random.Random(11)
+
+    def scattered():
+        for _ in range(2000):
+            q = rng.randint(1025, 4096)
+            vasyunin_cot(_coprime_at_or_above(rng.randrange(1, q), q), q)
+
+    assert _held_bytes_after(scattered) < 4 << 20
