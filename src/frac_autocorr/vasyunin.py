@@ -10,8 +10,9 @@ about two roundings and numpy's pairwise row sum adds O(log q eps
 sum |terms|) (Higham, SIAM J. Sci. Comput. 14, 1993); against a 30-digit
 reference the worst error for q <= 4096 is about 5e-16 q (the acceptance
 bound is 1e-8 q).  A row's sum does not depend on the rows beside it, so
-an entry and the same entry of a whole row are bit-identical.  32 cot
-tables are cached.  The other routes keep their own int64 remainders.
+an entry and the same entry of a whole row are bit-identical.  The last
+32 cot and digamma tables of q <= 2^14 are cached (at most 4 MB each).
+The other routes keep their own int64 remainders.
 """
 
 from __future__ import annotations
@@ -48,10 +49,21 @@ def _require_coprime(p: int, q: int) -> None:
 
 
 # A grid or scan meets most q once, a sweep or lookup batch repeats q within a
-# few calls: 16 to 128 entries save the same builds.  More entries keep
-# single-use tables (1,024 held 123 MB after a_unit_grid(2^14)) to spare
-# rebuilds that cost about half of a one-value kernel call each.
-@functools.lru_cache(maxsize=32)
+# few calls: 16 to 128 entries save the same builds.  Only q <= 2^14 is cached
+# (32 tables hold at most 4 MB, where 32 near 2^19 held 129 MB); a larger table
+# is built per call, at about 0.6 of a one-value kernel call at q = 2^19 + 1.
+_TABLE_CACHE_MAX_Q = 1 << 14
+
+
+def _small_q_cache(build):
+    """build(q), LRU-cached for the last 32 q <= _TABLE_CACHE_MAX_Q."""
+    cached = functools.lru_cache(maxsize=32)(build)
+    table = functools.wraps(build)(lambda q: cached(q) if q <= _TABLE_CACHE_MAX_Q else build(q))
+    table.cache_clear, table.cache_info = cached.cache_clear, cached.cache_info
+    return table
+
+
+@_small_q_cache
 def _cot_table(q: int) -> np.ndarray:
     return cot_pi_frac_table(q)
 
@@ -64,37 +76,43 @@ def _k_range(n: int) -> np.ndarray:
     return np.arange(1.0, n + 1)  # k = 1 .. n, shared by every _v_rows call
 
 
+def _v_block(p: np.ndarray, k: np.ndarray, q: int, ct: np.ndarray, x=None, r=None) -> np.ndarray:
+    """numpy's pairwise row sums of ((p k) mod q)/q ct for a float64 column p
+    and run k, p k exact (below q^2 <= 2^50); frac_ratio's remainder is the
+    same double as the int64 (p k % q) / q.  Into buffers x and r if given."""
+    x = np.multiply(p, k, out=x)
+    r = frac_ratio(x, q, out=r)
+    r *= ct
+    return r.sum(axis=-1)
+
+
 def _v_rows(q: int, ps: np.ndarray) -> np.ndarray:
     """V(p, q) for each p of the int64 array ps, every p in [0, q) coprime to
     q, 2 <= q <= 2^25 (DomainError above, before anything is allocated).
 
     Rows ((p k) mod q)/q cot(k pi/q), k < q, in blocks of at most _V_BLOCK
-    elements (a longer row block by block), reduced by numpy's pairwise row
-    sum; not by BLAS, whose rounding depends on the row count.  Each block
-    runs in place on the halves of one buffer: p k in float64 (exact, below
-    q^2 <= 2^50), then frac_ratio's exact remainder over q, the same double
-    as the int64 (p k % q) / q, times the cotangents.
+    elements (a longer row block by block), each summed by _v_block; not by
+    BLAS, whose rounding depends on the row count.  A call that fits in one block
+    runs on new arrays; a longer one reuses one buffer for all its blocks
+    (new arrays per block slowed a_unit_grid(4096) by about 20%).
     """
     if q > COT_TABLE_MAX_Q:
         raise DomainError(f"V(p, q): q = {q} exceeds 2^25, the largest q of the V kernel")
     ct = _cot_table(q)
-    width = min(q - 1, _V_BLOCK)
-    rows = _V_BLOCK // width
     k = _k_range(_V_BLOCK)
     pf = ps.astype(np.float64)[:, None]
-    x, r = np.empty((2, min(rows, ps.size) * width))
+    width = min(q - 1, _V_BLOCK)
+    rows = _V_BLOCK // width
+    if ps.size <= rows and width == q - 1:
+        return _v_block(pf, k[:width], q, ct)
+    x, r = np.empty((2, min(rows, ps.size), width))
     out = np.zeros(ps.size, dtype=np.float64)
     for i in range(0, ps.size, rows):
         p = pf[i : i + rows]
         for j in range(0, q - 1, width):
-            kb = k[: min(width, q - 1 - j)]
-            size = p.size * kb.size
-            xb = np.multiply(p, kb, out=x[:size].reshape(p.size, kb.size))
-            if j:  # a row longer than a block (then one row): p (k + j), exact
-                xb += p * j
-            rb = frac_ratio(xb, q, out=r[:size].reshape(xb.shape))
-            rb *= ct[j : j + width]
-            out[i : i + rows] += rb.sum(axis=-1)
+            n = min(width, q - 1 - j)  # n < width only in a row longer than a block
+            kb = np.add(k[:n], j, out=x[0, :n]) if j else k[:n]  # then alone: p (k + j), exact
+            out[i : i + rows] += _v_block(p, kb, q, ct[j : j + n], x[: p.size, :n], r[: p.size, :n])
     return out
 
 
@@ -109,7 +127,7 @@ def _v_pairs(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=1024)
+@_small_q_cache
 def _psi_table(q: int) -> np.ndarray:
     """psi(k/q) for k = 1 .. q-1."""
     return np.array([digamma(k / q) for k in range(1, q)])
@@ -147,19 +165,8 @@ def vasyunin_psi(p: int, q: int, form: str = "b1") -> float:
     _require_coprime(p, q)
     if q == 1:
         return 0.0
-    k = np.arange(1, q, dtype=np.int64)
-    r = (k * (p % q)) % q
-    psi = _psi_table(q)
-    if form == "b1":
-        b1 = np.where(r == 0, 0.0, r / q - 0.5)
-        return -(2.0 / PI) * math.fsum(b1 * psi)
-    if form == "frac":
-        return (
-            -(2.0 / PI) * math.fsum((r / q) * psi)
-            - (q / PI) * (math.log(q) + EULER_GAMMA)
-            + EULER_GAMMA / PI
-        )
-    raise ValueError(f"unknown form {form!r}")
+    v = -(2.0 / PI) * vasyunin_noncoprime(p % q, q, form)
+    return v if form == "b1" else v - (q / PI) * (math.log(q) + EULER_GAMMA) + EULER_GAMMA / PI
 
 
 def vasyunin_noncoprime(a: int, b: int, form: str = "b1") -> float:

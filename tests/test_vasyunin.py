@@ -311,3 +311,30 @@ def test_scattered_values_leave_few_cot_tables_alive():
             vasyunin_cot(_coprime_at_or_above(rng.randrange(1, q), q), q)
 
     assert _held_bytes_after(scattered) < 4 << 20
+
+
+def test_large_q_values_leave_no_tables_alive():
+    # a table of q entries takes 8q bytes: 32 cached tables near 2^19 held
+    # 129 MB, so tables past the cache's q bound are freed with their call
+    def large():
+        for q in range(2**19 + 1, 2**19 + 81, 2):
+            vasyunin_cot(1, q)
+
+    assert _held_bytes_after(large) < 8 << 20
+
+
+@pytest.mark.parametrize("q", [97, 1000])
+def test_uncached_tables_give_the_same_values(monkeypatch, q):
+    # a low cache bound sends every table of this q through the per-call build
+    row = v_row(q)
+    monkeypatch.setattr(vasyunin, "_TABLE_CACHE_MAX_Q", 50)
+    vasyunin._cot_table.cache_clear()
+    vasyunin._psi_table.cache_clear()
+    assert v_row(q) == row
+    for p, v in row:
+        assert vasyunin_cot(p, q) == v
+    for p, v in row[::7]:
+        assert abs(v - vasyunin_b1cot(p, q)) <= 1e-10 * q
+        assert abs(v - vasyunin_psi(p, q)) <= 1e-9 * q
+        assert abs(v - vasyunin_psi(p, q, form="frac")) <= 1e-9 * q
+    assert vasyunin._cot_table.cache_info().currsize == vasyunin._psi_table.cache_info().currsize == 0
