@@ -92,9 +92,9 @@ def _v_rows(q: int, ps: np.ndarray) -> np.ndarray:
 
     Rows ((p k) mod q)/q cot(k pi/q), k < q, in blocks of at most _V_BLOCK
     elements (a longer row block by block), each summed by _v_block; not by
-    BLAS, whose rounding depends on the row count.  A call that fits in one block
-    runs on new arrays; a longer one reuses one buffer for all its blocks
-    (new arrays per block slowed a_unit_grid(4096) by about 20%).
+    BLAS, whose rounding depends on the row count.  A call that fits in one
+    block runs on new arrays; a longer one reuses one buffer for all its
+    blocks (new arrays per block slowed a_unit_grid(4096) by about 20%).
     """
     if q > COT_TABLE_MAX_Q:
         raise DomainError(f"V(p, q): q = {q} exceeds 2^25, the largest q of the V kernel")

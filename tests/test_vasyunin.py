@@ -337,4 +337,5 @@ def test_uncached_tables_give_the_same_values(monkeypatch, q):
         assert abs(v - vasyunin_b1cot(p, q)) <= 1e-10 * q
         assert abs(v - vasyunin_psi(p, q)) <= 1e-9 * q
         assert abs(v - vasyunin_psi(p, q, form="frac")) <= 1e-9 * q
-    assert vasyunin._cot_table.cache_info().currsize == vasyunin._psi_table.cache_info().currsize == 0
+    assert vasyunin._cot_table.cache_info().currsize == 0
+    assert vasyunin._psi_table.cache_info().currsize == 0
