@@ -11,7 +11,7 @@ Two fully independent evaluation paths:
   closed forms; the antiderivative bounds are float64 sums over one period,
   with a rigorous remainder bound from the second antiderivative.  One
   period's lattice is streamed in blocks of about _BLOCK pieces, each built
-  from its slice of the breakpoints, so memory is O(_BLOCK) whatever p + q is.
+  from its slice of the breakpoints, in a kept 4 MB per-thread workspace.
   A float lambda is an exact rational, reduced to a convergent mu with a
   continuity bound on |A(lambda) - A(mu)| added to the radius.
 * ``a_rational``: the closed form in Vasyunin sums.
@@ -23,6 +23,7 @@ agreement is the verification.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,7 +43,7 @@ from .phi import (
     phi_resum_rational,
 )
 from .piecewise import merged_breakpoints
-from .rational_core import FareyScanRecord, farey_sequence, frac_ratio
+from .rational_core import FareyScanRecord, farey_sequence
 from .specfun import EULER_GAMMA, LOG_2PI, PI, CertifiedReal
 from .vasyunin import _v_pairs, modular_inverse, vasyunin_cot
 
@@ -57,9 +58,9 @@ class QuadratureConfig:
 
 
 _DEFAULT_QCFG = QuadratureConfig()
-# Pieces per period, p + q - 1, capped by time: memory is O(_BLOCK) at any
-# size, and a quadrature costs about 72 ns a piece at two periods (2-core
-# x86-64, numpy 2.4), so 11/5 - 2^-21 (2^25 - 6 pieces) takes 2.4 s.
+# Pieces per period, p + q - 1, capped by time: memory is the block workspace
+# at any size, and a quadrature costs about 55-65 ns a piece at two periods
+# (2-core x86-64, numpy 2.4), so 11/5 - 2^-21 (2^25 - 6 pieces) takes 1.8-2.2 s.
 _MAX_PIECES = 2**25
 _BLOCK = 1 << 14  # pieces per lattice block; every pass holds one block at a time, in cache
 _SERIES_X = 0.1  # the head series serves pieces at a >= h_max/_SERIES_X, log1p forms nearer t = 0
@@ -91,51 +92,55 @@ class LocalModel:
 # ----------------------------------------------------------------------
 
 
-def _piece_coeffs(p: int, q: int, last: int, u: np.ndarray):
-    """Per-piece arrays of the pieces ending at the lattice slice u, shared by
-    every period.
+class _Workspace(threading.local):
+    """One thread's block buffers, kept between quadratures: lattice block (u, f1, du), merge
+    scratch, tiled short period, five rows of intermediates (statistics, then head)."""
 
-    The first piece starts at last, the breakpoint before the slice.  For the
-    piece starting at u_left (u = p*t) the integrand's numerator is
-    f0 + f1 tau + (p/q) tau^2 in local coordinates tau = t - u_left/p, with
-    f0 = {t}{(p/q)t} and f1 = {(p/q)t} + (p/q){t} at the left edge.  Since
-    (j*pq + u) % p = u % p, the arrays hold for every period j.  The
-    fractional parts come from frac_ratio, exact in float64.
-    Returns (u_left, du, f0, f1), all float64.
-    """
-    u_right = u.astype(np.float64)
-    u_left = np.concatenate([[last], u_right[:-1]])
-    fp0, fq0 = (frac_ratio(u_left, m) for m in (p, q))
-    return u_left, u_right - u_left, fp0 * fq0, fq0 + (p / q) * fp0
+    coef = np.empty((17, 0))  # series rows of degrees 2 .. 18, as x_max <= _SERIES_X
+
+    def fit(self, n: int) -> "_Workspace":
+        if n > self.coef.shape[1]:  # a lattice block has at most _BLOCK + 5 pieces
+            cap = max(n, _BLOCK + 8)
+            self.lattice, self.tile, self.tmp = (np.empty((r, cap + 1)) for r in (3, 3, 5))
+            self.merge, self.coef = np.empty((3, cap), dtype=np.int64), np.empty((17, cap))
+        return self
+
+
+_WORKSPACE = _Workspace()
 
 
 def _lattice_blocks(p: int, q: int):
     """One period's pieces in blocks of about _BLOCK, as a zero-argument
-    callable that returns an iterator over (u_left, du, f0, f1).
+    callable that returns an iterator over (u_left, du, f1).
 
-    Block k holds the pieces ending in (pq (k-1)/n, pq k/n] for n blocks,
-    built by merged_breakpoints over that u range; every call rebuilds them
-    one at a time, so a pass holds O(_BLOCK) memory whatever p + q is.  A
-    period that fits in one block is built once and kept.
+    The numerator on the piece at u_left (u = p*t; 0 or a multiple of p or
+    q, where {t}{(p/q)t} = 0) is f1 tau + (p/q) tau^2, tau = t - u_left/p,
+    f1 = {(p/q)t} + (p/q){t} at u_left, in every period.  Block k holds the
+    pieces ending in (pq (k-1)/n, pq k/n] for n blocks, merged_breakpoints
+    over that u range into the thread's workspace, valid until the next
+    block is built; a period that fits in one block is built once and kept.
     """
     n_blocks = -(-(p + q - 1) // _BLOCK)
+    ws = _WORKSPACE.fit(_BLOCK)
+    u, f1, du = ws.lattice
 
     def build():
-        lo = last = 0
+        lo = n = 0
+        u[0] = f1[0] = 0.0  # the first piece starts at u = 0
         for k in range(1, n_blocks + 1):
             hi = p * q * k // n_blocks
-            u = merged_breakpoints(p, q, lo, hi)
-            if u.size:
-                yield _piece_coeffs(p, q, last, u)
-                last = int(u[-1])
+            u[0], f1[0] = u[n], f1[n]  # the last breakpoint so far starts the next piece
+            n = merged_breakpoints(p, q, lo, hi, out=u[1:], scratch=ws.merge, frac=f1[1:]).size
+            if n:
+                yield u[:n], np.subtract(u[1 : n + 1], u[:n], out=du[:n]), f1[:n]
             lo = hi
 
     return list(build()).__iter__ if n_blocks == 1 else build
 
 
-def _horner(x: np.ndarray, *coeffs) -> np.ndarray:
-    """((c0 x + c1) x + ... + c_n) x, in place on one fresh array."""
-    acc = coeffs[0] * x
+def _horner(x: np.ndarray, *coeffs, out: np.ndarray) -> np.ndarray:
+    """((c0 x + c1) x + ... + c_n) x, in place in out."""
+    acc = np.multiply(x, coeffs[0], out=out)
     for c in coeffs[1:]:
         acc += c
         acc *= x
@@ -164,37 +169,25 @@ def _period_stats(p: int, q: int, blocks):
     nu = -(p + q) / (24 * p)
     f_acc = g_acc = max_f = max_g = maxgap = 0.0
     for block in blocks():
-        _, du, f0, f1 = block
-        dt, g0 = du / p, f0 - mu
-        iosc = _horner(dt, lam / 3.0, 0.5 * f1, g0)
+        _, du, f1 = block
+        dt, iosc, f_bp, c, g_bp = _WORKSPACE.fit(du.size + 1).tmp[:, : du.size + 1]
+        dt, iosc, c, g_bp = np.divide(du, p, out=dt[:-1]), iosc[:-1], c[:-1], g_bp[:-1]
+        _horner(dt, lam / 3.0, np.multiply(f1, 0.5, out=c), -mu, out=iosc)
         iosc[0] += f_acc
-        f_bp = np.empty(iosc.size + 1)  # F at the left edges, then at the end
-        f_bp[0] = f_acc
+        f_bp[0] = f_acc  # F at the left edges, then at the end
         np.cumsum(iosc, out=f_bp[1:])
         f_acc, f_bp = float(f_bp[-1]), f_bp[:-1]
-        g_bp = _horner(dt, lam / 12.0, f1 / 6.0, 0.5 * g0, f_bp - nu)  # piece integrals of F - nu
+        f_nu = np.subtract(f_bp, nu, out=iosc)  # and g_bp, the piece integrals of F - nu:
+        _horner(dt, lam / 12.0, np.divide(f1, 6.0, out=c), -0.5 * mu, f_nu, out=g_bp)
         g_bp[0] += g_acc
         np.cumsum(g_bp, out=g_bp)
         g_acc = float(g_bp[-1])
-        max_f = max(max_f, float(np.abs(f_bp).max()))
-        max_g = max(max_g, float(np.abs(g_bp).max()))
+        max_f = max(max_f, float(np.abs(f_bp, out=c).max()))
+        max_g = max(max_g, float(np.abs(g_bp, out=c).max()))
         maxgap = max(maxgap, float(du.max()) / p)
         sup_f = 1.000001 * (max_f + maxgap) + 1e-12
         sup_g = 1.000001 * (max_g + maxgap * (max_f + abs(nu) + maxgap)) + 1e-12
         yield block, (mu, nu, sup_f, sup_g)
-
-
-def _series_coeffs(lam: float, h: np.ndarray, f0: np.ndarray, f1: np.ndarray, m_top: int):
-    """Rows c_2 .. c_M of the head series (see _head_sum)."""
-    coef = np.empty((m_top - 1, h.size))
-    s, nh, hf1, h2l = h.copy(), -h, h * f1, (lam * h) * h  # s = (-1)^m h^(m-1)
-    for m, row in zip(range(2, m_top + 1), coef):
-        np.multiply(hf1, (m - 1) / m, out=row)
-        row += f0
-        row += h2l * ((m - 1) / (m + 1))
-        row *= s
-        s *= nh
-    return coef
 
 
 def _head_block(p: int, q: int, block, j_lo: int, j_hi: int):
@@ -202,40 +195,58 @@ def _head_block(p: int, q: int, block, j_lo: int, j_hi: int):
 
     Returns (partial sums, sum of squared piece integrals, truncation bound)
     for _head_sum to combine.  A block shorter than _BLOCK is tiled over as
-    many periods as fit in _BLOCK pieces.
+    many periods as fit in _BLOCK pieces.  Passes are planned first: series
+    row m covers only the pieces that some pass sums at degree >= m.
     """
-    u_left, du, f0, f1 = block
-    lam, pq = p / q, p * q
-    rows = min(max(1, _BLOCK // du.size), j_hi - j_lo)  # periods per Horner pass
-    d, fa, fb = (np.tile(a, rows) for a in (du, f0, f1)) if rows > 1 else (du, f0, f1)
-    ul = (np.arange(rows, dtype=np.float64)[:, None] * pq + u_left).reshape(-1)
-    d_max, coef = float(du.max()), None
-    sums, sq_acc, trunc = [], 0.0, 0.0
+    u_left, du, f1 = block
+    lam, pq, n = p / q, p * q, du.size
+    rows = min(max(1, _BLOCK // n), j_hi - j_lo)  # periods per Horner pass
+    ws = _WORKSPACE.fit(rows * n)
+    d, fb, ul = du, f1, u_left
+    if rows > 1:  # whole periods tiled: ul = j*pq + u_left
+        d, fb, ul = (t[: rows * n].reshape(rows, n) for t in ws.tile)
+        d[:], fb[:], ul[:] = du, f1, u_left
+        d, fb, ul = d.ravel(), fb.ravel(), np.add(ul, np.arange(rows)[:, None] * pq, out=ul).ravel()
+    d_max, plan, trunc, ends = float(du.max()), [], 0.0, [0] * 17
     for j0 in range(j_lo, j_hi, rows):
-        size = min(rows, j_hi - j0) * du.size
-        left = j0 * pq + ul[:size]  # left edges and widths d in u
-        terms = np.empty(size)
+        size = min(rows, j_hi - j0) * n
+        left = np.add(ul[:size], j0 * pq, out=ws.tmp[0, :size])  # left edges in u
         k = int(np.searchsorted(left, d_max / _SERIES_X))
-        if k:  # x = inf at t = 0, where the integrand is lam
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lk, dk, x = left[:k], d[:k], d[:k] / left[:k]
-                lg = np.log1p(x)
-                terms[:k] = (
-                    fa[:k] * (p * dk) / (lk * (lk + dk)) + fb[:k] * (lg - x / (1.0 + x))
-                    + lam * (lk / p) * (x * (2.0 + x) / (1.0 + x) - 2.0 * lg)
-                )
-            if left[0] == 0.0:
-                terms[0] = lam * d[0] / p
+        plan.append((j0, size, k, []))
         while k < size:
             end = int(np.searchsorted(left, 100.0 * left[k]))
             x_max = d_max / left[k]
             m_top = next(m for m in range(2, 64) if x_max ** (m - 1) <= 2.0**-55)
-            if coef is None:  # the block's first stretch needs the highest degree
-                coef = _series_coeffs(lam, d / p, fa, fb, m_top)
-            w = p / left[k:end]
-            terms[k:end] = _horner(w, *coef[m_top - 2 :: -1, k:end]) * w
             trunc += (1.0 + x_max) ** (m_top + 1) * x_max ** (m_top - 1) * p / (m_top * left[k])
+            plan[-1][3].append((k, end, m_top))
+            ends[: m_top - 1] = [max(e, end) for e in ends[: m_top - 1]]  # summed at degree >= m
             k = end
+    # series rows c_m (see _head_sum), m = 2 .. 18, over the first ends[m - 2] pieces
+    s, nh, hf1, h2l, t = ws.tmp[:, : ends[0]]  # s = (-1)^m h^(m-1), h = d/p
+    np.negative(np.divide(d[: ends[0]], p, out=s), out=nh)
+    np.multiply(s, fb[: ends[0]], out=hf1)
+    np.multiply(np.multiply(s, lam, out=h2l), s, out=h2l)
+    for m, end, nxt in zip(range(2, 19 - ends.count(0)), ends, ends[1:] + [0]):
+        row = np.multiply(hf1[:end], (m - 1) / m, out=ws.coef[m - 2, :end])
+        row += np.multiply(h2l[:end], (m - 1) / (m + 1), out=t[:end])
+        row *= s[:end]
+        s[:nxt] *= nh[:nxt]
+    sums, sq_acc = [], 0.0
+    for j0, size, k, stretches in plan:
+        terms = ws.tmp[0, :size]
+        if k:  # x = inf at t = 0, where the integrand is lam
+            with np.errstate(divide="ignore", invalid="ignore"):
+                lk, x = ul[:k] + j0 * pq, d[:k] / (ul[:k] + j0 * pq)
+                lg = np.log1p(x)
+                terms[:k] = fb[:k] * (lg - x / (1.0 + x))
+                terms[:k] += lam * (lk / p) * (x * (2.0 + x) / (1.0 + x) - 2.0 * lg)
+            if lk[0] == 0.0:
+                terms[0] = lam * d[0] / p
+        for k, end, m_top in stretches:
+            w = np.add(ul[k:end], j0 * pq, out=ws.tmp[1, : end - k])
+            np.divide(p, w, out=w)
+            acc = _horner(w, *ws.coef[m_top - 2 :: -1, k:end], out=ws.tmp[2, : end - k])
+            np.multiply(acc, w, out=terms[k:end])
         sums.append(float(terms.sum()))
         sq_acc += float(np.einsum("i,i->", terms, terms))
     return sums, sq_acc, trunc
@@ -245,10 +256,10 @@ def _head_sum(parts) -> tuple[float, float, float]:
     """Sum of integral {t}{(p/q)t}/t^2 over [0, n*q], piece by piece, from the
     _head_block parts of every block and every period range.
 
-    A piece of width h at t = a has the numerator f0 + f1 tau + lam tau^2,
-    tau = t - a, so with x = h/a and w = 1/a its integral is
-      f0 h/(a(a+h)) + f1 (log(1+x) - x/(1+x)) + lam a (x(2+x)/(1+x) - 2 log(1+x))
-      = sum_{m>=2} c_m w^m,  c_m = (-1)^m h^(m-1) (f0 + h((m-1)/m f1 + h (m-1)/(m+1) lam)).
+    A piece of width h at t = a has the numerator f1 tau + lam tau^2,
+    tau = t - a (see _lattice_blocks), so with x = h/a and w = 1/a its integral is
+      f1 (log(1+x) - x/(1+x)) + lam a (x(2+x)/(1+x) - 2 log(1+x))
+      = sum_{m>=2} c_m w^m,  c_m = (-1)^m h^(m-1) h((m-1)/m f1 + h (m-1)/(m+1) lam).
     The c_m depend on the piece alone: built once per block (or tile of whole
     short periods) and pass, they serve every period of the pass, each one
     Horner pass in w = p/(j*pq + u_left) (u = p*t, exact while n*pq <= 2^53).
@@ -257,11 +268,11 @@ def _head_sum(parts) -> tuple[float, float, float]:
     a < h_max/_SERIES_X, next to t = 0, keep the log1p form, whose
     cancellation costs about 2 lam h eps a piece.
 
-    Truncation bound.  The parts in f0, f1 and lam each alternate, and for
-    x < 2/3 their terms fall (ratios x, <= 4x/3, <= 3x/2), so each remainder
+    Truncation bound.  The parts in f1 and lam each alternate, and for
+    x < 2/3 their terms fall (ratios <= 4x/3, <= 3x/2), so each remainder
     is at most its first omitted term, all of sign (-1)^(M+1).  A piece's
-    remainder is thus at most h^M (f0 + h f1 + h^2 lam)/a^(M+1), and
-    f0 + h f1 + h^2 lam = ({t} + h)({lam t} + lam h) <= 1, the numerator at
+    remainder is thus at most h^M (h f1 + h^2 lam)/a^(M+1), and
+    h f1 + h^2 lam = ({t} + h)({lam t} + lam h) <= 1, the numerator at
     the right edge.  As h/a^(M+1) <= (1+x)^(M+1) int_a^(a+h) t^-(M+1) dt, a
     stretch's remainders sum to at most (1+x_max)^(M+1) h_max^(M-1) a_min^-M / M.
 
@@ -289,14 +300,15 @@ def a_quadrature(lam, cfg: QuadratureConfig | None = None) -> CertifiedReal:
     a bound) and a floor 2e-16 (1 + |value|).
 
     The rational path streams one period's lattice in blocks of about _BLOCK
-    pieces, so its memory is O(_BLOCK) whatever p + q is.  One pass over the
-    blocks takes sup_f, sup_g and, block by block, the head over the periods
-    that the bounds so far need; the blocks left short of the final count n
-    (a prefix, as the bounds only grow) are built again for the remaining
+    pieces in the thread's block buffers (about 4 MB, kept between calls),
+    so its memory is that whatever p + q is.  One pass over the blocks takes
+    sup_f, sup_g and, block by block, the head over the periods that the
+    bounds so far need; the blocks left short of the final count n (a
+    prefix, as the bounds only grow) are built again for the remaining
     periods.  A period of one block is built once.
 
     It raises ToleranceError before allocating anything (``achieved`` = inf)
-    for p + q - 1 > 2^25 pieces per period (a cap set by time, about 2.4 s at
+    for p + q - 1 > 2^25 pieces per period (a cap set by time, about 2 s at
     the cap) or 2pq > 2^53, and, with the attainable radius, when tol needs
     more periods n than keep the lattice n*pq exact in float64 (<= 2^53) or
     than keep (p + q - 1) n within 2^26 pieces, the cap's own two-period

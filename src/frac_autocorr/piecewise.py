@@ -14,28 +14,41 @@ from fractions import Fraction
 import numpy as np
 
 
-def merged_breakpoints(p: int, q: int, u_lo: int, u_hi: int) -> np.ndarray:
+def merged_breakpoints(
+    p: int, q: int, u_lo: int, u_hi: int, *, out=None, scratch=None, frac=None
+) -> np.ndarray:
     """Sorted u-breakpoints (multiples of p or q) in (u_lo, u_hi].
 
     Scatter merge, O(p + q) with no sort: a multiple m lands at index
     #(p-multiples) + #(q-multiples) - #(lcm-multiples) in (u_lo, m], minus 1.
     A common multiple is written twice, to the same index; a range holding
     none has no lcm count to take.
+
+    Buffers: out[:n] takes the n breakpoints and is returned; scratch, int64 (3, >= either
+    count), the intermediates; frac, f1 = {(p/q)t} + (p/q){t} at each u = p t from the
+    scatter's remainders, the doubles of frac_ratio(u, q) + (p/q) frac_ratio(u, p).
     """
     u_hi = max(u_hi, u_lo)
     lcm = p // math.gcd(p, q) * q
     n_common = u_hi // lcm - u_lo // lcm
-    out = np.empty(u_hi // p - u_lo // p + u_hi // q - u_lo // q - n_common, dtype=np.int64)
+    n = u_hi // p - u_lo // p + u_hi // q - u_lo // q - n_common
+    out = np.empty(n, dtype=np.int64) if out is None else out
+    scratch = np.empty((3, n), dtype=np.int64) if scratch is None else scratch
     for m, other in ((p, q), (q, p)):
         k = np.arange(u_lo // m + 1, u_hi // m + 1, dtype=np.int64)  # mine = k m
-        mine = k * m
-        idx = mine // other
-        if n_common:
-            idx -= mine // lcm
+        mine, idx, rem = scratch[:, : k.size]
+        np.multiply(k, m, out=mine)
+        np.floor_divide(mine, other, out=idx)
+        np.subtract(mine, np.multiply(idx, other, out=rem), out=rem)  # mine mod other
         idx += k
+        if n_common:
+            idx -= np.floor_divide(mine, lcm, out=k)
         idx += (u_lo // lcm if n_common else 0) - u_lo // other - u_lo // m - 1
         out[idx] = mine
-    return out
+        if frac is not None:  # the fractions take the 8 bytes of each scattered mine
+            f = np.divide(rem, float(other), out=mine.view(np.float64))
+            frac[idx] = np.multiply(f, p / q if m == q else 1.0, out=f)
+    return out[:n]
 
 
 def piece_grid(theta: Fraction, lo: Fraction, hi: Fraction):

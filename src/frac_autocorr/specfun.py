@@ -158,6 +158,31 @@ def _trigamma_half(z: complex) -> complex:
     return acc + s
 
 
+def digamma_vec(a: np.ndarray) -> np.ndarray:
+    """Vectorised psi for positive reals: the series at z = a + n >= _PSI_SHIFT less
+    sum_{j<n} 1/(a + j), each term added with its exact rounding error (Knuth's
+    TwoSum), as below 1 the two cancel to a third of their size."""
+    a = np.asarray(a, dtype=np.float64)
+    if np.any(a <= 0):
+        raise DomainError("digamma_vec requires positive arguments")
+    n = max(0, math.ceil(_PSI_SHIFT - a.min())) if a.size else 0
+    z = a + n
+    inv2 = 1.0 / (z * z)
+    acc, err, t, v = (np.zeros_like(a) for _ in range(4))
+    for j in range(8, 0, -1):  # the series, Horner in z^-2, into t
+        t += _BERNOULLI_2N[j - 1] / (2 * j)
+        t *= inv2
+    for x in [*(np.divide(-1.0, a + j) for j in range(n)), np.log(z), -0.5 / z, np.negative(t)]:
+        np.add(acc, x, out=t)  # in place: acc + x = t + (acc - (t - v)) + (x - v), v = t - acc
+        np.subtract(t, acc, out=v)
+        x -= v
+        acc -= np.subtract(t, v, out=v)
+        acc += x
+        err += acc
+        acc, t = t, acc
+    return acc + err
+
+
 def trigamma_vec(a: np.ndarray) -> np.ndarray:
     """Vectorised psi' for positive real arguments (grid workhorse)."""
     a = np.asarray(a, dtype=np.float64)

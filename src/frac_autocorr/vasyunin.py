@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError, NonCoprimeError
 from .rational_core import frac_ratio
-from .specfun import COT_TABLE_MAX_Q, EULER_GAMMA, PI, cot_pi_frac_table, digamma
+from .specfun import COT_TABLE_MAX_Q, EULER_GAMMA, PI, cot_pi_frac_table, digamma_vec
 
 
 def modular_inverse(p: int, q: int) -> int:
@@ -130,7 +130,7 @@ def _v_pairs(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 @_small_q_cache
 def _psi_table(q: int) -> np.ndarray:
     """psi(k/q) for k = 1 .. q-1."""
-    return np.array([digamma(k / q) for k in range(1, q)])
+    return digamma_vec(np.arange(1, q) / q)
 
 
 def vasyunin_cot(p: int, q: int) -> float:

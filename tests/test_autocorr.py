@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import threading
 import time
 import tracemalloc
 from fractions import Fraction
@@ -228,6 +229,62 @@ def test_quadrature_memory_is_one_block():
     assert r.err < 1e-12
 
 
+def test_quadrature_allocates_no_block_arrays_after_warm_up():
+    # 11/5 + 2^-13 has 131,076 pieces per period, eight blocks; after one
+    # call, the next works in the thread's held block buffers
+    lam = Fraction(11, 5) + Fraction(1, 2**13)
+    want = a_quadrature(lam)
+    tracemalloc.start()
+    try:
+        got = a_quadrature(lam)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - current <= 512 << 10
+    assert (got.value, got.err) == (want.value, want.err)
+
+
+def _workspace_bytes() -> int:
+    return sum(a.nbytes for a in vars(autocorr._WORKSPACE).values() if isinstance(a, np.ndarray))
+
+
+def test_workspace_is_bounded_and_kept():
+    a_quadrature(Fraction(3, 7))
+    held = _workspace_bytes()
+    assert 0 < held <= 5 << 20
+    rng = random.Random(23)
+    for _ in range(20):
+        p, q = rng.choice([(11, 5), (2, 3), (1, 1), (3, 7), (5, 8), (307, 256)])
+        a_quadrature(Fraction(p, q) + Fraction(rng.choice([1, -1]), 2 ** rng.randint(4, 17)))
+        assert _workspace_bytes() == held
+
+
+def test_threads_keep_their_own_workspace():
+    # two threads run the same quadratures at once; each has its own block
+    # buffers, so both return the bits of a sequential run
+    lams = [Fraction(p, q) + Fraction(s, 2**j) for (p, q), s, j in zip(
+        [(11, 5), (2, 3), (1, 1), (3, 7), (5, 8), (1, 2)] * 2, [1, -1] * 6, range(6, 18)
+    )]
+    want = [(r.value, r.err) for r in map(a_quadrature, lams)]
+    got = [None, None]
+
+    def run(i):
+        got[i] = [(r.value, r.err) for r in map(a_quadrature, lams)]
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [want, want]
+
+
 @pytest.mark.parametrize(
     "lam, block, rebuilt",
     [(Fraction(3, 7), 1 << 14, 0), (Fraction(3, 7) - Fraction(1, 2**13), 64, 0), (Fraction(307, 256), 64, 4)],
@@ -239,8 +296,8 @@ def test_lattice_built_once_then_short_prefix(monkeypatch, lam, block, rebuilt):
     p, q = lam.numerator, lam.denominator
     calls = []
 
-    def traced(p_, q_, lo, hi):
-        out = merged_breakpoints(p_, q_, lo, hi)
+    def traced(p_, q_, lo, hi, **kwargs):
+        out = merged_breakpoints(p_, q_, lo, hi, **kwargs)
         calls.append(out.size)
         return out
 
@@ -263,18 +320,21 @@ def test_lattice_built_once_then_short_prefix(monkeypatch, lam, block, rebuilt):
     h_frac=st.floats(0.001, 1.0),
     sa=st.floats(0.0, 1.0),
     sb=st.floats(0.0, 1.0),
+    start=st.sampled_from(["p", "q"]),
 )
-@example(lam=Fraction(1), x=0.09, h_frac=1.0, sa=0.0, sb=0.0)
-@example(lam=Fraction(20), x=1e-9, h_frac=1.0, sa=1.0, sb=1.0)
-def test_head_series_against_mpmath(mp, lam, x, h_frac, sa, sb):
+@example(lam=Fraction(1), x=0.09, h_frac=1.0, sa=0.0, sb=0.0, start="p")
+@example(lam=Fraction(20), x=1e-9, h_frac=1.0, sa=1.0, sb=1.0, start="q")
+def test_head_series_against_mpmath(mp, lam, x, h_frac, sa, sb, start):
     # one piece of width h at t = a = h/x with no breakpoint inside it:
-    # {t} + h <= 1 and {lam t} + lam h <= 1 at its left edge
+    # {t} + h <= 1 and {lam t} + lam h <= 1 at its left edge, a breakpoint,
+    # where {t} = 0 (a multiple of p in u = p t) or {lam t} = 0 (of q)
     p, q = lam.numerator, lam.denominator
+    sa, sb = (0.0, sb) if start == "p" else (sa, 0.0)
     h = h_frac * min(1.0, q / p)
     fa, fb = sa * (1.0 - h), sb * (1.0 - p / q * h)
     f0, f1 = fa * fb, fb + p / q * fa
     d = h * p  # width and left edge in u = p t
-    piece = tuple(np.array([v]) for v in (d / x, d, f0, f1))
+    piece = tuple(np.array([v]) for v in (d / x, d, f1))
     got, _, bound = _head_sum([_head_block(p, q, piece, 0, 1)])
     with mp.workdps(40):
         a, mh, ml = mp.mpf(d / x) / p, mp.mpf(d) / p, mp.mpf(p) / q

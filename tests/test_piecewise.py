@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import assume, example, given, strategies as st
 
 from frac_autocorr.piecewise import merged_breakpoints
+from frac_autocorr.rational_core import frac_ratio
 
 
 def _union_oracle(p: int, q: int, u_lo: int, u_hi: int) -> np.ndarray:
@@ -57,3 +58,29 @@ def test_merged_breakpoints_splits_at_any_mid(p, q, u_lo, span, pick, step):
     mid = first + step * (pick % ((u_hi - first) // step + 1))
     halves = [merged_breakpoints(p, q, u_lo, mid), merged_breakpoints(p, q, mid, u_hi)]
     np.testing.assert_array_equal(np.concatenate(halves), merged_breakpoints(p, q, u_lo, u_hi))
+
+
+@given(
+    st.integers(1, 80),
+    st.integers(1, 80),
+    st.integers(0, 20_000),
+    st.integers(-50, 20_000),
+    st.sampled_from([np.int64, np.float64]),
+)
+@example(7, 3, 0, 5 * 21, np.float64)  # several periods, common multiples included
+@example(1, 1, 0, 5, np.float64)  # p = q = 1: every point is common
+@example(7, 3, 10, 10, np.int64)  # empty range
+def test_merged_breakpoints_buffers_and_frac(p, q, u_lo, span, dtype):
+    # the buffer form writes the plain form's breakpoints into out, and frac
+    # holds f1 = {(p/q)t} + (p/q){t} at each of them, bit for bit as frac_ratio
+    assume(math.gcd(p, q) == 1)
+    u_hi = u_lo + span
+    plain = merged_breakpoints(p, q, u_lo, u_hi)
+    n = plain.size
+    out, frac = np.zeros(n + 3, dtype=dtype), np.full(n + 3, np.nan)
+    scratch = np.empty((3, n + 3), dtype=np.int64)
+    got = merged_breakpoints(p, q, u_lo, u_hi, out=out, scratch=scratch, frac=frac)
+    assert got.base is out and got.dtype == dtype
+    np.testing.assert_array_equal(got, plain)
+    u = plain.astype(np.float64)
+    assert frac[:n].tobytes() == (frac_ratio(u, q) + (p / q) * frac_ratio(u, p)).tobytes()

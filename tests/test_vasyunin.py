@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from frac_autocorr import mellin_verify, vasyunin
 from frac_autocorr.autocorr import a_rational
 from frac_autocorr.errors import DomainError, NonCoprimeError, PoleError
-from frac_autocorr.specfun import EULER_GAMMA, PI, cot_pi_frac_table
+from frac_autocorr.specfun import EULER_GAMMA, PI, cot_pi_frac_table, digamma_vec
 from frac_autocorr.vasyunin import (
     centered_trig_sum,
     modular_inverse,
@@ -339,3 +340,19 @@ def test_uncached_tables_give_the_same_values(monkeypatch, q):
         assert abs(v - vasyunin_psi(p, q, form="frac")) <= 1e-9 * q
     assert vasyunin._cot_table.cache_info().currsize == 0
     assert vasyunin._psi_table.cache_info().currsize == 0
+
+
+def test_psi_table_against_mpmath(mp):
+    # the digamma rows of vasyunin_psi, one numpy pass: within 4 eps max(1, |psi|)
+    # of a 30-digit psi(k/q) at 500 random k/q
+    rng = random.Random(17)
+    kq = [(rng.randint(1, q - 1), q) for q in (rng.randint(2, 2**14) for _ in range(500))]
+    got = digamma_vec(np.array([k for k, _ in kq]) / np.array([q for _, q in kq]))
+    eps = sys.float_info.epsilon
+    for (k, q), g in zip(kq, got.tolist()):
+        ref = mp.digamma(mp.mpf(k) / q)
+        assert abs(g - ref) <= 4 * eps * max(1.0, abs(float(ref))), (k, q)
+    for k, q in kq[:5]:
+        assert vasyunin._psi_table.__wrapped__(q)[k - 1] == digamma_vec(np.array([k / q]))[0]
+    with pytest.raises(DomainError):
+        digamma_vec(np.array([0.5, 0.0]))
