@@ -4,14 +4,14 @@ Two fully independent evaluation paths:
 
 * ``a_quadrature``: piecewise-exact integration.  For rational lambda = p/q
   the integrand's numerator is q-periodic; the head is summed over M
-  periods, each piece as a power series in 1/t whose coefficients are shared
-  by every period, and the tail is mu/T + nu/T^2.  mu = 1/4 + 1/(12pq), the
-  per-period mean of the integrand (Franel's integral), and
-  nu = -(p + q)/(24p), the mean of its oscillation antiderivative, are
-  closed forms; the antiderivative bounds are float64 sums over one period,
-  with a rigorous remainder bound from the second antiderivative.  One
-  period's lattice is streamed in blocks of about _BLOCK pieces, each built
-  from its slice of the breakpoints, in a kept 4 MB per-thread workspace.
+  periods, each piece as a series in (h/(2t + h))^2 to a degree set by tol,
+  and the tail is mu/T + nu/T^2.  mu = 1/4 + 1/(12pq), the per-period mean
+  of the integrand (Franel's integral), and nu = -(p + q)/(24p), the mean of
+  its oscillation antiderivative, are closed forms; the antiderivative
+  bounds are float64 sums over one period, with a remainder bound from the
+  second antiderivative.  One period's lattice is streamed in blocks of
+  about _BLOCK pieces in a kept 2.4 MB per-thread workspace.  Every radius
+  term is a bound.
   A float lambda is an exact rational, reduced to a convergent mu with a
   continuity bound on |A(lambda) - A(mu)| added to the radius.
 * ``a_rational``: the closed form in Vasyunin sums.
@@ -59,11 +59,10 @@ class QuadratureConfig:
 
 _DEFAULT_QCFG = QuadratureConfig()
 # Pieces per period, p + q - 1, capped by time: memory is the block workspace
-# at any size, and a quadrature costs about 55-65 ns a piece at two periods
-# (2-core x86-64, numpy 2.4), so 11/5 - 2^-21 (2^25 - 6 pieces) takes 1.8-2.2 s.
+# at any size, and a quadrature costs about 45-55 ns a piece at two periods
+# (2-core x86-64, numpy 2.4), so 11/5 - 2^-21 (2^25 - 6 pieces) takes 1.5-1.8 s.
 _MAX_PIECES = 2**25
 _BLOCK = 1 << 14  # pieces per lattice block; every pass holds one block at a time, in cache
-_SERIES_X = 0.1  # the head series serves pieces at a >= h_max/_SERIES_X, log1p forms nearer t = 0
 
 
 @dataclass(frozen=True)
@@ -94,15 +93,15 @@ class LocalModel:
 
 class _Workspace(threading.local):
     """One thread's block buffers, kept between quadratures: lattice block (u, f1, du), merge
-    scratch, tiled short period, five rows of intermediates (statistics, then head)."""
+    scratch, tiled short period, nine rows of intermediates (statistics, then head)."""
 
-    coef = np.empty((17, 0))  # series rows of degrees 2 .. 18, as x_max <= _SERIES_X
+    tmp = np.empty((9, 0))
 
     def fit(self, n: int) -> "_Workspace":
-        if n > self.coef.shape[1]:  # a lattice block has at most _BLOCK + 5 pieces
+        if n > self.tmp.shape[1]:  # a lattice block has at most _BLOCK + 5 pieces
             cap = max(n, _BLOCK + 8)
-            self.lattice, self.tile, self.tmp = (np.empty((r, cap + 1)) for r in (3, 3, 5))
-            self.merge, self.coef = np.empty((3, cap), dtype=np.int64), np.empty((17, cap))
+            self.lattice, self.tile, self.tmp = (np.empty((r, cap + 1)) for r in (3, 3, 9))
+            self.merge = np.empty((3, cap), dtype=np.int64)
         return self
 
 
@@ -170,7 +169,7 @@ def _period_stats(p: int, q: int, blocks):
     f_acc = g_acc = max_f = max_g = maxgap = 0.0
     for block in blocks():
         _, du, f1 = block
-        dt, iosc, f_bp, c, g_bp = _WORKSPACE.fit(du.size + 1).tmp[:, : du.size + 1]
+        dt, iosc, f_bp, c, g_bp = _WORKSPACE.fit(du.size + 1).tmp[:5, : du.size + 1]
         dt, iosc, c, g_bp = np.divide(du, p, out=dt[:-1]), iosc[:-1], c[:-1], g_bp[:-1]
         _horner(dt, lam / 3.0, np.multiply(f1, 0.5, out=c), -mu, out=iosc)
         iosc[0] += f_acc
@@ -190,100 +189,98 @@ def _period_stats(p: int, q: int, blocks):
         yield block, (mu, nu, sup_f, sup_g)
 
 
-def _head_block(p: int, q: int, block, j_lo: int, j_hi: int):
+def _head_block(p: int, q: int, block, j_lo: int, j_hi: int, tol: float, room: list):
     """One block's share of the head over periods j_lo .. j_hi - 1.
 
-    Returns (partial sums, sum of squared piece integrals, truncation bound)
-    for _head_sum to combine.  A block shorter than _BLOCK is tiled over as
-    many periods as fit in _BLOCK pieces.  Passes are planned first: series
-    row m covers only the pieces that some pass sums at degree >= m.
+    Returns (partial sums, truncation bound) for _head_sum.  A block shorter
+    than _BLOCK is tiled over as many periods as fit in _BLOCK pieces.  Each
+    stretch's degree follows _head_sum's rule, its truncation bound taken off
+    room[0], what is left of tol/8 (tol = 0: every stretch at the eps degree).
     """
     u_left, du, f1 = block
-    lam, pq, n = p / q, p * q, du.size
-    rows = min(max(1, _BLOCK // n), j_hi - j_lo)  # periods per Horner pass
+    pq, n = p * q, du.size
+    rows = min(max(1, _BLOCK // n), j_hi - j_lo)  # periods per pass
     ws = _WORKSPACE.fit(rows * n)
     d, fb, ul = du, f1, u_left
     if rows > 1:  # whole periods tiled: ul = j*pq + u_left
         d, fb, ul = (t[: rows * n].reshape(rows, n) for t in ws.tile)
         d[:], fb[:], ul[:] = du, f1, u_left
         d, fb, ul = d.ravel(), fb.ravel(), np.add(ul, np.arange(rows)[:, None] * pq, out=ul).ravel()
-    d_max, plan, trunc, ends = float(du.max()), [], 0.0, [0] * 17
+    e, lh, q1, p1, y, z, b, c, terms = ws.tmp[:, : rows * n]
+    np.add(np.add(ul, ul, out=e), d, out=e)  # 2 u_left + d, so y = d/e at j = 0
+    np.divide(d, q, out=lh)  # lam h
+    np.multiply(np.add(fb, lh, out=q1), 4.0 / 3.0, out=q1)  # (4/3)(f1 + lam h)
+    np.add(np.multiply(fb, 2.0 / 3.0, out=p1), q1, out=p1)  # 2 f1 + (4/3) lam h
+    d_max, trunc, sums = float(du.max()), 0.0, []
     for j0 in range(j_lo, j_hi, rows):
-        size = min(rows, j_hi - j0) * n
-        left = np.add(ul[:size], j0 * pq, out=ws.tmp[0, :size])  # left edges in u
-        k = int(np.searchsorted(left, d_max / _SERIES_X))
-        plan.append((j0, size, k, []))
+        size, off, k = min(rows, j_hi - j0) * n, j0 * pq, 0
+        if off == 0 and ul[0] == 0.0:  # the piece at t = 0, where the integrand is lam
+            terms[0], k = lh[0], 1
         while k < size:
-            end = int(np.searchsorted(left, 100.0 * left[k]))
-            x_max = d_max / left[k]
-            m_top = next(m for m in range(2, 64) if x_max ** (m - 1) <= 2.0**-55)
-            trunc += (1.0 + x_max) ** (m_top + 1) * x_max ** (m_top - 1) * p / (m_top * left[k])
-            plan[-1][3].append((k, end, m_top))
-            ends[: m_top - 1] = [max(e, end) for e in ends[: m_top - 1]]  # summed at degree >= m
+            left = float(ul[k]) + off  # left edges in u, exact
+            end = int(np.searchsorted(ul[:size], 100.0 * left - off))
+            x, z_max = d_max / left, (d_max / (2.0 * left + d_max)) ** 2
+            scale = 1.000001 * (1.0 + x) ** 2 * p / (2.0 * (1.0 - z_max) * left)
+            k_eps = next(m for m in range(1, 19) if z_max**m <= 2.0**-55)
+            fit = min(tol * 2.0**-10, room[0])
+            m = next((m for m in range(1, k_eps) if z_max**m * scale <= fit), k_eps)
+            bound = z_max**m * scale if m < k_eps else 0.0
+            trunc, room[0] = trunc + bound, room[0] - bound
+            s, yk, zk, bk, ck = slice(k, end), y[k:end], z[k:end], b[k:end], c[k:end]
+            np.divide(d[s], np.add(e[s], 2 * off, out=yk) if off else e[s], out=yk)
+            np.multiply(yk, yk, out=zk)
+            tk = np.subtract(p1[s], np.multiply(yk, q1[s], out=terms[s]), out=terms[s])
+            if m > 1:  # + sum_{k=2..m} c_k z^(k-1), by Horner forms in z for f1, lam h, f1 y
+                ks = range(m, 1, -1)
+                bk = np.multiply(_horner(zk, *(2.0,) * (m - 1), out=bk), fb[s], out=bk)
+                bk += np.multiply(_horner(zk, *(4 * k / (2 * k + 1) for k in ks), out=ck), lh[s], out=ck)
+                tk += np.multiply(bk, np.subtract(1.0, yk, out=ck), out=bk)
+                ck = np.multiply(_horner(zk, *(2 / (2 * k + 1) for k in ks), out=ck), yk, out=ck)
+                tk += np.multiply(ck, fb[s], out=ck)
+            tk *= zk
             k = end
-    # series rows c_m (see _head_sum), m = 2 .. 18, over the first ends[m - 2] pieces
-    s, nh, hf1, h2l, t = ws.tmp[:, : ends[0]]  # s = (-1)^m h^(m-1), h = d/p
-    np.negative(np.divide(d[: ends[0]], p, out=s), out=nh)
-    np.multiply(s, fb[: ends[0]], out=hf1)
-    np.multiply(np.multiply(s, lam, out=h2l), s, out=h2l)
-    for m, end, nxt in zip(range(2, 19 - ends.count(0)), ends, ends[1:] + [0]):
-        row = np.multiply(hf1[:end], (m - 1) / m, out=ws.coef[m - 2, :end])
-        row += np.multiply(h2l[:end], (m - 1) / (m + 1), out=t[:end])
-        row *= s[:end]
-        s[:nxt] *= nh[:nxt]
-    sums, sq_acc = [], 0.0
-    for j0, size, k, stretches in plan:
-        terms = ws.tmp[0, :size]
-        if k:  # x = inf at t = 0, where the integrand is lam
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lk, x = ul[:k] + j0 * pq, d[:k] / (ul[:k] + j0 * pq)
-                lg = np.log1p(x)
-                terms[:k] = fb[:k] * (lg - x / (1.0 + x))
-                terms[:k] += lam * (lk / p) * (x * (2.0 + x) / (1.0 + x) - 2.0 * lg)
-            if lk[0] == 0.0:
-                terms[0] = lam * d[0] / p
-        for k, end, m_top in stretches:
-            w = np.add(ul[k:end], j0 * pq, out=ws.tmp[1, : end - k])
-            np.divide(p, w, out=w)
-            acc = _horner(w, *ws.coef[m_top - 2 :: -1, k:end], out=ws.tmp[2, : end - k])
-            np.multiply(acc, w, out=terms[k:end])
-        sums.append(float(terms.sum()))
-        sq_acc += float(np.einsum("i,i->", terms, terms))
-    return sums, sq_acc, trunc
+        sums.append(float(terms[:size].sum()))
+    return sums, trunc
 
 
 def _head_sum(parts) -> tuple[float, float, float]:
-    """Sum of integral {t}{(p/q)t}/t^2 over [0, n*q], piece by piece, from the
-    _head_block parts of every block and every period range.
+    """The head, integral {t}{(p/q)t}/t^2 over [0, n*q], from the _head_block
+    parts: (value, rounding bound, truncation bound).
 
     A piece of width h at t = a has the numerator f1 tau + lam tau^2,
-    tau = t - a (see _lattice_blocks), so with x = h/a and w = 1/a its integral is
-      f1 (log(1+x) - x/(1+x)) + lam a (x(2+x)/(1+x) - 2 log(1+x))
-      = sum_{m>=2} c_m w^m,  c_m = (-1)^m h^(m-1) h((m-1)/m f1 + h (m-1)/(m+1) lam).
-    The c_m depend on the piece alone: built once per block (or tile of whole
-    short periods) and pass, they serve every period of the pass, each one
-    Horner pass in w = p/(j*pq + u_left) (u = p*t, exact while n*pq <= 2^53).
-    Over each stretch where a grows 100-fold the degree M is the smallest
-    with x_max^(M-1) <= eps/8, x_max = h_max/a_min.  The pieces with
-    a < h_max/_SERIES_X, next to t = 0, keep the log1p form, whose
-    cancellation costs about 2 lam h eps a piece.
+    tau = t - a (see _lattice_blocks).  With y = h/(2a + h), z = y^2,
+    log(1 + h/a) = 2 atanh y and h/(a + h) = 2y (1-y)/(1-z), its integral is
+      I = sum_{k>=1} c_k z^k,  c_k = 2 (1-y)(f1 + u_k lam h) + t_k y f1 > 0,
+    u_k = 2k/(2k+1), t_k = 2/(2k+1); c_1 = P - y Q, P = 2 f1 + (4/3) lam h,
+    Q = (4/3)(f1 + lam h), kept per block with lam h = d/q, and
+    y = d/(2 (j pq + u_left) + d) in u = p t.  Every piece but the one at
+    t = 0 (integral lam h) has h <= min(1, 1/lam) <= a, so z <= 1/9.
 
-    Truncation bound.  The parts in f1 and lam each alternate, and for
-    x < 2/3 their terms fall (ratios <= 4x/3, <= 3x/2), so each remainder
-    is at most its first omitted term, all of sign (-1)^(M+1).  A piece's
-    remainder is thus at most h^M (h f1 + h^2 lam)/a^(M+1), and
-    h f1 + h^2 lam = ({t} + h)({lam t} + lam h) <= 1, the numerator at
-    the right edge.  As h/a^(M+1) <= (1+x)^(M+1) int_a^(a+h) t^-(M+1) dt, a
-    stretch's remainders sum to at most (1+x_max)^(M+1) h_max^(M-1) a_min^-M / M.
+    Truncation.  As c_k <= 2 (f1 + lam h) and z <= (h/2a)^2, the terms past
+    k = K sum to at most z^K/(1-z) h/(2a^2) (h f1 + h^2 lam), and h f1 +
+    h^2 lam = ({t} + h)({lam t} + lam h) <= 1.  As h/a^2 <= (1 + h/a)^2
+    int t^-2 dt over the piece, a stretch where a grows 100-fold has
+    B(K) = z^K (1+x)^2 / (2 (1-z) a), z, x = h/a and a at its first edge and
+    the block's widest piece.  It takes the smallest K < K_e (the smallest
+    with z^K <= 2^-55) with B(K) <= tol 2^-10 and within what is left of
+    tol/8, adding B(K) to the bound, so the bound is at most tol/8; else
+    K_e, where, as I >= (8/9) z (f1 + lam h), each piece's remainder is
+    within 2.25 z^K/(1-z) <= 0.64 u of its integral (u = 2^-53).
 
-    Returns (value, rounding estimate, truncation bound); the rounding
-    estimate, 4e-16 (sum of squared piece integrals)^(1/2) + 1e-16 |value|,
-    is an RMS estimate, not a bound.
+    Rounding.  A computed piece integral is within 27 u of its truncated
+    sum: y carries 3 u and z 7 u; with f1 at 3 u (the merge), P 7 u and
+    y Q 10 u, so c_1 16.5 u as P <= 1.5 c_1; the higher terms (positive
+    Horner sums in z <= 1/9) 20.5 u and at most 0.29 c_1; then 18.4 u, and
+    26.4 u times z.  Numpy's pairwise sum of a pass (at most _BLOCK + 8
+    terms: leaves of up to 128 in eight running sums, at most 24 additions
+    deep, under at most 8 halvings) rounds each term at most 32 times, an
+    error of gamma_32 sum |terms| (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 3-4), and sum |terms| is the value as the
+    terms are >= 0.  With fsum over the passes (u) and the remainders at
+    K_e (0.64 u), the head is within 61 u < 32 eps of its value.
     """
-    value = math.fsum(s for sums, _, _ in parts for s in sums)
-    sq_acc = sum(sq for _, sq, _ in parts)
-    trunc = sum(tr for _, _, tr in parts)
-    return value, 4e-16 * math.sqrt(sq_acc) + 1e-16 * abs(value), 1.000001 * trunc
+    value = math.fsum(s for sums, _ in parts for s in sums)
+    return value, 2.0**-47 * value, sum(tr for _, tr in parts)  # 32 eps
 
 
 def a_quadrature(lam, cfg: QuadratureConfig | None = None) -> CertifiedReal:
@@ -295,12 +292,13 @@ def a_quadrature(lam, cfg: QuadratureConfig | None = None) -> CertifiedReal:
     joins its radius.  When no convergent that passes the size guards below
     reaches tol/2, ToleranceError carries L at the last that does.
 
-    The rational radius sums the tail bound 2 sup_g/T^3, the head's rigorous
-    truncation bound (see _head_sum), its rounding term (an RMS estimate, not
-    a bound) and a floor 2e-16 (1 + |value|).
+    The rational radius sums the tail bound 2 sup_g/T^3 <= tol/2, the
+    head's truncation bound <= tol/8 and rounding bound 32 eps |head| (see
+    _head_sum) and a floor 2e-16 (1 + |value|), so err <= tol for |A| up to
+    about 5 at tol = 1e-13.
 
     The rational path streams one period's lattice in blocks of about _BLOCK
-    pieces in the thread's block buffers (about 4 MB, kept between calls),
+    pieces in the thread's block buffers (2.4 MB, kept between calls),
     so its memory is that whatever p + q is.  One pass over the blocks takes
     sup_f, sup_g and, block by block, the head over the periods that the
     bounds so far need; the blocks left short of the final count n (a
@@ -401,11 +399,11 @@ def _a_quad_rational(lam: Fraction, tol: float) -> CertifiedReal:
     # so far need, never more than the final count; blocks left short take
     # the rest in a second pass.  (On the near-rational ops measured, the
     # first block's bounds already give the final count.)
-    blocks, parts, reached = _lattice_blocks(p, q), [], []
+    blocks, parts, reached, room = _lattice_blocks(p, q), [], [], [tol / 8]
     for block, (mu, nu, _, sup_g) in _period_stats(p, q, blocks):
         reached.append(periods(sup_g))
         if reached[-1] <= n_max:
-            parts.append(_head_block(p, q, block, 0, reached[-1]))
+            parts.append(_head_block(p, q, block, 0, reached[-1], tol, room))
     n_periods = periods(sup_g)
     if n_periods > n_max:
         raise ToleranceError(
@@ -415,7 +413,7 @@ def _a_quad_rational(lam: Fraction, tol: float) -> CertifiedReal:
             achieved=2.0 * sup_g / (n_max * q) ** 3,
         )
     short = [n for n in reached if n < n_periods]  # a prefix: reached only grows
-    parts += [_head_block(p, q, block, n, n_periods) for n, block in zip(short, blocks())]
+    parts += [_head_block(p, q, block, n, n_periods, tol, room) for n, block in zip(short, blocks())]
     big_t = n_periods * q
     head, round_err, trunc_err = _head_sum(parts)
     tail = mu / big_t + nu / big_t**2

@@ -11,6 +11,7 @@ for the grid computations of the phi modules.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -168,11 +169,12 @@ def digamma_vec(a: np.ndarray) -> np.ndarray:
     n = max(0, math.ceil(_PSI_SHIFT - a.min())) if a.size else 0
     z = a + n
     inv2 = 1.0 / (z * z)
-    acc, err, t, v = (np.zeros_like(a) for _ in range(4))
+    acc, err, t, v, buf = (np.zeros_like(a) for _ in range(5))
     for j in range(8, 0, -1):  # the series, Horner in z^-2, into t
         t += _BERNOULLI_2N[j - 1] / (2 * j)
         t *= inv2
-    for x in [*(np.divide(-1.0, a + j) for j in range(n)), np.log(z), -0.5 / z, np.negative(t)]:
+    shifts = (np.divide(-1.0, np.add(a, j, out=buf), out=buf) for j in range(n))  # made as added
+    for x in itertools.chain(shifts, (np.log(z), np.divide(-0.5, z, out=z), np.negative(t, out=inv2))):
         np.add(acc, x, out=t)  # in place: acc + x = t + (acc - (t - v)) + (x - v), v = t - acc
         np.subtract(t, acc, out=v)
         x -= v
@@ -180,7 +182,7 @@ def digamma_vec(a: np.ndarray) -> np.ndarray:
         acc += x
         err += acc
         acc, t = t, acc
-    return acc + err
+    return np.add(acc, err, out=acc)
 
 
 def trigamma_vec(a: np.ndarray) -> np.ndarray:

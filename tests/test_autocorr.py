@@ -215,6 +215,33 @@ def test_near_rational_radius_covers_closed_form(lam):
     assert abs(r.value - a_rational(lam.numerator, lam.denominator)) <= r.err
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    base=st.sampled_from([(11, 5), (2, 3), (1, 2), (1, 1), (3, 7), (5, 8)]),
+    j=st.integers(8, 15),
+    sign=st.sampled_from([1, -1]),
+    tol=st.floats(1e-13, 1e-8),
+)
+@example(base=(11, 5), j=13, sign=1, tol=1e-13)
+@example(base=(1, 1), j=8, sign=-1, tol=1e-13)
+def test_near_rational_radius_within_tol(base, j, sign, tol):
+    # the radius covers the closed form and stays within tol, and the head's
+    # truncation bound, its degree set by tol, within tol/8
+    lam = Fraction(*base) + Fraction(sign, 2**j)
+    truncs = []
+
+    def head_sum(parts):
+        out = _head_sum(parts)
+        truncs.append(out[2])
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(autocorr, "_head_sum", head_sum)
+        r = a_quadrature(lam, QuadratureConfig(tol=tol))
+    assert abs(r.value - a_rational(lam.numerator, lam.denominator)) <= r.err <= tol
+    assert len(truncs) == 1 and truncs[0] <= tol / 8
+
+
 def test_quadrature_memory_is_one_block():
     # 2/3 + 2^-20 has 5,242,883 pieces per period, 42 MB in each float64
     # per-piece array; the streamed passes hold one block at a time
@@ -251,7 +278,7 @@ def _workspace_bytes() -> int:
 def test_workspace_is_bounded_and_kept():
     a_quadrature(Fraction(3, 7))
     held = _workspace_bytes()
-    assert 0 < held <= 5 << 20
+    assert 0 < held <= 5 << 19  # 2,360,568 bytes at the default block
     rng = random.Random(23)
     for _ in range(20):
         p, q = rng.choice([(11, 5), (2, 3), (1, 1), (3, 7), (5, 8), (307, 256)])
@@ -316,18 +343,21 @@ def test_lattice_built_once_then_short_prefix(monkeypatch, lam, block, rebuilt):
 @settings(max_examples=200, deadline=None)
 @given(
     lam=st.fractions(Fraction(1, 20), 20, max_denominator=50),
-    x=st.floats(1e-9, 0.09),
+    x=st.floats(1e-9, 1.0),  # every piece but the one at t = 0 has h <= a
     h_frac=st.floats(0.001, 1.0),
     sa=st.floats(0.0, 1.0),
     sb=st.floats(0.0, 1.0),
     start=st.sampled_from(["p", "q"]),
+    tol=st.sampled_from([0.0, 1e-13, 1e-10]),
 )
-@example(lam=Fraction(1), x=0.09, h_frac=1.0, sa=0.0, sb=0.0, start="p")
-@example(lam=Fraction(20), x=1e-9, h_frac=1.0, sa=1.0, sb=1.0, start="q")
-def test_head_series_against_mpmath(mp, lam, x, h_frac, sa, sb, start):
+@example(lam=Fraction(1), x=0.09, h_frac=1.0, sa=0.0, sb=0.0, start="p", tol=0.0)
+@example(lam=Fraction(20), x=1e-9, h_frac=1.0, sa=1.0, sb=1.0, start="q", tol=0.0)
+@example(lam=Fraction(1), x=1.0, h_frac=1.0, sa=0.0, sb=1.0, start="p", tol=0.0)
+def test_head_series_against_mpmath(mp, lam, x, h_frac, sa, sb, start, tol):
     # one piece of width h at t = a = h/x with no breakpoint inside it:
     # {t} + h <= 1 and {lam t} + lam h <= 1 at its left edge, a breakpoint,
-    # where {t} = 0 (a multiple of p in u = p t) or {lam t} = 0 (of q)
+    # where {t} = 0 (a multiple of p in u = p t) or {lam t} = 0 (of q);
+    # tol = 0 sums at the eps degree, else the degree follows tol
     p, q = lam.numerator, lam.denominator
     sa, sb = (0.0, sb) if start == "p" else (sa, 0.0)
     h = h_frac * min(1.0, q / p)
@@ -335,7 +365,8 @@ def test_head_series_against_mpmath(mp, lam, x, h_frac, sa, sb, start):
     f0, f1 = fa * fb, fb + p / q * fa
     d = h * p  # width and left edge in u = p t
     piece = tuple(np.array([v]) for v in (d / x, d, f1))
-    got, _, bound = _head_sum([_head_block(p, q, piece, 0, 1)])
+    got, _, bound = _head_sum([_head_block(p, q, piece, 0, 1, tol, [tol / 8])])
+    assert bound <= tol / 8
     with mp.workdps(40):
         a, mh, ml = mp.mpf(d / x) / p, mp.mpf(d) / p, mp.mpf(p) / q
         ref = mp.quad(lambda tau: (f0 + f1 * tau + ml * tau**2) / (a + tau) ** 2, [0, mh])
@@ -569,12 +600,12 @@ def test_blocks_carry_their_sums(monkeypatch, block):
     eps = sys.float_info.epsilon
     for p, q, n in [(3, 7, 5), (13, 4, 3), (47, 41, 2), (1, 1, 40)]:
         whole = _lattice_blocks(p, q)
-        one_block = _head_sum([_head_block(p, q, b, 0, n) for b in whole()])
+        one_block = _head_sum([_head_block(p, q, b, 0, n, 0.0, [0.0]) for b in whole()])
         _, nu, sup_f, sup_g = _period_stats_oracle(p, q)
         monkeypatch.setattr(autocorr, "_BLOCK", block)
         parts = []
         for b, (_, got_nu, got_f, got_g) in _period_stats(p, q, _lattice_blocks(p, q)):
-            parts.append(_head_block(p, q, b, 0, n))
+            parts.append(_head_block(p, q, b, 0, n, 0.0, [0.0]))
         head, _, _ = _head_sum(parts)
         monkeypatch.undo()
         assert abs(got_nu - float(nu)) <= 4 * eps * (p + q) * abs(float(nu))

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,11 +10,14 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from frac_autocorr.errors import DomainError, PoleError
 from frac_autocorr.specfun import (
+    _BERNOULLI_2N,
+    _PSI_SHIFT,
     EULER_GAMMA,
     LOG_2PI,
     PI,
     cot_pi_frac_table,
     digamma,
+    digamma_vec,
     gamma_fn,
     hurwitz_zeta,
     hurwitz_zeta_int_vec,
@@ -106,6 +110,42 @@ def test_trigamma(mp):
 # ----------------------------------------------------------------------
 # Hurwitz / Riemann zeta
 # ----------------------------------------------------------------------
+
+
+def _digamma_vec_listed(a: np.ndarray) -> np.ndarray:
+    """digamma_vec with every term made up front: the same TwoSum sum of the
+    same terms, in the same order."""
+    n = max(0, math.ceil(_PSI_SHIFT - a.min()))
+    z = a + n
+    inv2 = 1.0 / (z * z)
+    acc, err, t, v = (np.zeros_like(a) for _ in range(4))
+    for j in range(8, 0, -1):
+        t += _BERNOULLI_2N[j - 1] / (2 * j)
+        t *= inv2
+    for x in [*(np.divide(-1.0, a + j) for j in range(n)), np.log(z), -0.5 / z, np.negative(t)]:
+        np.add(acc, x, out=t)
+        np.subtract(t, acc, out=v)
+        x -= v
+        acc -= np.subtract(t, v, out=v)
+        acc += x
+        err += acc
+        acc, t = t, acc
+    return acc + err
+
+
+def test_digamma_vec_holds_a_few_rows():
+    # a row of 2^14 - 1 digammas (n = 12 shift terms) holds at most eight
+    # row-sized arrays at once, and its bits are those of the terms made up front
+    a = np.arange(1, 2**14) / 2**14
+    want = _digamma_vec_listed(a)
+    tracemalloc.start()
+    try:
+        got = digamma_vec(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * a.nbytes + (64 << 10)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_hurwitz_paper_values():
