@@ -59,8 +59,8 @@ class QuadratureConfig:
 
 _DEFAULT_QCFG = QuadratureConfig()
 # Pieces per period, p + q - 1, capped by time: memory is the block workspace
-# at any size, and a quadrature costs about 45-55 ns a piece at two periods
-# (2-core x86-64, numpy 2.4), so 11/5 - 2^-21 (2^25 - 6 pieces) takes 1.5-1.8 s.
+# at any size, and a quadrature costs about 45-65 ns a piece at two periods
+# (shared 2-core x86-64, numpy 2.4), so 11/5 - 2^-21 (2^25 - 6 pieces) takes 1.5-2.2 s.
 _MAX_PIECES = 2**25
 _BLOCK = 1 << 14  # pieces per lattice block; every pass holds one block at a time, in cache
 
@@ -189,7 +189,7 @@ def _period_stats(p: int, q: int, blocks):
         yield block, (mu, nu, sup_f, sup_g)
 
 
-def _head_block(p: int, q: int, block, j_lo: int, j_hi: int, tol: float, room: list):
+def _head_block(p: int, q: int, block, j_lo: int, j_hi: int, tol: float, room: list[float]):
     """One block's share of the head over periods j_lo .. j_hi - 1.
 
     Returns (partial sums, truncation bound) for _head_sum.  A block shorter
@@ -233,9 +233,9 @@ def _head_block(p: int, q: int, block, j_lo: int, j_hi: int, tol: float, room: l
             if m > 1:  # + sum_{k=2..m} c_k z^(k-1), by Horner forms in z for f1, lam h, f1 y
                 ks = range(m, 1, -1)
                 bk = np.multiply(_horner(zk, *(2.0,) * (m - 1), out=bk), fb[s], out=bk)
-                bk += np.multiply(_horner(zk, *(4 * k / (2 * k + 1) for k in ks), out=ck), lh[s], out=ck)
+                bk += np.multiply(_horner(zk, *(4 * i / (2 * i + 1) for i in ks), out=ck), lh[s], out=ck)
                 tk += np.multiply(bk, np.subtract(1.0, yk, out=ck), out=bk)
-                ck = np.multiply(_horner(zk, *(2 / (2 * k + 1) for k in ks), out=ck), yk, out=ck)
+                ck = np.multiply(_horner(zk, *(2 / (2 * i + 1) for i in ks), out=ck), yk, out=ck)
                 tk += np.multiply(ck, fb[s], out=ck)
             tk *= zk
             k = end
@@ -267,11 +267,11 @@ def _head_sum(parts) -> tuple[float, float, float]:
     K_e, where, as I >= (8/9) z (f1 + lam h), each piece's remainder is
     within 2.25 z^K/(1-z) <= 0.64 u of its integral (u = 2^-53).
 
-    Rounding.  A computed piece integral is within 27 u of its truncated
+    Rounding.  A computed piece integral is within 28 u of its truncated
     sum: y carries 3 u and z 7 u; with f1 at 3 u (the merge), P 7 u and
     y Q 10 u, so c_1 16.5 u as P <= 1.5 c_1; the higher terms (positive
-    Horner sums in z <= 1/9) 20.5 u and at most 0.29 c_1; then 18.4 u, and
-    26.4 u times z.  Numpy's pairwise sum of a pass (at most _BLOCK + 8
+    Horner sums in z <= 1/9, 11 u) 21.5 u and at most 0.29 c_1; the sum
+    19.2 u, and 27.2 u times z.  Numpy's pairwise sum of a pass (at most _BLOCK + 8
     terms: leaves of up to 128 in eight running sums, at most 24 additions
     deep, under at most 8 halvings) rounds each term at most 32 times, an
     error of gamma_32 sum |terms| (Higham, Accuracy and Stability of

@@ -107,11 +107,6 @@ def test_trigamma(mp):
         assert gi == pytest.approx(float(mp.polygamma(1, mp.mpf(ai))), rel=1e-12)
 
 
-# ----------------------------------------------------------------------
-# Hurwitz / Riemann zeta
-# ----------------------------------------------------------------------
-
-
 def _digamma_vec_listed(a: np.ndarray) -> np.ndarray:
     """digamma_vec with every term made up front: the same TwoSum sum of the
     same terms, in the same order."""
@@ -146,6 +141,11 @@ def test_digamma_vec_holds_a_few_rows():
         tracemalloc.stop()
     assert peak <= 8 * a.nbytes + (64 << 10)
     assert got.tobytes() == want.tobytes()
+
+
+# ----------------------------------------------------------------------
+# Hurwitz / Riemann zeta
+# ----------------------------------------------------------------------
 
 
 def test_hurwitz_paper_values():
