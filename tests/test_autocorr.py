@@ -373,6 +373,31 @@ def test_head_series_against_mpmath(mp, lam, x, h_frac, sa, sb, start, tol):
         assert abs(got - ref) <= bound + 8 * sys.float_info.epsilon * abs(ref)
 
 
+@pytest.mark.parametrize(
+    "lam, n",
+    [(Fraction(3, 7) - Fraction(1, 2**8), 3), (Fraction(1) + Fraction(1, 2**8), 4), (Fraction(2, 3) - Fraction(1, 2**9), 2)],
+    ids=["3/7-2^-8", "1+2^-8", "2/3-2^-9"],
+)
+def test_head_within_its_bounds_against_mpmath(mp, lam, n):
+    # the whole head over n periods, its piece integrals in 30-digit log1p
+    # forms, against the series sum: within the truncation bound plus the
+    # rounding bound, at the eps degree (tol = 0) and with degrees set by tol
+    p, q = lam.numerator, lam.denominator
+    ml, us = mp.mpf(p) / q, [0] + merged_breakpoints(p, q, 0, p * q).tolist()
+    ref = mp.mpf(0)
+    for j in range(n):
+        for u0, u1 in zip(us[:-1], us[1:]):
+            a, h = mp.mpf(j * p * q + u0) / p, mp.mpf(u1 - u0) / p
+            f1 = mp.mpf(u0 % q) / q + ml * (mp.mpf(u0 % p) / p)
+            x = h / a if a else None
+            ref += ml * h if a == 0 else f1 * (mp.log1p(x) - x / (1 + x)) + ml * a * (
+                x * (2 + x) / (1 + x) - 2 * mp.log1p(x))
+    for tol in (0.0, 1e-10):
+        room = [tol / 8]
+        head, rounding, trunc = _head_sum([_head_block(p, q, b, 0, n, tol, room) for b in _lattice_blocks(p, q)()])
+        assert abs(head - ref) <= trunc + rounding and trunc <= tol / 8
+
+
 def a_via_phi1(p: int, q: int) -> float:
     """A(p/q) through phi_1: algebraically identical to a_rational, so it
     checks the phi_1 route rather than giving A an independent one."""
