@@ -10,8 +10,8 @@ Two fully independent evaluation paths:
   its oscillation antiderivative, are closed forms; the antiderivative
   bounds are float64 sums over one period, with a remainder bound from the
   second antiderivative.  One period's lattice is streamed in blocks of
-  about _BLOCK pieces in a kept 2.4 MB per-thread workspace.  Every radius
-  term is a bound.
+  about _BLOCK pieces in a kept 2.4 MB per-thread workspace.  The head's
+  truncation and rounding terms are derived bounds.
   A float lambda is an exact rational, reduced to a convergent mu with a
   continuity bound on |A(lambda) - A(mu)| added to the radius.
 * ``a_rational``: the closed form in Vasyunin sums.
@@ -271,11 +271,11 @@ def _head_sum(parts) -> tuple[float, float, float]:
     sum: y carries 3 u and z 7 u; with f1 at 3 u (the merge), P 7 u and
     y Q 10 u, so c_1 16.5 u as P <= 1.5 c_1; the higher terms (positive
     Horner sums in z <= 1/9, 11 u) 21.5 u and at most 0.29 c_1; the sum
-    19.2 u, and 27.2 u times z.  Numpy's pairwise sum of a pass (at most _BLOCK + 8
-    terms: leaves of up to 128 in eight running sums, at most 24 additions
-    deep, under at most 8 halvings) rounds each term at most 32 times, an
-    error of gamma_32 sum |terms| (Higham, Accuracy and Stability of
-    Numerical Algorithms, ch. 3-4), and sum |terms| is the value as the
+    19.2 u, and 27.2 u times z.  Numpy's pairwise sum of a pass (at most
+    _BLOCK + 8 terms: leaves of up to 128 in eight running sums, at most 24
+    additions deep, under at most 8 halvings) rounds each term at most 32
+    times, an error of gamma_32 sum |terms| (Higham, Accuracy and Stability
+    of Numerical Algorithms, ch. 3-4), and sum |terms| is the value as the
     terms are >= 0.  With fsum over the passes (u) and the remainders at
     K_e (0.64 u), the head is within 61 u < 32 eps of its value.
     """
