@@ -95,7 +95,7 @@ def _cmd_scan_farey(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    results = checks.run_suite(args.suite, qmax=args.qmax, tol=args.tol, seed=args.seed)
+    results = checks.run_suite(args.suite)
     failures = []
     for r in results:
         status = "ok  " if r.ok else "FAIL"
@@ -125,39 +125,17 @@ def _cmd_dump(args) -> int:
         print(f"wrote vtable for q <= {args.qmax} to {args.out}")
         return 0
     if args.table == "fe-residuals":
-        import random
-
-        rng = random.Random(args.seed)
-        rows = []
-        for which in ("E", "Esin", "Ecos", "G0", "G1"):
-            for _ in range(args.count):
-                k = rng.randint(1, args.qmax)
-                h = rng.choice([h for h in range(1, k + 1) if math.gcd(h, k) == 1])
-                s = checks.strip_point(rng)
-                rows.append((which, s, h, k, estermann.functional_equation_residual(which, s, h, k)))
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write("which,s_re,s_im,h,k,residual\n")
-            for which, s, h, k, r in rows:
-                fh.write(f"{which},{s.real:.17g},{s.imag:.17g},{h},{k},{r:.17g}\n")
-        print(f"wrote {len(rows)} functional-equation residuals to {args.out}")
-        return 0
-    if args.table == "mellin-residuals":
-        from .mellin_verify import mellin_identity_residual
-
-        rows = []
-        for re_ in (-0.7, -0.5, -0.3):
-            for im in (0.0, 1.0, 2.0):
-                s = complex(re_, im)
-                rows.append(("MA", s, 0, 1, mellin_identity_residual("autocorr", s)))
-                rows.append(("MDelta", s, 1, 2, mellin_identity_residual("delta", s, (1, 2))))
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write("which,s_re,s_im,p,q,residual\n")
-            for which, s, p, q, r in rows:
-                fh.write(f"{which},{s.real:.17g},{s.imag:.17g},{p},{q},{r:.17g}\n")
-        print(f"wrote {len(rows)} Mellin residuals to {args.out}")
-        return 0
-    print(f"unknown table {args.table!r}", file=sys.stderr)
-    return 2
+        rows = list(checks.fe_residual_rows(args.seed, args.count, args.qmax))
+        header, what = "which,s_re,s_im,h,k,residual", "functional-equation"
+    else:  # mellin-residuals
+        rows = list(checks.mellin_residual_rows())
+        header, what = "which,s_re,s_im,p,q,residual", "Mellin"
+    with open(args.out, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for which, s, a, b, r in rows:
+            fh.write(f"{which},{s.real:.17g},{s.imag:.17g},{a},{b},{r:.17g}\n")
+    print(f"wrote {len(rows)} {what} residuals to {args.out}")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -186,9 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk = sub.add_parser("check", help="run a named verification suite")
     p_chk.add_argument("--suite", required=True,
                        choices=["fracpart", "vasyunin", "estermann", "autocorr", "mellin", "all"])
-    p_chk.add_argument("--qmax", type=int, default=None)
-    p_chk.add_argument("--tol", type=float, default=None)
-    p_chk.add_argument("--seed", type=int, default=1)
     p_chk.set_defaults(fn=_cmd_check)
 
     p_dump = sub.add_parser("dump", help="dump a table as CSV")

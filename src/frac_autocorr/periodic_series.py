@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import DivergenceError
 from .specfun import digamma, j12
-from .vasyunin import vasyunin_cot
 
 
 @dataclass(frozen=True)
@@ -83,11 +82,6 @@ def b1_series_partial(p: int, q: int, n_terms: int) -> float:
     r = (k * (p % q)) % q
     terms = np.where(r == 0, 0.0, r / q - 0.5) / k
     return math.fsum(terms)
-
-
-def b1_series_limit(p: int, q: int) -> float:
-    """The closed-form limit (pi / 2q) V(p, q)."""
-    return math.pi / (2 * q) * vasyunin_cot(p, q)
 
 
 def shifted_series_sum(g: PeriodicCoefficients):

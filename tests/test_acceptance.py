@@ -1,96 +1,63 @@
 """Acceptance criteria, one test per criterion, each at its stated tolerance.
 
-Every test prints (and registers for the terminal summary) one pass/fail
-line; run `pytest -s tests/test_acceptance.py` to watch them stream.
+Criteria 1-8, 10 and 12 run from `frac_autocorr.checks`, the functions
+`frac-autocorr check` runs; each test asserts the criterion's bound on
+their values.  Every test prints (and registers for the terminal summary)
+one pass/fail line; run `pytest -s tests/test_acceptance.py` to watch them
+stream.
 """
 
-import math
-import random
 import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from conftest import record_criterion
-from frac_autocorr import autocorr, estermann, fracpart, mellin_verify, vasyunin
-from frac_autocorr.autocorr import QuadratureConfig, a_quadrature, a_rational, local_model
-from frac_autocorr.checks import strip_point
-from frac_autocorr.rational_core import farey_sequence
-from frac_autocorr.specfun import EULER_GAMMA, LOG_2PI
+from frac_autocorr import autocorr, checks
+from frac_autocorr.autocorr import QuadratureConfig, a_quadrature, local_model
 
-A1 = LOG_2PI - EULER_GAMMA
+
+def _values(results):
+    return {r.name: r.value for r in results}
 
 
 def test_criterion_1_a_at_one():
     t0 = time.perf_counter()
-    r = a_quadrature(Fraction(1), QuadratureConfig(tol=1e-10))
+    [r] = checks.a_at_one()
     elapsed = time.perf_counter() - t0
-    diff = abs(r.value - A1)
-    ok = diff <= 1e-9 and elapsed < 5.0
-    record_criterion(1, ok, f"|A(1) - (log 2pi - gamma)| = {diff:.3e} (<= 1e-9), {elapsed:.2f}s (< 5s)")
+    ok = r.value <= 1e-9 and elapsed < 5.0
+    record_criterion(1, ok, f"|A(1) - (log 2pi - gamma)| = {r.value:.3e} (<= 1e-9), {elapsed:.2f}s (< 5s)")
     assert ok
 
 
 def test_criterion_2_closed_vs_quadrature_farey20():
     t0 = time.perf_counter()
-    cfg = QuadratureConfig(tol=2e-9)
-    worst = 0.0
-    count = 0
-    for f in farey_sequence(20, 0, 1):
-        if f == 0:
-            continue
-        count += 1
-        r = a_quadrature(f, cfg)
-        worst = max(worst, abs(r.value - a_rational(f.numerator, f.denominator)))
+    [r] = checks.farey_closed_vs_quadrature()
     elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-8 and elapsed < 120.0
+    ok = r.value <= 1e-8 and elapsed < 120.0
     record_criterion(
-        2, ok, f"max |closed - quadrature| over {count} Farey-20 fractions = {worst:.3e} "
+        2, ok, f"max |closed - quadrature| over 128 Farey-20 fractions = {r.value:.3e} "
         f"(<= 1e-8), {elapsed:.1f}s (< 120s)"
     )
     assert ok
 
 
 def test_criterion_3_functional_equation_500_rationals():
-    rng = random.Random(20260811)
-    worst_closed = worst_quad = 0.0
-    for _ in range(500):
-        q = rng.randint(1, 20)
-        p = rng.randint(1, 50 * q)
-        g = math.gcd(p, q)
-        p, q = p // g, q // g
-        lam = Fraction(p, q)
-        lamf = float(lam)
-        worst_closed = max(worst_closed, abs(a_rational(p, q) - lamf * a_rational(q, p)))
-        ra = a_quadrature(lam, QuadratureConfig(tol=2.5e-10))
-        rb = a_quadrature(1 / lam, QuadratureConfig(tol=max(1.3e-13, 2.5e-10 / lamf)))
-        worst_quad = max(worst_quad, abs(ra.value - lamf * rb.value))
-    ok = worst_closed <= 1e-9 and worst_quad <= 1e-9
+    v = _values(checks.a_functional_equation())
+    closed, quad = v["functional_equation_closed"], v["functional_equation_quadrature"]
+    ok = closed <= 1e-9 and quad <= 1e-9
     record_criterion(
-        3, ok, f"max |A(l) - l A(1/l)| over 500 rationals: closed {worst_closed:.3e}, "
-        f"quadrature {worst_quad:.3e} (<= 1e-9)"
+        3, ok, f"max |A(l) - l A(1/l)| over 500 rationals: closed {closed:.3e}, "
+        f"quadrature {quad:.3e} (<= 1e-9)"
     )
     assert ok
 
 
 def test_criterion_4_vasyunin_three_way():
     t0 = time.perf_counter()
-    worst = 0.0
-    for q in range(1, 201):
-        for p in range(1, q + 1):
-            if math.gcd(p, q) != 1:
-                continue
-            v_cot = vasyunin.vasyunin_cot(p, q)
-            v_b1 = vasyunin.vasyunin_b1cot(p, q)
-            v_psi = vasyunin.vasyunin_psi(p, q)
-            worst = max(
-                worst,
-                abs(v_cot - v_b1) / q,
-                abs(v_cot - v_psi) / q,
-                abs(v_b1 - v_psi) / q,
-            )
+    v = _values(checks.v_three_routes())
     elapsed = time.perf_counter() - t0
+    worst = max(v["cot_vs_b1cot_per_q"], v["cot_vs_psi_per_q"], v["b1cot_vs_psi_per_q"])
     ok = worst <= 1e-8 and elapsed < 30.0
     record_criterion(
         4, ok, f"max pairwise deviation / q over coprime p <= q <= 200 = {worst:.3e} "
@@ -100,59 +67,32 @@ def test_criterion_4_vasyunin_three_way():
 
 
 def test_criterion_5_estermann_at_zero():
-    worst = 0.0
-    for k in range(1, 65):
-        for h in range(1, k + 1):
-            if math.gcd(h, k) != 1:
-                continue
-            hbar = vasyunin.modular_inverse(h, k)
-            want = 0.25 - 0.5j * vasyunin.vasyunin_cot(hbar, k)
-            worst = max(worst, abs(estermann.estermann(0.0, h, k) - want))
-    ok = worst <= 1e-9
-    record_criterion(5, ok, f"max |E(0;h/k) - (1/4 - i V(hbar,k)/2)| for k <= 64 = {worst:.3e} (<= 1e-9)")
+    [r] = checks.estermann_at_zero()
+    ok = r.value <= 1e-9
+    record_criterion(5, ok, f"max |E(0;h/k) - (1/4 - i V(hbar,k)/2)| for k <= 64 = {r.value:.3e} (<= 1e-9)")
     assert ok
 
 
 def test_criterion_6_functional_equation_residuals():
-    rng = random.Random(42)
-    worst_all = {}
-    for which in ("E", "Esin", "Ecos", "G0", "G1"):
-        worst = 0.0
-        for _ in range(50):
-            k = rng.randint(1, 20)
-            hs = [h for h in range(1, k + 1) if math.gcd(h, k) == 1]
-            h = rng.choice(hs)
-            s = strip_point(rng)
-            worst = max(worst, estermann.functional_equation_residual(which, s, h, k))
-        worst_all[which] = worst
-    ok = all(v <= 1e-8 for v in worst_all.values())
-    detail = ", ".join(f"{k}: {v:.2e}" for k, v in worst_all.items())
+    v = _values(checks.estermann_functional_equations())
+    ok = all(x <= 1e-8 for x in v.values())
+    detail = ", ".join(f"{name.removeprefix('fe_residual_')}: {x:.2e}" for name, x in v.items())
     record_criterion(6, ok, f"FE residuals at 50 strip points each (<= 1e-8): {detail}")
     assert ok
 
 
 def test_criterion_7_mellin_identities():
-    worst122 = 0.0
-    worst92 = 0.0
-    for re in (-0.7, -0.5, -0.3):
-        for im in (0.0, 1.0, 2.0):
-            s = complex(re, im)
-            worst122 = max(worst122, mellin_verify.mellin_identity_residual("autocorr", s))
-            for pq in ((0, 1), (1, 2)):
-                worst92 = max(worst92, mellin_verify.mellin_identity_residual("delta", s, pq))
-    ok = worst122 <= 1e-5 and worst92 <= 1e-5
-    record_criterion(
-        7, ok, f"Mellin residuals on the 3x3 grid: MA {worst122:.2e}, MDelta {worst92:.2e} (<= 1e-5)"
-    )
+    v = _values(checks.mellin_grid())
+    ma, mdelta = v["autocorr_grid_residual"], v["delta_residual"]
+    ok = ma <= 1e-5 and mdelta <= 1e-5
+    record_criterion(7, ok, f"Mellin residuals on the 3x3 grid: MA {ma:.2e}, MDelta {mdelta:.2e} (<= 1e-5)")
     assert ok
 
 
 def test_criterion_8_delta_functional_equation():
-    worst = 0.0
-    for p, q, t in [(0, 1, Fraction(1, 2)), (1, 2, Fraction(1, 4)), (1, 3, Fraction(1, 10))]:
-        worst = max(worst, autocorr.delta_functional_equation_residual(p, q, t))
-    ok = worst <= 1e-6
-    record_criterion(8, ok, f"Delta functional-equation residual at the three triples = {worst:.3e} (<= 1e-6)")
+    [r] = checks.delta_functional_equation()
+    ok = r.value <= 1e-6
+    record_criterion(8, ok, f"Delta functional-equation residual at the three triples = {r.value:.3e} (<= 1e-6)")
     assert ok
 
 
@@ -193,31 +133,8 @@ def test_criterion_9_local_expansion():
 
 
 def test_criterion_10_exact_identity_suites():
-    rng = random.Random(1009)
-    bad = 0
-    for _ in range(500):  # Hardy-Littlewood symmetry
-        theta = Fraction(rng.randint(1, 30), rng.randint(1, 30))
-        x = Fraction(rng.randint(1, 240), rng.randint(1, 8))
-        need = math.floor(max(theta * x, Fraction(x))) + 2
-        f = [0] + [rng.randint(-9, 9) for _ in range(need)]
-        g = [0] + [rng.randint(-9, 9) for _ in range(need)]
-        bad += fracpart.hl_symmetry_residual(theta, x, f.__getitem__, g.__getitem__) != 0
-    for _ in range(500):  # Sylvester
-        theta = Fraction(rng.randint(1, 40), rng.randint(1, 40))
-        x = Fraction(rng.randint(1, 500), rng.randint(1, 9))
-        lhs, rhs = fracpart.sylvester_sum_check(theta, x)
-        bad += lhs != rhs
-    for _ in range(500):  # triangular-number fractional-part identity
-        x = Fraction(rng.randint(0, 4000), rng.randint(1, 40))
-        fx = x - math.floor(x)
-        lhs = Fraction(math.floor(x) * (math.floor(x) + 1), 2)
-        rhs = x * x / 2 - x * (fx - Fraction(1, 2)) + fx * fx / 2 - fx / 2
-        bad += lhs != rhs
-    for _ in range(500):  # paired B_1 sums
-        theta = Fraction(rng.randint(1, 25), rng.randint(1, 25))
-        x = Fraction(rng.randint(1, 300), rng.randint(1, 12))
-        lhs, rhs = fracpart.b1_pair_sum_check(theta, x)
-        bad += lhs != rhs
+    [r] = checks.exact_identities()
+    bad = int(r.value)
     ok = bad == 0
     record_criterion(10, ok, f"4 x 500 randomized exact identities, {bad} failures (exact rational arithmetic)")
     assert ok
@@ -250,7 +167,7 @@ def test_criterion_11_farey_287_sweep(tmp_path):
 
 
 def test_criterion_12_gronwall_bound():
-    sup = fracpart.gronwall_sup_scan(n_max=2000, grid=4096)
-    ok = sup < 0.58950
-    record_criterion(12, ok, f"sup of Gronwall partial sums over the scan grid = {sup:.6f} (< 0.58950)")
+    [r] = checks.gronwall_sup()
+    ok = r.value < 0.58950
+    record_criterion(12, ok, f"sup of Gronwall partial sums over the scan grid = {r.value:.6f} (< 0.58950)")
     assert ok

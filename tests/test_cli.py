@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from frac_autocorr import fracpart, vasyunin
 from frac_autocorr.cli import run
 
 
@@ -55,18 +56,32 @@ def test_scan_farey_svg(tmp_path, capsys):
 
 
 def test_check_suite_pass(capsys):
-    assert run(["check", "--suite", "fracpart"]) == 0
+    assert run(["check", "--suite", "estermann"]) == 0
     out = capsys.readouterr().out
-    assert "ok   fracpart:gronwall_sup" in out
+    assert "ok   estermann:g1_residue_at_minus2" in out
     assert "max residual ratio" in out
 
 
-def test_check_suite_failure_is_machine_readable(capsys):
-    rc = run(["check", "--suite", "vasyunin", "--qmax", "40", "--tol", "1e-30"])
+def test_check_suite_failure_is_machine_readable(capsys, monkeypatch):
+    psi = vasyunin.vasyunin_psi
+    monkeypatch.setattr(vasyunin, "vasyunin_psi", lambda p, q: psi(p, q) + 1.0)
+    rc = run(["check", "--suite", "vasyunin"])
     out = capsys.readouterr().out
     assert rc == 1
     report = json.loads(out.splitlines()[-1])
     assert report["failures"] and report["failures"][0]["suite"] == "vasyunin"
+
+
+def test_failed_frullani_check_is_a_check_failure(capsys, monkeypatch):
+    # a residual above the tolerance is judged by the suite's bound, not raised
+    integral = fracpart.frac_over_t2_integral
+    monkeypatch.setattr(fracpart, "frac_over_t2_integral", lambda a, b: integral(a, b) + 1e-6)
+    rc = run(["check", "--suite", "fracpart"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "FAIL fracpart:frullani_residual" in out
+    report = json.loads(out.splitlines()[-1])
+    assert {"suite": "fracpart", "name": "frullani_residual"}.items() <= report["failures"][0].items()
 
 
 def test_dump_vtable(tmp_path, capsys):
@@ -84,6 +99,7 @@ def test_usage_errors(capsys):
     assert run(["value", "A", "1/0"]) == 2
     assert run(["bogus"]) == 2
     assert run(["check", "--suite", "nope"]) == 2
+    assert run(["check", "--suite", "estermann", "--tol", "1"]) == 2  # bounds are not options
     capsys.readouterr()
 
 
@@ -98,4 +114,5 @@ def test_dump_residual_tables(tmp_path, capsys):
     capsys.readouterr()
     lines = mr.read_text().splitlines()
     assert lines[0] == "which,s_re,s_im,p,q,residual"
+    assert len(lines) == 28  # 3 x 3 grid x (A, Delta at 0/1, Delta at 1/2)
     assert all(float(line.split(",")[-1]) < 1e-5 for line in lines[1:])

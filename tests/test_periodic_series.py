@@ -9,13 +9,13 @@ from frac_autocorr.errors import DivergenceError
 from frac_autocorr.fracpart import bernoulli_fn
 from frac_autocorr.periodic_series import (
     PeriodicCoefficients,
-    b1_series_limit,
     b1_series_partial,
     lehmer_gamma,
     periodic_series_sum,
     progression_partial_sum,
     shifted_series_sum,
 )
+from frac_autocorr.phi import phi1_rational
 from frac_autocorr.specfun import EULER_GAMMA, PI, digamma, j12
 from frac_autocorr.vasyunin import vasyunin_cot
 
@@ -92,14 +92,14 @@ def test_b1_series_partial():
     assert b1_series_partial(1, 2, 1000) == 0.0
     assert b1_series_partial(1, 1, 500) == 0.0
     partial = b1_series_partial(1, 3, 300_000)
-    assert abs(partial - b1_series_limit(1, 3)) < 1e-4
-    assert b1_series_limit(1, 3) == pytest.approx(-PI / (18.0 * math.sqrt(3.0)), abs=1e-14)
+    assert abs(partial - phi1_rational(1, 3)) < 1e-4
+    assert phi1_rational(1, 3) == pytest.approx(-PI / (18.0 * math.sqrt(3.0)), abs=1e-14)
 
 
 def test_b1_series_convergence_rate():
     # |partial - limit| <= C q / K with a small constant
     for p, q in [(1, 3), (2, 5), (3, 7)]:
-        lim = b1_series_limit(p, q)
+        lim = phi1_rational(p, q)
         for k_terms in (10_000, 40_000):
             err = abs(b1_series_partial(p, q, k_terms) - lim)
             assert err <= 5.0 * q / k_terms
