@@ -92,6 +92,17 @@ def test_hl_symmetry_examples():
     assert hl_symmetry_residual(Fraction(3, 2), 4, lambda n: n * n, lambda m: m) == 0
 
 
+def test_hl_symmetry_randomized_exact():
+    rng = random.Random(101)
+    for _ in range(300):
+        theta = Fraction(rng.randint(1, 30), rng.randint(1, 30))
+        x = Fraction(rng.randint(1, 200), rng.randint(1, 8))
+        need = math.floor(max(theta * x, Fraction(x))) + 2
+        fseq = [0] + [rng.randint(-9, 9) for _ in range(need)]
+        gseq = [0] + [rng.randint(-9, 9) for _ in range(need)]
+        assert hl_symmetry_residual(theta, x, fseq.__getitem__, gseq.__getitem__) == 0
+
+
 def test_hl_symmetry_irrational():
     rng = random.Random(5)
     for theta in (SQRT2, GOLDEN):
@@ -108,6 +119,26 @@ def test_sylvester_examples():
     assert sylvester_sum_check(SQRT2, 2.5) == (6, 6)
     assert sylvester_sum_check(Fraction(1, 2), 3) == (4, 4)
     assert sylvester_sum_check(Fraction(1), 1) == (2, 2)
+
+
+def test_sylvester_randomized_exact():
+    rng = random.Random(7)
+    for _ in range(300):
+        theta = Fraction(rng.randint(1, 40), rng.randint(1, 40))
+        x = Fraction(rng.randint(1, 500), rng.randint(1, 9))
+        lhs, rhs = sylvester_sum_check(theta, x)
+        assert lhs == rhs
+
+
+def test_triangular_fracpart_identity_exact():
+    # sum_{n<=x} n = x^2/2 - x({x}-1/2) + {x}^2/2 - {x}/2, exactly
+    rng = random.Random(31)
+    for _ in range(500):
+        x = Fraction(rng.randint(0, 4000), rng.randint(1, 40))
+        fx = x - math.floor(x)
+        lhs = Fraction(math.floor(x) * (math.floor(x) + 1), 2)
+        rhs = x * x / 2 - x * (fx - Fraction(1, 2)) + fx * fx / 2 - fx / 2
+        assert lhs == rhs
 
 
 # ----------------------------------------------------------------------
@@ -151,6 +182,15 @@ def test_b1_pair_sum_examples():
     assert lhs == rhs == 0
     lhs, rhs = b1_pair_sum_check(Fraction(2, 3), Fraction(3, 2))
     assert lhs == rhs
+
+
+def test_b1_pair_sum_randomized_exact():
+    rng = random.Random(23)
+    for _ in range(500):
+        theta = Fraction(rng.randint(1, 25), rng.randint(1, 25))
+        x = Fraction(rng.randint(1, 300), rng.randint(1, 12))
+        lhs, rhs = b1_pair_sum_check(theta, x)
+        assert lhs == rhs
 
 
 @pytest.mark.parametrize(
