@@ -3,15 +3,15 @@
 Two fully independent evaluation paths:
 
 * ``a_quadrature``: piecewise-exact integration.  For rational lambda = p/q
-  the integrand's numerator is q-periodic; the head is summed over M
-  periods, each piece as a series in (h/(2t + h))^2 to a degree set by tol,
-  and the tail is mu/T + nu/T^2.  mu = 1/4 + 1/(12pq), the per-period mean
-  of the integrand (Franel's integral), and nu = -(p + q)/(24p), the mean of
-  its oscillation antiderivative, are closed forms; the antiderivative
-  bounds are float64 sums over one period, with a remainder bound from the
-  second antiderivative.  One period's lattice is streamed in blocks of
-  about _BLOCK pieces in a kept 2.4 MB per-thread workspace.  The head's
-  truncation and rounding terms are derived bounds.
+  the integrand's numerator h has the period q, so A is exactly the head,
+  the integral over J periods (each piece as a series in (h/(2t + h))^2 to
+  a degree set by tol), plus q^-2 int_0^q h(x) psi'(J + x/q) dx, from the
+  moments of the same pieces and Taylor expansions of psi' (J = 1 when a
+  period spans several blocks of about _BLOCK pieces, else the cheapest of
+  1, 2, 4, .., 64).  The radius sums the head's truncation and rounding
+  bounds, the smooth part's Taylor, moment and rounding bounds and a floor,
+  all derived; below the size guards no tol raises.  One period's lattice
+  is streamed once through a kept 2.4 MB per-thread workspace.
   A float lambda is an exact rational, reduced to a convergent mu with a
   continuity bound on |A(lambda) - A(mu)| added to the radius.
 * ``a_rational``: the closed form in Vasyunin sums.
@@ -22,6 +22,7 @@ agreement is the verification.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -37,14 +38,12 @@ from .phi import (
     expansion_coeffs,
     phi2_grid_samples,
     phi2_tail_integral,
-    phi2_tail_weighted,
     phi2_unit_grid,  # noqa: F401  (binding the perfbench tracer wraps)
-    phi_n,
     phi_resum_rational,
 )
 from .piecewise import merged_breakpoints
 from .rational_core import FareyScanRecord, farey_sequence
-from .specfun import EULER_GAMMA, LOG_2PI, PI, CertifiedReal
+from .specfun import EULER_GAMMA, LOG_2PI, PI, CertifiedReal, trigamma_taylor
 from .vasyunin import _v_pairs, modular_inverse, vasyunin_cot
 
 
@@ -59,8 +58,8 @@ class QuadratureConfig:
 
 _DEFAULT_QCFG = QuadratureConfig()
 # Pieces per period, p + q - 1, capped by time: memory is the block workspace
-# at any size, and a quadrature costs about 45-65 ns a piece at two periods
-# (shared 2-core x86-64, numpy 2.4), so 11/5 - 2^-21 (2^25 - 6 pieces) takes 1.5-2.2 s.
+# at any size, and a quadrature costs about 25 ns a piece at one period
+# (shared 2-core x86-64, numpy 2.4), so 11/5 - 2^-21 (2^25 - 6 pieces) takes 0.85 s.
 _MAX_PIECES = 2**25
 _BLOCK = 1 << 14  # pieces per lattice block; every pass holds one block at a time, in cache
 
@@ -87,13 +86,13 @@ class LocalModel:
 
 
 # ----------------------------------------------------------------------
-# one period of the lattice in blocks, and its statistics for the tail
+# one period of the lattice in blocks: the head and the smooth part
 # ----------------------------------------------------------------------
 
 
 class _Workspace(threading.local):
     """One thread's block buffers, kept between quadratures: lattice block (u, f1, du), merge
-    scratch, tiled short period, nine rows of intermediates (statistics, then head)."""
+    scratch, tiled short period, nine rows of intermediates (head, then smooth part)."""
 
     tmp = np.empty((9, 0))
 
@@ -109,32 +108,27 @@ _WORKSPACE = _Workspace()
 
 
 def _lattice_blocks(p: int, q: int):
-    """One period's pieces in blocks of about _BLOCK, as a zero-argument
-    callable that returns an iterator over (u_left, du, f1).
+    """One period's pieces in blocks of about _BLOCK: yields (k, (u_left, du, f1)).
 
     The numerator on the piece at u_left (u = p*t; 0 or a multiple of p or
     q, where {t}{(p/q)t} = 0) is f1 tau + (p/q) tau^2, tau = t - u_left/p,
-    f1 = {(p/q)t} + (p/q){t} at u_left, in every period.  Block k holds the
-    pieces ending in (pq (k-1)/n, pq k/n] for n blocks, merged_breakpoints
+    f1 = {(p/q)t} + (p/q){t} at u_left, in every period.  Block k < n holds
+    the pieces ending in (pq k/n, pq (k+1)/n] for n blocks, merged_breakpoints
     over that u range into the thread's workspace, valid until the next
-    block is built; a period that fits in one block is built once and kept.
+    block is built.
     """
     n_blocks = -(-(p + q - 1) // _BLOCK)
     ws = _WORKSPACE.fit(_BLOCK)
     u, f1, du = ws.lattice
-
-    def build():
-        lo = n = 0
-        u[0] = f1[0] = 0.0  # the first piece starts at u = 0
-        for k in range(1, n_blocks + 1):
-            hi = p * q * k // n_blocks
-            u[0], f1[0] = u[n], f1[n]  # the last breakpoint so far starts the next piece
-            n = merged_breakpoints(p, q, lo, hi, out=u[1:], scratch=ws.merge, frac=f1[1:]).size
-            if n:
-                yield u[:n], np.subtract(u[1 : n + 1], u[:n], out=du[:n]), f1[:n]
-            lo = hi
-
-    return list(build()).__iter__ if n_blocks == 1 else build
+    lo = n = 0
+    u[0] = f1[0] = 0.0  # the first piece starts at u = 0
+    for k in range(n_blocks):
+        hi = p * q * (k + 1) // n_blocks
+        u[0], f1[0] = u[n], f1[n]  # the last breakpoint so far starts the next piece
+        n = merged_breakpoints(p, q, lo, hi, out=u[1:], scratch=ws.merge, frac=f1[1:]).size
+        if n:
+            yield k, (u[:n], np.subtract(u[1 : n + 1], u[:n], out=du[:n]), f1[:n])
+        lo = hi
 
 
 def _horner(x: np.ndarray, *coeffs, out: np.ndarray) -> np.ndarray:
@@ -146,60 +140,19 @@ def _horner(x: np.ndarray, *coeffs, out: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _period_stats(p: int, q: int, blocks):
-    """Per-period means and antiderivative bounds for the quadrature tail, in
-    one pass over blocks() (see _lattice_blocks).
+def _head_block(p: int, q: int, block, periods: int, tol: float, room: list[float], smooth=None):
+    """One block's share of the head over periods 0 .. periods - 1 and, given
+    smooth = (y_c, tables), of the smooth part (see _smooth_block).
 
-    mu and nu are exact.  By Franel's integral int_0^1 B1(ax) B1(bx) dx =
-    1/(12ab) for coprime a, b, the mean of h(t) = {t}{(p/q)t} over a period
-    is mu = 1/4 + 1/(12pq).  nu, the mean of F(t) = int_0^t (h - mu), is
-    mu q/2 - (1/q) int_0^q t h(t) dt; reflecting t -> q - t, where
-    h(q - t) = (1 - {t})(1 - {(p/q)t}), leaves the moments int_0^q t{t} dt and
-    int_0^q t{(p/q)t} dt, so nu = -(p + q)/(24p).  sup_f and sup_g, the
-    bounds on |F| and on |G|, G(t) = int_0^t (F - nu), are float64
-    accumulations: piece integrals in Horner form in the width dt, cumulative
-    sums carried between blocks, inflated to cover their rounding.
-    Yields (block, (mu, nu, sup_f, sup_g)) for each block, the bounds over the
-    pieces so far: they only grow, and after the last block they hold for
-    the period.
-    """
-    lam = p / q
-    mu = (3 * p * q + 1) / (12 * p * q)
-    nu = -(p + q) / (24 * p)
-    f_acc = g_acc = max_f = max_g = maxgap = 0.0
-    for block in blocks():
-        _, du, f1 = block
-        dt, iosc, f_bp, c, g_bp = _WORKSPACE.fit(du.size + 1).tmp[:5, : du.size + 1]
-        dt, iosc, c, g_bp = np.divide(du, p, out=dt[:-1]), iosc[:-1], c[:-1], g_bp[:-1]
-        _horner(dt, lam / 3.0, np.multiply(f1, 0.5, out=c), -mu, out=iosc)
-        iosc[0] += f_acc
-        f_bp[0] = f_acc  # F at the left edges, then at the end
-        np.cumsum(iosc, out=f_bp[1:])
-        f_acc, f_bp = float(f_bp[-1]), f_bp[:-1]
-        f_nu = np.subtract(f_bp, nu, out=iosc)  # and g_bp, the piece integrals of F - nu:
-        _horner(dt, lam / 12.0, np.divide(f1, 6.0, out=c), -0.5 * mu, f_nu, out=g_bp)
-        g_bp[0] += g_acc
-        np.cumsum(g_bp, out=g_bp)
-        g_acc = float(g_bp[-1])
-        max_f = max(max_f, float(np.abs(f_bp, out=c).max()))
-        max_g = max(max_g, float(np.abs(g_bp, out=c).max()))
-        maxgap = max(maxgap, float(du.max()) / p)
-        sup_f = 1.000001 * (max_f + maxgap) + 1e-12
-        sup_g = 1.000001 * (max_g + maxgap * (max_f + abs(nu) + maxgap)) + 1e-12
-        yield block, (mu, nu, sup_f, sup_g)
-
-
-def _head_block(p: int, q: int, block, j_lo: int, j_hi: int, tol: float, room: list[float]):
-    """One block's share of the head over periods j_lo .. j_hi - 1.
-
-    Returns (partial sums, truncation bound) for _head_sum.  A block shorter
-    than _BLOCK is tiled over as many periods as fit in _BLOCK pieces.  Each
-    stretch's degree follows _head_sum's rule, its truncation bound taken off
-    room[0], what is left of tol/8 (tol = 0: every stretch at the eps degree).
+    Returns (partial sums, truncation bound, smooth part) for _head_sum.  A
+    block shorter than _BLOCK is tiled over as many periods as fit in _BLOCK
+    pieces.  Each stretch's degree follows _head_sum's rule, its truncation
+    bound taken off room[0], what is left of tol/8 (tol = 0: every stretch at
+    the eps degree).
     """
     u_left, du, f1 = block
     pq, n = p * q, du.size
-    rows = min(max(1, _BLOCK // n), j_hi - j_lo)  # periods per pass
+    rows = min(max(1, _BLOCK // n), periods)  # periods per pass
     ws = _WORKSPACE.fit(rows * n)
     d, fb, ul = du, f1, u_left
     if rows > 1:  # whole periods tiled: ul = j*pq + u_left
@@ -212,8 +165,8 @@ def _head_block(p: int, q: int, block, j_lo: int, j_hi: int, tol: float, room: l
     np.multiply(np.add(fb, lh, out=q1), 4.0 / 3.0, out=q1)  # (4/3)(f1 + lam h)
     np.add(np.multiply(fb, 2.0 / 3.0, out=p1), q1, out=p1)  # 2 f1 + (4/3) lam h
     d_max, trunc, sums = float(du.max()), 0.0, []
-    for j0 in range(j_lo, j_hi, rows):
-        size, off, k = min(rows, j_hi - j0) * n, j0 * pq, 0
+    for j0 in range(0, periods, rows):
+        size, off, k = min(rows, periods - j0) * n, j0 * pq, 0
         if off == 0 and ul[0] == 0.0:  # the piece at t = 0, where the integrand is lam
             terms[0], k = lh[0], 1
         while k < size:
@@ -240,11 +193,38 @@ def _head_block(p: int, q: int, block, j_lo: int, j_hi: int, tol: float, room: l
             tk *= zk
             k = end
         sums.append(float(terms[:size].sum()))
-    return sums, trunc
+    return sums, trunc, 0.0 if smooth is None else _smooth_block(pq, du, f1, ws.tmp[:, :n], *smooth)
+
+
+def _smooth_block(pq: int, du, f1, tmp, y_c: float, tables) -> float:
+    """One block's share of the smooth part (see _a_quad_rational) from the
+    head's rows of period 0.  A piece of half-width c = d/(2p) has, in y, the
+    midpoint y_c + delta, delta = e/(2pq) - y_c, and the half-width g = c/q;
+    as h = f1 (c + s) + lam (c + s)^2 at s from the midpoint, its moments are
+    int s^k h ds = 2 c^(k+2) F_k, F_k = (f1 + lam h (k+2)/(k+3))/(k+1) for
+    even k and (f1 + lam h)/(k+2) for odd k (lam h = 2 lam c).  tables[k]
+    holds the coefficients in delta of the k-th Taylor coefficient of psi'
+    around J + y_c times 2 F_k/W_k, for W_0 = P, W_1 = Q (the head's rows)
+    and W_k = f1 + r_k lam h, r_k = (k+2)/(k+3) or 1, for k >= 2.
+    """
+    e, lh, q1, p1, g, delta, s, acc, w = tmp
+    np.multiply(du, 0.5 / pq, out=g)
+    np.subtract(np.multiply(e, 0.5 / pq, out=delta), y_c, out=delta)
+    for k in range(len(tables) - 1, -1, -1):  # Horner in g over the moments
+        t = tables[k]
+        np.add(_horner(delta, *t[:0:-1], out=s), t[0], out=s)
+        if k > 1:
+            w = np.add(np.multiply(lh, (k + 2) / (k + 3) if k % 2 == 0 else 1.0, out=w), f1, out=w)
+        if k == len(tables) - 1:
+            np.multiply(s, (p1, q1, w)[min(k, 2)], out=acc)
+        else:
+            acc *= g
+            acc += np.multiply(s, (p1, q1, w)[min(k, 2)], out=s)
+    return float(np.multiply(acc, np.multiply(g, g, out=g), out=acc).sum())
 
 
 def _head_sum(parts) -> tuple[float, float, float]:
-    """The head, integral {t}{(p/q)t}/t^2 over [0, n*q], from the _head_block
+    """The head, integral {t}{(p/q)t}/t^2 over [0, J*q], from the _head_block
     parts: (value, rounding bound, truncation bound).
 
     A piece of width h at t = a has the numerator f1 tau + lam tau^2,
@@ -279,8 +259,8 @@ def _head_sum(parts) -> tuple[float, float, float]:
     terms are >= 0.  With fsum over the passes (u) and the remainders at
     K_e (0.64 u), the head is within 61 u < 32 eps of its value.
     """
-    value = math.fsum(s for sums, _ in parts for s in sums)
-    return value, 2.0**-47 * value, sum(tr for _, tr in parts)  # 32 eps
+    value = math.fsum(s for sums, *_ in parts for s in sums)
+    return value, 2.0**-47 * value, sum(tr for _, tr, _ in parts)  # 32 eps
 
 
 def a_quadrature(lam, cfg: QuadratureConfig | None = None) -> CertifiedReal:
@@ -292,27 +272,18 @@ def a_quadrature(lam, cfg: QuadratureConfig | None = None) -> CertifiedReal:
     joins its radius.  When no convergent that passes the size guards below
     reaches tol/2, ToleranceError carries L at the last that does.
 
-    The rational radius sums the tail bound 2 sup_g/T^3 <= tol/2, the
-    head's truncation bound <= tol/8 and rounding bound 32 eps |head| (see
-    _head_sum) and a floor 2e-16 (1 + |value|), so err <= tol for |A| up to
-    about 5 at tol = 1e-13.
+    The rational radius sums the head's truncation bound <= tol/8 and rounding
+    bound 32 eps |head| (see _head_sum), the smooth part's Taylor and moment
+    bounds, each <= tol/16, and its rounding bound (see _a_quad_rational),
+    and a floor 2e-16 (1 + |value|), so err <= tol for |A| up to about 5 at
+    tol = 1e-13.
 
     The rational path streams one period's lattice in blocks of about _BLOCK
-    pieces in the thread's block buffers (2.4 MB, kept between calls),
-    so its memory is that whatever p + q is.  One pass over the blocks takes
-    sup_f, sup_g and, block by block, the head over the periods that the
-    bounds so far need; the blocks left short of the final count n (a
-    prefix, as the bounds only grow) are built again for the remaining
-    periods.  A period of one block is built once.
-
+    pieces in the thread's block buffers (2.4 MB, kept between calls), so
+    its memory is that whatever p + q is, and it builds every block once.
     It raises ToleranceError before allocating anything (``achieved`` = inf)
-    for p + q - 1 > 2^25 pieces per period (a cap set by time, about 2 s at
-    the cap) or 2pq > 2^53, and, with the attainable radius, when tol needs
-    more periods n than keep the lattice n*pq exact in float64 (<= 2^53) or
-    than keep (p + q - 1) n within 2^26 pieces, the cap's own two-period
-    budget.  As the running count of periods only grows, no head past the
-    budget is summed: such a call costs one pass over a period plus at most
-    the budget.
+    for p + q - 1 > 2^25 pieces per period (a cap set by time, about 0.85 s
+    at the cap) or 2pq > 2^53; no tol >= 1e-13 is out of reach below them.
     """
     tol = (cfg or _DEFAULT_QCFG).tol
     if isinstance(lam, (Fraction, int)):
@@ -329,11 +300,7 @@ def a_quadrature(lam, cfg: QuadratureConfig | None = None) -> CertifiedReal:
             break
         bound = _continuity_bound(float(abs(x - Fraction(p, q))), lam, p / q)
         if bound <= tol / 2:
-            try:
-                r = _a_quad_rational(Fraction(p, q), tol / 2) if p else CertifiedReal(0.0, 0.0)
-            except ToleranceError as e:  # in the caller's lambda and tol, not mu and tol/2
-                msg = f"a_quadrature({lam}): tol {tol} is out of reach at its convergent {p}/{q}"
-                raise ToleranceError(msg, achieved=e.achieved) from e
+            r = _a_quad_rational(Fraction(p, q), tol / 2) if p else CertifiedReal(0.0, 0.0)
             return CertifiedReal(r.value, r.err + bound)
         achieved = bound
     raise ToleranceError(
@@ -379,47 +346,130 @@ def _continuity_bound(delta: float, lam: float, mu: float) -> float:
 
 
 def _a_quad_rational(lam: Fraction, tol: float) -> CertifiedReal:
+    """A(p/q) as the head over J periods plus the smooth part, exactly
+
+      A = int_0^{Jq} h(t) t^-2 dt + q^-2 int_0^q h(x) psi'(J + x/q) dx,
+
+    as h(t) = {t}{(p/q)t} has the period q and psi'(z) = sum_{n>=0} (n + z)^-2
+    (DLMF 5.15.1).  One pass over the blocks of one period takes both.  In
+    y = x/q, a piece of half-width g and midpoint m has the share
+    2 g^2 sum_k g^k F_k psi^(k+1)(J + m)/k! of the smooth part, F_k <= F_0 its
+    moments (see _smooth_block); the sum stops at K, and psi^(k+1)/k! comes
+    from the expansion of psi' to degree N_k around the centre J + y_c,
+    y_c = (b + 1/2)/n_b, of its block b.  _smooth_plan sets J, K and the N_k.
+
+    Bounds, with mu/q = sum 2 g^2 F_0 = (1/4 + 1/(12pq))/q (Franel's
+    integral), g <= rho = 1/(2 max(p, q)), y >= 0 and, from
+    |psi^(m)(x)| <= (m-1)!/x^m + m!/x^(m+1), |psi^(k+1)(z)/k!| <= B_k =
+    1/J^(k+1) + (k+1)/J^(k+2) at z >= J:
+    * moments: those from K on sum to at most mu/q sum_{k>=K} rho^k B_k;
+    * Taylor: at a reach r from the centre (1/(2 n_b), plus 2 rho when a
+      block's first piece starts in the block before), psi^(k+1)/k! is within
+      C(N_k+1, k) r^(N_k-k+1) (1 + (N_k+2)/J)/J^(N_k+2) of its expansion,
+      times mu/q rho^k;
+    * rounding: the terms' magnitudes sum to at most M = mu/q sum_k rho^k B_k.
+      A term carries the coefficients (4(i+1) u each, against 30-digit
+      polygamma values) and their scaling, g and delta (3 u, and 6(K+1) u
+      through the derivatives), P and Q (7 u), the Horner forms
+      (2 N_0 + 2K u), g^2 and the product (3 u), and the pairwise sum and
+      fsum (33 u): within (6 N_0 + 10K + 64) u M, u = 2^-53.
+    """
     p, q = lam.numerator, lam.denominator
     # Size guards, before anything is allocated.  float64 holds the lattice
-    # positions j*pq + u of n periods exactly while n*pq <= 2^53; n >= 2.
+    # positions j*pq + u of J periods exactly while J*pq <= 2^53.
     n_exact = 2**53 // (p * q)
     if n_exact < 2:
         raise ToleranceError(f"a_quadrature({lam}): lattice 2pq exceeds 2^53", achieved=math.inf)
     if p + q - 1 > _MAX_PIECES:
         msg = f"a_quadrature({lam}): {p + q - 1} pieces per period (max {_MAX_PIECES})"
         raise ToleranceError(msg, achieved=math.inf)
-    # Pieces times periods within 2 _MAX_PIECES, the cap's own two-period time.
-    n_budget = 2 * _MAX_PIECES // (p + q - 1)
-    n_max = min(n_exact, n_budget)
-
-    def periods(sup_g: float) -> int:  # n with the tail bound within tol/2
-        return max(2, math.ceil((4.0 * sup_g / tol) ** (1.0 / 3.0) / q))
-
-    # One pass: each block takes the head over the periods that the bounds
-    # so far need, never more than the final count; blocks left short take
-    # the rest in a second pass.  (On the near-rational ops measured, the
-    # first block's bounds already give the final count.)
-    blocks, parts, reached, room = _lattice_blocks(p, q), [], [], [tol / 8]
-    for block, (mu, nu, _, sup_g) in _period_stats(p, q, blocks):
-        reached.append(periods(sup_g))
-        if reached[-1] <= n_max:
-            parts.append(_head_block(p, q, block, 0, reached[-1], tol, room))
-    n_periods = periods(sup_g)
-    if n_periods > n_max:
-        raise ToleranceError(
-            f"a_quadrature({lam}): tol {tol} needs {n_periods} periods "
-            f"(exact float64 lattice up to {n_exact}; "
-            f"{n_budget} periods of {p + q - 1} pieces within the budget of 2^26 pieces)",
-            achieved=2.0 * sup_g / (n_max * q) ** 3,
-        )
-    short = [n for n in reached if n < n_periods]  # a prefix: reached only grows
-    parts += [_head_block(p, q, block, n, n_periods, tol, room) for n, block in zip(short, blocks())]
-    big_t = n_periods * q
+    n_b = -(-(p + q - 1) // _BLOCK)
+    _, periods, degrees, bounds = _smooth_plan(p, q, n_b, tol, (j for j in _PERIODS if j <= n_exact))
+    y_c, tables = _smooth_tables(periods, n_b, degrees)
+    room = [tol / 8]
+    parts = [
+        _head_block(p, q, block, periods, tol, room, (y_c[k], [t[k] for t in tables]))
+        for k, block in _lattice_blocks(p, q)
+    ]
     head, round_err, trunc_err = _head_sum(parts)
-    tail = mu / big_t + nu / big_t**2
-    tail_err = 2.0 * sup_g / big_t**3
-    value = head + tail
-    return CertifiedReal(value, tail_err + trunc_err + round_err + 2e-16 * (1.0 + abs(value)))
+    value = head + math.fsum(smooth for *_, smooth in parts)
+    return CertifiedReal(value, trunc_err + round_err + bounds + 2e-16 * (1.0 + abs(value)))
+
+
+# ns per piece-period of the head, per head pass, per piece of an elementwise pass
+# and per numpy call (shared 2-core x86-64, numpy 2.4): the costs of a plan.
+_COST_HEAD, _COST_PASS, _COST_ELEMENT, _COST_CALL = 12.0, 30e3, 0.6, 1e3
+_MAX_DEGREE = 48
+_PERIODS = (1, 2, 4, 8, 16, 32, 64)  # the choices of J
+
+
+def _smooth_plan(p: int, q: int, n_b: int, tol: float, candidates):
+    """(cost, J, [N_0, .., N_(K-1)], bound) for _a_quad_rational, or None: at each J
+    in candidates, the least K with the moment bound within tol/16, the least
+    N_k <= _MAX_DEGREE with the Taylor bounds within tol/(16K) each, and these
+    bounds plus the rounding bound.  A period of several blocks takes the first
+    J that fits, a period of one block the cheapest."""
+    mu_q, rho, n = (3 * p * q + 1) / (12 * p * q * q), 0.5 / max(p, q), p + q - 1
+    reach = 0.5 / n_b + (2.0 * rho if n_b > 1 else 0.0)
+    best = None
+    for periods in candidates:
+        x, v, scale = rho / periods, reach / periods, mu_q / periods
+        cost = periods * n * _COST_HEAD + -(-periods * n // _BLOCK) * _COST_PASS
+        if v >= 1.0 or best and cost >= best[0]:
+            continue
+
+        def dropped(k):
+            return scale * x**k * ((1.0 + (k + 1) / periods) / (1.0 - x) + x / (periods * (1.0 - x) ** 2))
+
+        def remainder(k, d):
+            return scale * x**k * math.comb(d + 1, k) * v ** (d - k + 1) * (1.0 + (d + 2) / periods)
+
+        moments = max(1, math.ceil(math.log(tol / 16 / scale) / math.log(x)))  # as dropped(k) >= scale x^k
+        while dropped(moments) > tol / 16:
+            moments += 1
+        fit, degrees = tol / (16 * moments), []
+        for k in range(min(moments, _MAX_DEGREE)):  # from below, twice: remainder(k, d) grows with d
+            d = k + 1
+            for _ in range(2):
+                d = max(d, k - 1 + math.ceil(math.log(fit * v / remainder(k, d) * v ** (d - k)) / math.log(v)))
+            while d <= _MAX_DEGREE and remainder(k, d) > fit:
+                d += 1
+            if d > _MAX_DEGREE:
+                break
+            degrees.append(d)
+        if len(degrees) < moments:
+            continue
+        magnitude = scale * (1.0 / (1.0 - x) + 1.0 / (periods * (1.0 - x) ** 2))
+        rounding = (6 * degrees[0] + 10 * moments + 64) * 2.0**-53 * magnitude
+        bound = sum(remainder(k, d) for k, d in enumerate(degrees)) + dropped(moments) + rounding
+        calls = 2 * sum(degrees) - moments * moments + 4 * moments + 8
+        plan = (cost + calls * (_COST_CALL + n * _COST_ELEMENT), periods, degrees, bound)
+        if n_b > 1:
+            return plan
+        best = min(best or plan, plan)
+    return best
+
+
+@functools.lru_cache(maxsize=64)
+def _psi1_taylor(periods: int, n_b: int, degree: int):
+    """The block centres y_c = (k + 1/2)/n_b (as J + y_c - J, exact) and the Taylor
+    coefficients psi^(i+1)(J + y_c)/i!, i <= degree, one row per block."""
+    centres = periods + (np.arange(n_b) + 0.5) / n_b
+    return (centres - periods).tolist(), trigamma_taylor(centres, degree).T
+
+
+def _smooth_tables(periods: int, n_b: int, degrees: list[int]):
+    """(y_c, tables) for _smooth_block: tables[k][b], for block b, the coefficients
+    C(i, k) a_i w_k, k <= i <= N_k, of s_k, a_i = psi^(i+1)(J + y_c)/i!, with
+    w_k = 2 F_k/W_k: 1, 1/2, then 2/(k+1) (k even) or 2/(k+2) (k odd)."""
+    y_c, coeffs = _psi1_taylor(periods, n_b, -(-max(degrees) // 8) * 8)
+    tables = []
+    for k, degree in enumerate(degrees):
+        w = (1.0, 0.5)[k] if k < 2 else 2.0 / (k + 1 + k % 2)
+        binom = [math.comb(i, k) * w for i in range(k, degree + 1)]
+        tables.append((coeffs[:, k : degree + 1] * binom).tolist())
+    return y_c, tables
+
 
 # ----------------------------------------------------------------------
 # closed forms
@@ -443,25 +493,6 @@ def _a_closed(p: int, q: int, v: float) -> float:
         + 0.5 * (lam + 1.0) * (LOG_2PI - EULER_GAMMA)
         - PI / (2 * q) * v
     )
-
-
-def a_phi2_relation_residual(lam: Fraction) -> float:
-    """Residual of A(l) = log(l)/2 + (1 - gamma + log 2pi)/2 + phi_2(l)/(2l)
-    - l integral_l^inf phi_2(t) t^-3 dt."""
-    lam = Fraction(lam)
-    if lam <= 0:
-        raise DomainError("a_phi2_relation_residual requires lambda > 0")
-    lamf = float(lam)
-    lhs = a_rational(lam.numerator, lam.denominator)
-    phi2_lam = phi_n(2, lam).value
-    tail = phi2_tail_weighted(lam, 3)
-    rhs = (
-        0.5 * math.log(lamf)
-        + 0.5 * (1.0 - EULER_GAMMA + LOG_2PI)
-        + phi2_lam / (2.0 * lamf)
-        - lamf * tail.value
-    )
-    return lhs - rhs
 
 
 def local_model(p: int, q: int) -> LocalModel:

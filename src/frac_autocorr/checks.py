@@ -118,15 +118,20 @@ def v_three_routes() -> list[CheckResult]:
 
 
 def geometric_derivative_lemma() -> list[CheckResult]:
-    """sum_n n z^n = q / (z - 1) over the nontrivial q-th roots of unity, q <= 64."""
-    worst = 0.0
+    """sum_n n z^n = q / (z - 1) over the nontrivial q-th roots of unity, q <= 64:
+    the worst deviation, and the worst per entry over q^2."""
+    worst = worst_q2 = 0.0
     for q in range(1, 65):
         z = np.exp(2j * PI * np.arange(1, q) / q)
         n = np.arange(q, dtype=np.float64)
         for zk in z:
             s = (n * zk**n).sum()
             worst = max(worst, abs(s - q / (zk - 1.0)))
-    return [_result("vasyunin", "geometric_derivative_lemma", worst, 1e-9)]
+            worst_q2 = max(worst_q2, abs(s - q / (zk - 1.0)) / (q * q))
+    return [
+        _result("vasyunin", "geometric_derivative_lemma", worst, 1e-9),
+        _result("vasyunin", "geometric_derivative_lemma_per_q2", worst_q2, 1e-10),
+    ]
 
 
 FE_KINDS = ("E", "Esin", "Ecos", "G0", "G1")

@@ -207,12 +207,20 @@ def b1_pair_sum_check(theta: Fraction, x: Fraction):
     theta, x = Fraction(theta), Fraction(x)
     if theta <= 0 or x <= 0:
         raise ValueError("b1_pair_sum_check requires positive arguments")
-    tx = theta * x
-    lhs = sum(bernoulli_fn(1, Fraction(n) / theta) for n in range(1, math.floor(tx) + 1))
-    lhs += sum(bernoulli_fn(1, m * theta) for m in range(1, math.floor(x) + 1))
+    a, b, tx = theta.numerator, theta.denominator, theta * x
+    lhs = _b1_partial_sum(b, a, math.floor(tx)) + _b1_partial_sum(a, b, math.floor(x))
     d = (tx - math.floor(tx)) - theta * (x - math.floor(x))
     rhs = d * d / (2 * theta) + (theta - 1) * d / (2 * theta)
     return lhs, rhs
+
+
+def _b1_partial_sum(num: int, den: int, count: int) -> Fraction:
+    """sum_{n=1..count} B_1(n num/den) for coprime num, den >= 1, in integer residues:
+    den consecutive terms take the residues n num mod den = 0 .. den - 1 once each
+    and sum to 0, and each of the last count mod den terms, with a residue
+    r > 0, is r/den - 1/2."""
+    rest = count % den
+    return Fraction(sum(n * num % den for n in range(1, rest + 1)), den) - Fraction(rest, 2)
 
 
 def weighted_b1_identity_residual(theta: Fraction, x: float) -> float:

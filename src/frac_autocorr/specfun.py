@@ -129,36 +129,6 @@ def _digamma_half(z: complex) -> complex:
     return acc + cmath.log(z) - 0.5 / z - s
 
 
-def trigamma(z: complex | float):
-    """psi'(z) = sum_{n>=0} 1/(n+z)^2."""
-    want_real = not isinstance(z, complex)
-    w = complex(z)
-    if _is_nonpositive_integer(w):
-        raise PoleError(f"trigamma pole at z={w}", location=w)
-    if w.real < 0.5:
-        # psi'(z) + psi'(1-z) = pi^2 / sin^2(pi z)
-        sp = sinpi(complex(w))
-        val = PI * PI / (sp * sp) - _trigamma_half(1.0 - w)
-    else:
-        val = _trigamma_half(w)
-    return val.real if want_real and val.imag == 0.0 else val
-
-
-def _trigamma_half(z: complex) -> complex:
-    acc = 0.0 + 0.0j
-    while abs(z) < _PSI_SHIFT:
-        acc += 1.0 / (z * z)
-        z += 1.0
-    inv = 1.0 / z
-    inv2 = inv * inv
-    s = inv + 0.5 * inv2
-    p = inv * inv2
-    for j, b in enumerate(_BERNOULLI_2N[:8], start=1):
-        s += b * p
-        p *= inv2
-    return acc + s
-
-
 def digamma_vec(a: np.ndarray) -> np.ndarray:
     """Vectorised psi for positive reals: the series at z = a + n >= _PSI_SHIFT less
     sum_{j<n} 1/(a + j), each term added with its exact rounding error (Knuth's
@@ -188,25 +158,38 @@ def digamma_vec(a: np.ndarray) -> np.ndarray:
 def trigamma_vec(a: np.ndarray) -> np.ndarray:
     """Vectorised psi' for positive real arguments (grid workhorse)."""
     a = np.asarray(a, dtype=np.float64)
+    return trigamma_taylor(a.ravel(), 0)[0].reshape(a.shape)
+
+
+def trigamma_taylor(a: np.ndarray, degree: int) -> np.ndarray:
+    """psi^(i+1)(a)/i! = (-1)^i (i+1) zeta(i+2, a), i <= degree, at positive reals a,
+    as a (degree + 1, a.size) array: one shift n for the whole array to
+    z = a + n >= _PSI_SHIFT + degree, where z^-(i+1) (1 + (i+1)/(2z) +
+    sum_{j<=8} B_2j C(2j+i, i) z^-2j) is within about 2e-18 relative at i = 0
+    and 4e-15 at i = 50 (the first omitted term), plus the terms
+    (i+1)/(a+k)^(i+2), k < n, all of one sign, from k = n - 1 down."""
+    a = np.asarray(a, dtype=np.float64)
     if np.any(a <= 0):
-        raise DomainError("trigamma_vec requires positive arguments")
-    shift = np.maximum(0, np.ceil(_PSI_SHIFT - a)).astype(np.int64)
-    nmax = int(shift.max()) if shift.size else 0
-    acc = np.zeros_like(a)
-    z = a.copy()
-    for _ in range(nmax):
-        mask = shift > 0
-        acc[mask] += 1.0 / (z[mask] * z[mask])
-        z[mask] += 1.0
-        shift[mask] -= 1
-    inv = 1.0 / z
-    inv2 = inv * inv
-    s = inv + 0.5 * inv2
-    p = inv * inv2
-    for b in _BERNOULLI_2N[:8]:
-        s += b * p
-        p = p * inv2
-    return acc + s
+        raise DomainError("trigamma_taylor requires positive arguments")
+    n = max(0, math.ceil(_PSI_SHIFT + degree - a.min())) if a.size else 0
+    i = np.arange(degree + 1.0)[:, None]
+    inv = 1.0 / (a + n)
+    acc, comb, inv2 = np.zeros((degree + 1, a.size)), 1.0, inv * inv
+    bracket = []
+    for j in range(1, 9):
+        comb = comb * (i + 2 * j - 1) * (i + 2 * j) / ((2 * j - 1) * (2 * j))  # C(2j + i, i)
+        bracket.append(comb * _BERNOULLI_2N[j - 1])
+    for c in reversed(bracket):  # Horner in z^-2
+        acc += c
+        acc *= inv2
+    acc += 1.0 + (i + 1.0) * inv / 2
+    acc *= np.power(inv, i + 1.0)
+    w = np.empty_like(a)
+    for k in range(n - 1, -1, -1):
+        np.divide(1.0, np.add(a, k, out=w), out=w)
+        acc += (i + 1.0) * np.power(w, i + 2.0)
+    acc[1::2] *= -1.0
+    return acc
 
 
 # ----------------------------------------------------------------------
@@ -259,28 +242,12 @@ def riemann_zeta(s: complex | float) -> complex:
 
 
 def hurwitz_zeta_int_vec(n: int, a: np.ndarray) -> np.ndarray:
-    """zeta(n, a) for integer n >= 2 on a vector of reals in (0, 1]."""
+    """zeta(n, a) for integer n >= 2 on an array of positive reals: row n - 2 of
+    trigamma_taylor, (-1)^n (n-1) zeta(n, a)."""
     if n < 2:
         raise DomainError("hurwitz_zeta_int_vec requires n >= 2")
-    if n == 2:
-        return trigamma_vec(a)
     a = np.asarray(a, dtype=np.float64)
-    nshift = 14
-    acc = np.zeros_like(a)
-    for k in range(nshift):
-        acc += (a + k) ** (-float(n))
-    w = a + nshift
-    res = acc + w ** (1.0 - n) / (n - 1.0) + 0.5 * w ** (-float(n))
-    poch = float(n)
-    wpow = w ** (-float(n) - 1.0)
-    fact = 2.0
-    w2 = w * w
-    for j, b in enumerate(_BERNOULLI_2N[:8], start=1):
-        res = res + (b / fact) * poch * wpow
-        poch *= (n + 2 * j - 1) * (n + 2 * j)
-        wpow = wpow / w2
-        fact *= (2 * j + 1) * (2 * j + 2)
-    return res
+    return np.abs(trigamma_taylor(a.ravel(), n - 2)[n - 2]).reshape(a.shape) / (n - 1)
 
 
 # ----------------------------------------------------------------------
@@ -327,19 +294,8 @@ def gamma_fn(z: complex | float) -> complex:
 
 
 # ----------------------------------------------------------------------
-# J(z) and J_{1,2}(z, x) remainder integrals
+# J_{1,2}(z, x) remainder integrals
 # ----------------------------------------------------------------------
-
-
-def j_function(z: complex | float):
-    """J(z) = integral_0^inf ({t} - 1/2)/(t+z) dt on the cut plane.
-
-    Evaluated through its closed form in log Gamma.
-    """
-    want_real = not isinstance(z, complex)
-    w = complex(z)
-    val = -log_gamma(w) + (w - 0.5) * cmath.log(w) - w + 0.5 * LOG_2PI
-    return val.real if want_real and val.imag == 0.0 else val
 
 
 def j12(z: complex | float, x: float, tol: float = 1e-13):

@@ -16,11 +16,10 @@ from frac_autocorr.autocorr import (
     _head_block,
     _head_sum,
     _lattice_blocks,
-    _period_stats,
-    a_phi2_relation_residual,
+    _smooth_plan,
+    _smooth_tables,
     a_quadrature,
     a_rational,
-    delta_functional_equation_residual,
     farey_scan,
     local_model,
     write_farey_csv,
@@ -102,25 +101,15 @@ def test_a_quadrature_size_guards_raise_before_allocating(lam, match):
 
 
 def test_a_quadrature_pieces_times_periods_guard():
-    # 2^22 + 1 pieces a period; tol 1e-10 needs 544 periods, 15 fit in 2^26 pieces
+    # 2^22 + 1 pieces a period, which once needed 544 periods at tol 1e-10:
+    # one period now, against lambda A(1/lambda) (criterion 3) within both radii
+    lam = Fraction(2**22 + 1)
     start = time.perf_counter()
-    with pytest.raises(ToleranceError, match="budget of 2\\^26 pieces") as e:
-        a_quadrature(Fraction(2**22 + 1))
+    r = a_quadrature(lam)
     assert time.perf_counter() - start < 1.0
-    assert 1e-10 < e.value.achieved < math.inf
-
-
-def test_float_lambda_tolerance_error_names_the_callers_lambda_and_tol():
-    # 3e7 is its own convergent; its rational quadrature at tol/2 = 5e-11
-    # needs 685 periods, past the pieces-times-periods budget
-    with pytest.raises(ToleranceError) as e:
-        a_quadrature(3e7)
-    msg = str(e.value)
-    assert "30000000.0" in msg and "1e-10" in msg
-    assert "5e-11" not in msg
-    inner = e.value.__cause__  # the rational quadrature's own error, at tol/2
-    assert isinstance(inner, ToleranceError) and "5e-11" in str(inner)
-    assert 0.0 < e.value.achieved == inner.achieved < math.inf
+    assert r.err <= 1e-10
+    inv = a_quadrature(1 / lam)
+    assert abs(r.value - float(lam) * inv.value) <= r.err + float(lam) * inv.err
 
 
 def test_a_quadrature_irrational_brackets():
@@ -313,13 +302,13 @@ def test_threads_keep_their_own_workspace():
 
 
 @pytest.mark.parametrize(
-    "lam, block, rebuilt",
-    [(Fraction(3, 7), 1 << 14, 0), (Fraction(3, 7) - Fraction(1, 2**13), 64, 0), (Fraction(307, 256), 64, 4)],
+    "lam, block",
+    [(Fraction(3, 7), 1 << 14), (Fraction(3, 7) - Fraction(1, 2**13), 64), (Fraction(307, 256), 64)],
     ids=["one-block", "one-pass", "short-prefix"],
 )
-def test_lattice_built_once_then_short_prefix(monkeypatch, lam, block, rebuilt):
-    # every block is built once; the prefix of blocks whose head stopped short
-    # of the final period count (307/256: four of nine) is built again
+def test_lattice_built_once_then_short_prefix(monkeypatch, lam, block):
+    # every block is built once: no prefix of blocks is built again for more
+    # periods, as the head of a period of several blocks takes one period
     p, q = lam.numerator, lam.denominator
     calls = []
 
@@ -334,8 +323,7 @@ def test_lattice_built_once_then_short_prefix(monkeypatch, lam, block, rebuilt):
     value = a_quadrature(lam, cfg)
     monkeypatch.undo()
     n_blocks = -(-(p + q - 1) // block)
-    assert len(calls) == n_blocks + rebuilt and sum(calls[:n_blocks]) == p + q - 1
-    assert calls[n_blocks:] == calls[:rebuilt] and max(calls) <= block + 2
+    assert len(calls) == n_blocks and sum(calls) == p + q - 1 and max(calls) <= block + 2
     # against the default block, which holds the whole period
     assert abs(value.value - a_quadrature(lam, cfg).value) <= value.err
 
@@ -365,7 +353,7 @@ def test_head_series_against_mpmath(mp, lam, x, h_frac, sa, sb, start, tol):
     f0, f1 = fa * fb, fb + p / q * fa
     d = h * p  # width and left edge in u = p t
     piece = tuple(np.array([v]) for v in (d / x, d, f1))
-    got, _, bound = _head_sum([_head_block(p, q, piece, 0, 1, tol, [tol / 8])])
+    got, _, bound = _head_sum([_head_block(p, q, piece, 1, tol, [tol / 8])])
     assert bound <= tol / 8
     with mp.workdps(40):
         a, mh, ml = mp.mpf(d / x) / p, mp.mpf(d) / p, mp.mpf(p) / q
@@ -394,7 +382,7 @@ def test_head_within_its_bounds_against_mpmath(mp, lam, n):
                 x * (2 + x) / (1 + x) - 2 * mp.log1p(x))
     for tol in (0.0, 1e-10):
         room = [tol / 8]
-        head, rounding, trunc = _head_sum([_head_block(p, q, b, 0, n, tol, room) for b in _lattice_blocks(p, q)()])
+        head, rounding, trunc = _head_sum([_head_block(p, q, b, n, tol, room) for _, b in _lattice_blocks(p, q)])
         assert abs(head - ref) <= trunc + rounding and trunc <= tol / 8
 
 
@@ -473,6 +461,25 @@ def test_local_model_window():
                 assert abs(got - lm.predict(float(t))) <= 2.0 * q**4 / p * abs(float(t)) ** 3
 
 
+def a_phi2_relation_residual(lam: Fraction) -> float:
+    """Residual of A(l) = log(l)/2 + (1 - gamma + log 2pi)/2 + phi_2(l)/(2l)
+    - l integral_l^inf phi_2(t) t^-3 dt."""
+    lam = Fraction(lam)
+    if lam <= 0:
+        raise DomainError("a_phi2_relation_residual requires lambda > 0")
+    lamf = float(lam)
+    lhs = a_rational(lam.numerator, lam.denominator)
+    phi2_lam = phi_n(2, lam).value
+    tail = phi2_tail_weighted(lam, 3)
+    rhs = (
+        0.5 * math.log(lamf)
+        + 0.5 * (1.0 - EULER_GAMMA + LOG_2PI)
+        + phi2_lam / (2.0 * lamf)
+        - lamf * tail.value
+    )
+    return lhs - rhs
+
+
 def test_a_phi2_relation():
     for lam in (Fraction(1), Fraction(1, 2), Fraction(3)):
         assert abs(a_phi2_relation_residual(lam)) < 1e-6
@@ -497,14 +504,6 @@ def test_phi1_tail_integral_displays():
             + phi1_rational(p, q) / lam
         )
         assert abs(second - want) < 1e-6
-
-
-@pytest.mark.parametrize(
-    "p,q,t",
-    [(0, 1, Fraction(1, 2)), (1, 2, Fraction(1, 4)), (1, 3, Fraction(1, 10))],
-)
-def test_delta_functional_equation(p, q, t):
-    assert delta_functional_equation_residual(p, q, t) < 1e-6
 
 
 def test_farey_scan_order_one():
@@ -566,74 +565,56 @@ def test_quadrature_config_validation():
         QuadratureConfig(tol=1e-14)
 
 
-def _period_stats_oracle(p: int, q: int):
-    """Exact (Fraction) per-period statistics of the rational quadrature tail:
-    (mu, nu, sup_f, sup_g) with the piecewise accumulations done in exact
-    arithmetic over the lattice of one period."""
-    lam = Fraction(p, q)
-    pieces = []
-    u_prev = 0
-    for ui in merged_breakpoints(p, q, 0, p * q).tolist():
-        fp0 = Fraction(u_prev % p, p)
-        fq0 = Fraction(u_prev % q, q)
-        pieces.append((Fraction(ui - u_prev, p), fp0 * fq0, fq0 + lam * fp0))
-        u_prev = ui
-    ig = [lam * dt**3 / 3 + f1 * dt**2 / 2 + f0 * dt for dt, f0, f1 in pieces]
-    mu = sum(ig) / q
-    f_acc = Fraction(0)
-    max_f = Fraction(0)
-    ifs = []
-    for (dt, f0, f1), g_int in zip(pieces, ig):
-        ifs.append(f_acc * dt + lam * dt**4 / 12 + f1 * dt**3 / 6 + (f0 - mu) * dt**2 / 2)
-        f_acc += g_int - mu * dt
-        max_f = max(max_f, abs(f_acc))
-    nu = sum(ifs) / q
-    g_acc = Fraction(0)
-    max_g = Fraction(0)
-    for (dt, _, _), if_int in zip(pieces, ifs):
-        g_acc += if_int - nu * dt
-        max_g = max(max_g, abs(g_acc))
-    maxgap = max(dt for dt, _, _ in pieces)
-    return mu, nu, max_f + maxgap, max_g + maxgap * (max_f + abs(nu) + maxgap)
+def _smooth_oracle(mp, p: int, q: int, periods: int):
+    """q^-2 int_0^q h(x) psi'(J + x/q) dx, h = {x}{(p/q)x}, piece by piece in 30 digits."""
+    ml, us = mp.mpf(p) / q, [0] + merged_breakpoints(p, q, 0, p * q).tolist()
+    total = mp.mpf(0)
+    for u0, u1 in zip(us[:-1], us[1:]):
+        a, h = mp.mpf(u0) / p, mp.mpf(u1 - u0) / p
+        f1 = mp.mpf(u0 % q) / q + ml * (mp.mpf(u0 % p) / p)
+
+        def integrand(tau, a=a, f1=f1):
+            return (f1 * tau + ml * tau**2) * mp.psi(1, periods + (a + tau) / q)
+
+        total += mp.quad(integrand, [0, h], method="gauss-legendre")
+    return total / q**2
 
 
-def test_period_stats_against_fraction_oracle(monkeypatch):
-    # the default block holds every period here; blocks of 1, 5 and 64
-    # pieces split the lattice slices mid-period
-    eps = sys.float_info.epsilon
-    for q in range(1, 30):
-        for p in range(1, 60):
-            if math.gcd(p, q) != 1:
+@pytest.mark.parametrize("periods", [1, 2, 8])
+def test_smooth_part_against_mpmath(mp, monkeypatch, periods):
+    # the blocks' smooth parts, at the default block and in blocks of 5 and
+    # 1 pieces (a block's first piece starting in the one before), against
+    # the 30-digit integral: within the plan's Taylor, moment and rounding
+    # bounds at J = periods
+    for p, q in [(3, 7), (13, 4), (47, 41), (2, 3), (1, 1)]:
+        ref = _smooth_oracle(mp, p, q, periods)
+        for block in (autocorr._BLOCK, 5, 1):
+            monkeypatch.setattr(autocorr, "_BLOCK", block)
+            n_b = -(-(p + q - 1) // block)
+            plan = _smooth_plan(p, q, n_b, 1e-12, [periods])
+            if plan is None:  # J = 1 at 1/1, or a reach of a 1-piece block beyond J
+                assert periods == 1 or block == 1
                 continue
-            mu, nu, sup_f, sup_g = _period_stats_oracle(p, q)
-            assert mu == Fraction(1, 4) + Fraction(1, 12 * p * q)
-            assert nu == Fraction(-(p + q), 24 * p)
-            for block in (autocorr._BLOCK, 1, 5, 64):
-                monkeypatch.setattr(autocorr, "_BLOCK", block)
-                *_, (_, (got_mu, got_nu, got_f, got_g)) = _period_stats(p, q, _lattice_blocks(p, q))
-                assert got_mu == float(mu)
-                # the bound of the former float64 sum; the closed form is rounded once
-                assert abs(got_nu - float(nu)) <= 4 * eps * (p + q) * abs(float(nu))
-                assert got_f >= sup_f and got_g >= sup_g
+            _, _, degrees, bound = plan
+            y_c, tables = _smooth_tables(periods, n_b, degrees)
+            got = math.fsum(
+                _head_block(p, q, b, periods, 1e-12, [1e-12 / 8], (y_c[k], [t[k] for t in tables]))[2]
+                for k, b in _lattice_blocks(p, q)
+            )
             monkeypatch.undo()
+            assert abs(got - ref) <= bound <= 1e-12 / 8
 
 
 @pytest.mark.parametrize("block", [1, 5, 64])
 def test_blocks_carry_their_sums(monkeypatch, block):
-    # small blocks force the paths of lattices longer than a block (sums and
-    # maxima carried between blocks) and of several short periods per block
-    eps = sys.float_info.epsilon
+    # small blocks force the paths of lattices longer than a block (the last
+    # breakpoint carried into the next block) and of several short periods per block
     for p, q, n in [(3, 7, 5), (13, 4, 3), (47, 41, 2), (1, 1, 40)]:
-        whole = _lattice_blocks(p, q)
-        one_block = _head_sum([_head_block(p, q, b, 0, n, 0.0, [0.0]) for b in whole()])
-        _, nu, sup_f, sup_g = _period_stats_oracle(p, q)
+        one_block = _head_sum([_head_block(p, q, b, n, 0.0, [0.0]) for _, b in _lattice_blocks(p, q)])
+        want = a_quadrature(Fraction(p, q), QuadratureConfig(tol=1e-12))
         monkeypatch.setattr(autocorr, "_BLOCK", block)
-        parts = []
-        for b, (_, got_nu, got_f, got_g) in _period_stats(p, q, _lattice_blocks(p, q)):
-            parts.append(_head_block(p, q, b, 0, n, 0.0, [0.0]))
-        head, _, _ = _head_sum(parts)
+        head, _, _ = _head_sum([_head_block(p, q, b, n, 0.0, [0.0]) for _, b in _lattice_blocks(p, q)])
+        got = a_quadrature(Fraction(p, q), QuadratureConfig(tol=1e-12))
         monkeypatch.undo()
-        assert abs(got_nu - float(nu)) <= 4 * eps * (p + q) * abs(float(nu))
-        assert sup_f <= got_f <= 1.000002 * float(sup_f) + 2e-12
-        assert sup_g <= got_g <= 1.000002 * float(sup_g) + 2e-12
         assert abs(head - one_block[0]) <= 1e-14 * abs(one_block[0])
+        assert abs(got.value - want.value) <= got.err + want.err

@@ -70,6 +70,8 @@ def test_check_suite_failure_is_machine_readable(capsys, monkeypatch):
     assert rc == 1
     report = json.loads(out.splitlines()[-1])
     assert report["failures"] and report["failures"][0]["suite"] == "vasyunin"
+    # the checks that do not call the psi route pass, the geometric lemma's two bounds among them
+    assert {f["name"] for f in report["failures"]} == {"cot_vs_psi_per_q", "b1cot_vs_psi_per_q"}
 
 
 def test_failed_frullani_check_is_a_check_failure(capsys, monkeypatch):

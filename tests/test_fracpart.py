@@ -193,6 +193,19 @@ def test_b1_pair_sum_randomized_exact():
         assert lhs == rhs
 
 
+def test_b1_pair_sum_residues_equal_the_fraction_terms():
+    # the integer-residue sums against the B_1 terms as Fractions, exactly
+    rng = random.Random(31)
+    for _ in range(200):
+        theta = Fraction(rng.randint(1, 25), rng.randint(1, 25))
+        x = Fraction(rng.randint(1, 300), rng.randint(1, 12))
+        tx = theta * x
+        lhs = sum(bernoulli_fn(1, Fraction(n) / theta) for n in range(1, math.floor(tx) + 1))
+        lhs += sum(bernoulli_fn(1, m * theta) for m in range(1, math.floor(x) + 1))
+        d = (tx - math.floor(tx)) - theta * (x - math.floor(x))
+        assert b1_pair_sum_check(theta, x) == (lhs, d * d / (2 * theta) + (theta - 1) * d / (2 * theta))
+
+
 @pytest.mark.parametrize(
     "theta,x",
     [(Fraction(1), 10.0), (Fraction(1, 2), 7.3), (Fraction(3, 5), 20.0), (Fraction(7, 3), 11.4)],

@@ -51,12 +51,6 @@ def test_autocorr_value_at_minus_half():
     assert abs(v - want) < 1e-5
 
 
-def test_autocorr_identity_grid():
-    for re in (-0.7, -0.5, -0.3):
-        for im in (0.0, 1.0, 2.0):
-            assert mellin_identity_residual("autocorr", complex(re, im)) < 1e-5
-
-
 def test_delta_identity_examples():
     assert mellin_identity_residual("delta", -0.3, (1, 2)) < 1e-5
     assert mellin_identity_residual("delta", -0.5, (0, 1)) < 1e-5

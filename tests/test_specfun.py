@@ -12,6 +12,7 @@ from frac_autocorr.errors import DomainError, PoleError
 from frac_autocorr.specfun import (
     _BERNOULLI_2N,
     _PSI_SHIFT,
+    _is_nonpositive_integer,
     EULER_GAMMA,
     LOG_2PI,
     PI,
@@ -22,12 +23,56 @@ from frac_autocorr.specfun import (
     hurwitz_zeta,
     hurwitz_zeta_int_vec,
     j12,
-    j_function,
     log_gamma,
     riemann_zeta,
-    trigamma,
+    sinpi,
+    trigamma_taylor,
     trigamma_vec,
 )
+
+
+# Scalar oracles reached only from these tests.
+
+
+def trigamma(z: complex | float):
+    """psi'(z) = sum_{n>=0} 1/(n+z)^2."""
+    want_real = not isinstance(z, complex)
+    w = complex(z)
+    if _is_nonpositive_integer(w):
+        raise PoleError(f"trigamma pole at z={w}", location=w)
+    if w.real < 0.5:
+        # psi'(z) + psi'(1-z) = pi^2 / sin^2(pi z)
+        sp = sinpi(complex(w))
+        val = PI * PI / (sp * sp) - _trigamma_half(1.0 - w)
+    else:
+        val = _trigamma_half(w)
+    return val.real if want_real and val.imag == 0.0 else val
+
+
+def _trigamma_half(z: complex) -> complex:
+    acc = 0.0 + 0.0j
+    while abs(z) < _PSI_SHIFT:
+        acc += 1.0 / (z * z)
+        z += 1.0
+    inv = 1.0 / z
+    inv2 = inv * inv
+    s = inv + 0.5 * inv2
+    p = inv * inv2
+    for j, b in enumerate(_BERNOULLI_2N[:8], start=1):
+        s += b * p
+        p *= inv2
+    return acc + s
+
+
+def j_function(z: complex | float):
+    """J(z) = integral_0^inf ({t} - 1/2)/(t+z) dt on the cut plane.
+
+    Evaluated through its closed form in log Gamma.
+    """
+    want_real = not isinstance(z, complex)
+    w = complex(z)
+    val = -log_gamma(w) + (w - 0.5) * cmath.log(w) - w + 0.5 * LOG_2PI
+    return val.real if want_real and val.imag == 0.0 else val
 
 
 def _gauss(f, a, b, n=80):
@@ -105,6 +150,33 @@ def test_trigamma(mp):
     got = trigamma_vec(a)
     for ai, gi in zip(a, got):
         assert gi == pytest.approx(float(mp.polygamma(1, mp.mpf(ai))), rel=1e-12)
+
+
+def test_trigamma_vec_against_mpmath(mp):
+    # one shift for the whole array: a in (0, 1] (the phi_2 grids) and in
+    # [1, 65] (the quadrature's expansion centres), in one call and alone
+    rng = random.Random(5)
+    a = np.array([rng.uniform(1e-6, 1.0) for _ in range(200)] + [1.0, 2**-30]
+                 + [rng.uniform(1.0, 65.0) for _ in range(200)] + [65.0])
+    pairs = [*zip(a, trigamma_vec(a)), *((x, trigamma_vec(np.array([x]))[0]) for x in a[::20])]
+    for x, got in pairs:
+        assert got == pytest.approx(float(mp.polygamma(1, mp.mpf(x))), rel=1e-13)
+    assert np.array_equal(trigamma_vec(a[:400].reshape(2, -1)), trigamma_vec(a[:400]).reshape(2, -1))
+
+
+def test_trigamma_taylor_against_mpmath(mp):
+    # psi^(i+1)(a)/i! within 4 (i+1) u of the 30-digit value, at the centres
+    # J + (k + 1/2)/n_b of the quadrature's expansions, up to degree 48
+    u = 2.0**-53
+    for periods, n_b, degree in [(1, 1, 48), (2, 3, 24), (8, 64, 8), (64, 2, 16)]:
+        centres = periods + (np.arange(n_b) + 0.5) / n_b
+        got = trigamma_taylor(centres, degree)
+        for k in {0, n_b - 1}:
+            for i in range(degree + 1):
+                want = mp.polygamma(i + 1, mp.mpf(centres[k])) / mp.factorial(i)
+                assert abs(got[i, k] - want) <= 4 * (i + 1) * u * abs(want)
+    with pytest.raises(DomainError):
+        trigamma_taylor(np.array([1.0, 0.0]), 2)
 
 
 def _digamma_vec_listed(a: np.ndarray) -> np.ndarray:

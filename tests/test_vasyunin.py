@@ -173,20 +173,6 @@ def test_direct_double_sums_stop_at_q_512():
             fn(1, 513)
 
 
-def test_geometric_derivative_lemma():
-    import numpy as np
-
-    for q in range(2, 65):
-        n = np.arange(q, dtype=np.float64)
-        for k in range(1, q):
-            z = complex(np.exp(2j * np.pi * k / q))
-            s = (n * z**n).sum()
-            assert abs(s - q / (z - 1.0)) < 1e-10 * q * q
-    # z = 1 branch
-    q = 17
-    assert sum(range(q)) == q * (q - 1) // 2
-
-
 def test_modular_inverse():
     assert modular_inverse(3, 7) == 5
     assert modular_inverse(1, 11) == 1
