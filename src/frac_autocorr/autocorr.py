@@ -33,13 +33,11 @@ import numpy as np
 from .errors import DomainError, ToleranceError
 from .phi import (
     ExpansionCoefficients,
-    _linear_panels_power,
+    _c_plus,
     delta as phi_delta,
+    delta_power_integral,
     expansion_coeffs,
-    phi2_grid_samples,
-    phi2_tail_integral,
     phi2_unit_grid,  # noqa: F401  (binding the perfbench tracer wraps)
-    phi_resum_rational,
 )
 from .piecewise import merged_breakpoints
 from .rational_core import FareyScanRecord, farey_sequence
@@ -507,29 +505,6 @@ def local_model(p: int, q: int) -> LocalModel:
 # ----------------------------------------------------------------------
 
 
-def _delta_weighted_integral(pbar: int, q: int, v0: Fraction, n: int, big_x: int) -> float:
-    """integral_{v0}^inf Delta_{pbar,q}(v) v^{-n} dv.
-
-    Grid panels on [v0, X] from the phi_2 unit grid (X integer), then the
-    integration-by-parts tail, minus the exact mean part.  The tail's bound is
-    dropped: no radius, checked only through the functional-equation residual.
-    """
-    x0 = Fraction(pbar % q if q > 1 else 0, q)
-    c = phi_resum_rational(2, x0)
-    b, t, f = phi2_grid_samples(x0, q, v0, big_x, 16384)
-    f = f - c
-    val = _linear_panels_power(t, f, float(n)).real
-    if (v0 * b).denominator != 1:
-        # partial first panel, with the exact resummed value at v0
-        f_v0 = phi_resum_rational(2, x0 + v0) - c
-        tt = np.array([float(v0), t[0]])
-        ff = np.array([f_v0, f[0]])
-        val += _linear_panels_power(tt, ff, float(n)).real
-    tail_osc, _ = phi2_tail_integral(x0, big_x, float(n))
-    tail_mean = -c * big_x ** (1 - n) / (n - 1)
-    return val + tail_osc.real + tail_mean
-
-
 def delta_functional_equation_residual(p: int, q: int, t: Fraction) -> float:
     """|LHS - RHS| of the functional equation of Delta_{p,q} at rational t > 0,
     the right side combining the inverted-argument term and its integral."""
@@ -541,15 +516,12 @@ def delta_functional_equation_residual(p: int, q: int, t: Fraction) -> float:
     lhs = phi_delta(p % q, q, t).value
     v_inv = 1 / (q * q * t)
     delta_at_inv = phi_delta(pbar, q, v_inv).value
-    v0 = v_inv
-    big_x = max(24, math.ceil(v0) + 8)
-    j3 = _delta_weighted_integral(pbar, q, v0, 3, big_x)
-    j4 = _delta_weighted_integral(pbar, q, v0, 4, big_x)
+    big_x = max(24, math.ceil(v_inv) + 8)
+    j3, j4 = (delta_power_integral(Fraction(pbar, q), q, v_inv, n, big_x).real for n in (3, 4))
     integral = 3.0 / q**6 * j4 - tf / q**4 * j3
-    vpq = vasyunin_cot(p % q, q)
     rhs = (
         tf * math.log(tf) / q
-        + tf / q * (PI * vpq + 2.0 * math.log(q) + LOG_2PI - EULER_GAMMA - 1.0)
+        + tf / q * _c_plus(p % q, q)
         - tf * tf / 2.0
         + (q * tf) ** 3 * delta_at_inv
         - 2.0 * q**3 * integral

@@ -259,7 +259,7 @@ def mellin_grid() -> list[CheckResult]:
 
 def fracpart_mellin_closed_form() -> list[CheckResult]:
     """The Mellin transform of {t} at s = -1/2 against zeta(-s)/s."""
-    v = mellin_verify.mellin_numeric(mellin_verify.MellinTarget("fracpart"), -0.5)
+    v = mellin_verify.mellin_fracpart(-0.5)
     return [_result("mellin", "fracpart_closed_form", abs(v - riemann_zeta(0.5) / (-0.5)), 1e-10)]
 
 

@@ -29,8 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonCoprimeError, PoleError
-from .specfun import EULER_GAMMA, LOG_2PI, PI, gamma_fn, hurwitz_zeta
-from .vasyunin import modular_inverse, vasyunin_cot
+from .phi import _c_plus, divisor_sieve
+from .specfun import LOG_2PI, PI, gamma_fn, hurwitz_zeta
+from .vasyunin import modular_inverse
 
 # The range over which the DFT route's error was measured against the O(k^2)
 # sum (at most 7.8e-16 of the scale); the route itself needs only O(k) memory.
@@ -116,14 +117,10 @@ def g1(s: complex | float, h: int, k: int) -> complex:
     if s.imag == 0.0 and s.real <= 0.25 and abs(s.real - round(s.real)) < 1e-12:
         laurent = None
         if round(s.real) == -1:
-            v = vasyunin_cot(h, k)
             c = PI * PI / k
             laurent = LaurentData(
                 location=-1.0 + 0.0j,
-                coefficients=(
-                    (-2, complex(c)),
-                    (-1, complex(c * (1.0 + EULER_GAMMA - 2.0 * math.log(k) - LOG_2PI - PI * v))),
-                ),
+                coefficients=((-2, complex(c)), (-1, complex(-c * _c_plus(h, k)))),
             )
         elif round(s.real) == -2:
             laurent = LaurentData(
@@ -135,13 +132,10 @@ def g1(s: complex | float, h: int, k: int) -> complex:
 
 def g1_residue_polynomial(h: int, k: int, t: float) -> float:
     """Sum of the residue contributions of G_1 t^{-s} at s = -2 and s = -1:
-    (pi^2/2) t^2 - (pi^2/k) t (log t + pi V(h,k) + 2 log k + log 2pi - gamma - 1)."""
+    (pi^2/2) t^2 - (pi^2/k) t (log t + C+(h, k)), C+ as in ``phi._c_plus``."""
     if t <= 0:
         raise ValueError("g1_residue_polynomial requires t > 0")
-    v = vasyunin_cot(h, k)
-    return 0.5 * PI * PI * t * t - PI * PI / k * t * (
-        math.log(t) + PI * v + 2.0 * math.log(k) + LOG_2PI - EULER_GAMMA - 1.0
-    )
+    return 0.5 * PI * PI * t * t - PI * PI / k * t * (math.log(t) + _c_plus(h, k))
 
 
 def _chi(s: complex, k: int) -> complex:
@@ -223,8 +217,6 @@ def laurent_coefficient(f, s0: complex, order: int, eps: float = 1e-2, m: int = 
 
 def estermann_series(s: complex | float, h: int, k: int, n_terms: int) -> complex:
     """Truncated Dirichlet series sum tau(n) e^{2 pi i n h/k} n^{-s} (Re s > 1)."""
-    from .phi import divisor_sieve
-
     s = complex(s)
     tau = divisor_sieve(n_terms)[1:].astype(np.float64)
     n = np.arange(1, n_terms + 1, dtype=np.float64)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -86,22 +85,15 @@ def max_abs_bernoulli(n: int) -> float:
     return 2.0 * math.factorial(n) * zeta_n / (2.0 * math.pi) ** n
 
 
-def _seq(f) -> Callable[[int], Fraction | int | float]:
-    if callable(f):
-        return f
-    data: Sequence = f
-    return lambda i: data[i]
-
-
 def hl_symmetry_residual(theta, x, f, g):
     """LHS minus RHS of the floor-symmetry summation identity.
 
     sum_{m<=x} f(floor(m theta))(g(m)-g(m-1)) + sum_{n<=theta x}
     g(floor(n/theta))(f(n)-f(n-1)) equals f(floor(theta x)) g(floor(x)),
     plus the correction sum_{k<=x/q} (g(kq)-g(kq-1))(f(kp)-f(kp-1)) when
-    theta = p/q is rational.  Exact (Fraction/int) when theta and x are.
+    theta = p/q is rational.  f and g are callables on the integers.  Exact
+    (Fraction/int) when theta and x are.
     """
-    f, g = _seq(f), _seq(g)
     if f(0) != 0 or g(0) != 0:
         raise ValueError("identity requires f(0) = g(0) = 0")
     rational = isinstance(theta, (Fraction, int))

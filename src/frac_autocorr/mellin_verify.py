@@ -1,15 +1,17 @@
 """Numeric Mellin transforms on vertical lines for three specific targets.
 
 No general framework: the fractional part, the autocorrelation A, and the
-local increments Delta_{p,q} each get a bespoke integrator.
+local increments Delta_{p,q} each get a bespoke integrator, one public
+function each, and each checks the strip -1 < Re s < 0 itself.
 
-* fracpart: piecewise closed forms plus a Bernoulli-chain tail (certified).
-* autocorr: A sampled once on a dyadic grid of rationals, panel-exact
-  integration of the interpolant on [1/32, 1], and closed forms beyond,
-  using A(x) = x A(1/x) and A(u) = log(u)/2 + c0 + rho(u) with the rho
-  integrals reduced exactly to integration-by-parts tails of phi_2.
-* delta: the phi_2 unit grid with the kernel summed over integer periods,
-  a local t log t model below the first grid cells, and phi tails.
+* ``mellin_fracpart``: piecewise closed forms plus a Bernoulli-chain tail,
+  with an error below 1e-10.
+* ``mellin_autocorr``: A sampled once on a dyadic grid of rationals,
+  panel-exact integration of the interpolant on [1/32, 1], and closed forms
+  beyond, using A(x) = x A(1/x) and A(u) = log(u)/2 + c0 + rho(u) with the
+  rho integrals reduced exactly to integration-by-parts tails of phi_2.
+* ``mellin_delta``: a local t log t model in closed form on the cusp window
+  [0, W], and ``phi.delta_power_integral`` from W on.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -26,33 +27,19 @@ from .autocorr import a_rational
 from .errors import DomainError
 from .estermann import g1
 from .phi import (
+    _c_plus,
+    _delta_period,
     _linear_panels_power,
-    phi2_grid_samples,
+    delta_power_integral,
     phi2_tail_integral,
     phi2_unit_grid,  # noqa: F401  (binding the perfbench tracer wraps)
-    phi_resum_rational,
 )
 from .rational_core import divisors
 from .specfun import EULER_GAMMA, LOG_2PI, PI, riemann_zeta
-from .vasyunin import _v_pairs, _v_rows, vasyunin_cot
+from .vasyunin import _v_pairs, _v_rows
 
 _GRID_Q = 1 << 14
 _V_CUT = 32  # the [0, 1/V] end of the unit interval is handled analytically
-
-
-@dataclass(frozen=True)
-class MellinTarget:
-    kind: str  # "fracpart" | "autocorr" | "delta"
-    params: tuple[int, int] | None = None  # (p, q) for kind="delta"
-    scale: Fraction = Fraction(1)  # fracpart only: transform of x -> {scale x}
-
-    def __post_init__(self):
-        if self.kind not in ("fracpart", "autocorr", "delta"):
-            raise ValueError(f"unknown Mellin target {self.kind!r}")
-        if self.kind == "delta" and (
-            self.params is None or math.gcd(*self.params) != 1
-        ):
-            raise ValueError("delta target requires coprime params (p, q)")
 
 
 def _require_strip(s: complex) -> complex:
@@ -67,13 +54,14 @@ def _require_strip(s: complex) -> complex:
 # ----------------------------------------------------------------------
 
 
-def _mellin_fracpart(s: complex, scale: Fraction, tol: float) -> complex:
-    """integral_0^inf {scale t} t^{s-1} dt on the strip."""
+def mellin_fracpart(s: complex | float, scale: Fraction | int = 1) -> complex:
+    """integral_0^inf {scale t} t^{s-1} dt on the strip, with an error below 1e-10."""
+    s = _require_strip(s)
     lam = float(scale)
     sig = s.real
     sup_b3 = 0.04811252243246881
     margin = abs((s - 1.0) * (s - 2.0)) / (6.0 * lam * lam) * sup_b3 / (2.0 - sig)
-    big_n = max(8, math.ceil((margin / tol) ** (1.0 / (2.0 - sig))))
+    big_n = max(8, math.ceil((margin / 1e-10) ** (1.0 / (2.0 - sig))))
     big_t = big_n / lam
     n = np.arange(0, big_n, dtype=np.float64)
     a = n / lam
@@ -155,9 +143,11 @@ def _rho_tail(v: int, a: complex) -> complex:
     return w_a1 * (0.5 - 1.0 / (2.0 - a)) + v ** (2.0 - a) * w_3 / (2.0 - a)
 
 
-def _mellin_autocorr(s: complex) -> complex:
+def mellin_autocorr(s: complex | float) -> complex:
     """MA(s) = integral_0^1 A(x) (x^{s-1} + x^{-s-2}) dx, the second kernel
-    coming from folding [1, inf) back with A(x) = x A(1/x)."""
+    coming from folding [1, inf) back with A(x) = x A(1/x).  No radius:
+    checked only through ``mellin_identity_residual``."""
+    s = _require_strip(s)
     c0 = 0.5 * (1.0 - EULER_GAMMA + LOG_2PI)
     grid = a_unit_grid(_GRID_Q)
     k0 = _GRID_Q // _V_CUT
@@ -176,31 +166,27 @@ def _mellin_autocorr(s: complex) -> complex:
 # delta
 # ----------------------------------------------------------------------
 
-_DELTA_PERIODS = 32
+_DELTA_PERIODS = 32  # X of delta_power_integral
 
 
-def _mellin_delta(s: complex, p: int, q: int) -> complex:
+def mellin_delta(s: complex | float, p: int, q: int) -> complex:
     """M Delta_{p,q}(s) = integral_0^inf Delta_{p,q}(t) t^{s-1} dt.
 
     The cusp model (t log t + C+ t - q t^2/2)/q is integrated in closed
     form over its whole validity window [0, W], W ~ 1/(2q), and only the
     smooth remainder Delta - model is handled on the grid there; this kills
     the trapezoid bias of the t log t curvature against the singular kernel.
-    The tail's bound is dropped: no radius, checked only through the residual.
+    From W on, ``delta_power_integral``.  No radius: checked only through
+    ``mellin_identity_residual``.
     """
+    s = _require_strip(s)
+    if math.gcd(p, q) != 1:
+        raise ValueError("mellin_delta requires coprime (p, q)")
     x0 = Fraction(p % q, q)
-    c = phi_resum_rational(2, x0)
-    b, t, f = phi2_grid_samples(x0, q, Fraction(0), 1, _GRID_Q)
-    d = f - c
-    cp = (
-        PI * vasyunin_cot(p % q, q)
-        + 2.0 * math.log(q)
-        + LOG_2PI
-        - EULER_GAMMA
-        - 1.0
-    )
+    b, _, d = _delta_period(x0, q)
     k_w = max(4, b // (2 * q))
     w = k_w / b
+    cp = _c_plus(p % q, q)
     # closed form of the model over [0, W]
     w1 = w ** (s + 1.0)
     total = (
@@ -210,38 +196,15 @@ def _mellin_delta(s: complex, p: int, q: int) -> complex:
     ) / q
     # remainder Delta - model on (0, W]: starts at the first grid cell, the
     # skipped [0, 1/b] piece is O(q^3 / b^{s+3})
-    tw = t[1 : k_w + 1]
+    tw = np.arange(1, k_w + 1) / b
     model = (tw * np.log(tw) + cp * tw - 0.5 * q * tw * tw) / q
     total += _linear_panels_power(tw, d[1 : k_w + 1] - model, 1.0 - s)
-    # [W, 1] on the grid, then whole periods with the shifted kernel
-    total += _linear_panels_power(t[k_w:], d[k_w:], 1.0 - s)
-    for j in range(1, _DELTA_PERIODS):
-        total += _linear_panels_power(t + j, d, 1.0 - s)
-    # beyond the last period: mean part exactly, oscillation by parts
-    big_j = _DELTA_PERIODS
-    total += c * big_j**s / s
-    tail, _ = phi2_tail_integral(x0, big_j, 1.0 - s)
-    total += tail
-    return complex(total)
+    return complex(total + delta_power_integral(x0, q, Fraction(k_w, b), 1.0 - s, _DELTA_PERIODS))
 
 
 # ----------------------------------------------------------------------
-# public surface
+# closed-form identities
 # ----------------------------------------------------------------------
-
-
-def mellin_numeric(target: MellinTarget, s: complex | float) -> complex:
-    """Numeric Mellin transform of the target at s inside the strip (-1, 0).
-
-    The A and Delta values carry no radius (their phi_2 tails drop their
-    bounds) and are checked only through mellin_identity_residual's bounds."""
-    s = _require_strip(s)
-    if target.kind == "fracpart":
-        return _mellin_fracpart(s, target.scale, 1e-10)
-    if target.kind == "autocorr":
-        return _mellin_autocorr(s)
-    p, q = target.params
-    return _mellin_delta(s, p, q)
 
 
 def mellin_identity_residual(which: str, s: complex | float, params=None) -> float:
@@ -252,11 +215,11 @@ def mellin_identity_residual(which: str, s: complex | float, params=None) -> flo
     """
     s = _require_strip(s)
     if which == "autocorr":
-        numeric = mellin_numeric(MellinTarget("autocorr"), s)
+        numeric = mellin_autocorr(s)
         closed = -riemann_zeta(-s) * riemann_zeta(s + 1.0) / (s * (s + 1.0))
     elif which == "delta":
         p, q = params
-        numeric = mellin_numeric(MellinTarget("delta", (p, q)), s)
+        numeric = mellin_delta(s, p, q)
         closed = -g1(s, p, q) / (PI * PI)
     else:
         raise ValueError(f"unknown identity {which!r}")

@@ -5,10 +5,10 @@ phi_n(p/q) = q^{-n} sum_{r=1}^{q} B_n(rp/q) zeta(n, r/q),
 which is the only route that reaches machine precision for n = 2 (direct
 truncation converges like 1/K and is kept as a cross-check).  The module
 also owns the uniform phi_2 grids, built in O(b log b) by FFT correlations
-over the unit groups (Z/m)^* with m | b and sampled through one helper
-(``phi2_grid_samples``), and the integration-by-parts tails of
-integral_X^inf phi_2(x0 + t) t^{-a} dt used by the autocorrelation and
-Mellin modules.
+over the unit groups (Z/m)^* with m | b, the integration-by-parts tails of
+integral_X^inf phi_2(x0 + t) t^{-a} dt, and the one integrator of
+Delta(t) = phi_2(x0 + t) - phi_2(x0) against t^{-a} over whole periods
+(``delta_power_integral``) that the autocorrelation and Mellin modules use.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ToleranceError
-from .fracpart import _B_TABLES, bernoulli_fn, max_abs_bernoulli
+from .fracpart import _B_TABLES, bernoulli_poly, max_abs_bernoulli
 from .rational_core import divisors, unit_coordinates
 from .specfun import (
     EULER_GAMMA,
@@ -80,20 +80,13 @@ def phi_at_zero(n: int) -> float:
     return float(_B_TABLES[n][0]) * zeta_int(n)
 
 
-def _bernoulli_poly_vec(n: int, x: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(x)
-    for c in reversed(_B_TABLES[n]):
-        acc = acc * x + float(c)
-    return acc
-
-
 def phi_resum_rational(n: int, x: Fraction) -> float:
     """Exact resummation of phi_n at a rational point."""
     x = Fraction(x) - math.floor(x)
     p, q = x.numerator, x.denominator
     r = np.arange(1, q + 1, dtype=np.int64)
     frac = ((r * p) % q) / q
-    bvals = _bernoulli_poly_vec(n, frac)
+    bvals = bernoulli_poly(n, frac)
     if n == 1:  # B_1 convention: zero at integers
         bvals = np.where((r * p) % q == 0, 0.0, bvals)
     zvals = hurwitz_zeta_int_vec(n, r / q)
@@ -129,7 +122,7 @@ def phi_n(n: int, x, cfg: PhiEvalConfig | None = None) -> CertifiedReal:
         k = np.arange(start, min(start + 1_000_000, k_need + 1), dtype=np.float64)
         kx = k * xf
         frac = kx - np.floor(kx)
-        chunks.append(math.fsum(_bernoulli_poly_vec(n, frac) / k**n))
+        chunks.append(math.fsum(bernoulli_poly(n, frac) / k**n))
     total = math.fsum(chunks)
     tail = mn * k_need ** (1 - n) / (n - 1)
     return CertifiedReal(total, tail + 1e-15 * abs(total) * math.log(k_need + 1.0))
@@ -150,15 +143,19 @@ def delta(p: int, q: int, t: Fraction, cfg: PhiEvalConfig | None = None) -> Cert
     return CertifiedReal(a.value - b.value, a.err + b.err)
 
 
+def _c_plus(p: int, q: int) -> float:
+    """C+(p, q) = pi V(p, q) + 2 log q + log 2pi - gamma - 1, the t-coefficient
+    of q Delta_{p,q}(t) for t -> 0+ (p = 0, q = 1 allowed)."""
+    return PI * vasyunin_cot(p, q) + 2.0 * math.log(q) + LOG_2PI - EULER_GAMMA - 1.0
+
+
 def expansion_coeffs(p: int, q: int) -> ExpansionCoefficients:
     """The C+-, D+- and quadratic coefficients of the local models at p/q."""
     if p < 1 or q < 1 or math.gcd(p, q) != 1:
         raise ValueError("expansion_coeffs requires coprime p, q >= 1")
-    vpq = vasyunin_cot(p, q)
     vqp = vasyunin_cot(q, p)
-    base = 2.0 * math.log(q) + LOG_2PI - EULER_GAMMA - 1.0
-    c_plus = PI * vpq + base
-    c_minus = PI * vpq - base
+    c_plus = _c_plus(p, q)
+    c_minus = 2.0 * PI * vasyunin_cot(p, q) - c_plus
     d_common = -0.5 * math.log(p / q) + 0.5 * (LOG_2PI - EULER_GAMMA) - PI / (2 * p) * vqp
     d_var = math.log(q) / p + (LOG_2PI - EULER_GAMMA - 1.0) / (2 * p)
     return ExpansionCoefficients(
@@ -215,22 +212,6 @@ def phi2_unit_grid(b: int) -> np.ndarray:
     return out
 
 
-def phi2_grid_samples(
-    x0: Fraction, q: int, lo: Fraction, hi: int, target: int
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """(b, t, phi_2(x0 + t)) at t = k/b for k = ceil(lo b) .. hi b.
-
-    b = q max(1, target // q) points per unit, q a multiple of the
-    denominator of x0 (so x0 and every multiple of 1/q lie on the grid);
-    the values are read from the cached ``phi2_unit_grid(b)``.
-    """
-    b = q * max(1, target // q)
-    grid = phi2_unit_grid(b)
-    ks = np.arange(math.ceil(lo * b), hi * b + 1, dtype=np.int64)
-    offset = x0.numerator * (b // x0.denominator)
-    return b, ks / b, grid[(ks + offset) % b]
-
-
 def phi2_tail_integral(x0: Fraction, big_x: int, a: complex) -> tuple[complex, float]:
     """(value, bound) for integral_X^inf phi_2(x0 + t) t^{-a} dt, Re a > 0.
 
@@ -261,26 +242,45 @@ def phi2_tail_integral(x0: Fraction, big_x: int, a: complex) -> tuple[complex, f
     return value, bound
 
 
-def phi2_tail_weighted(lam: Fraction, exponent: int = 3, big_x: int | None = None) -> CertifiedReal:
-    """integral_lam^inf phi_2(t) t^{-exponent} dt with a certified radius.
+def _delta_period(x0: Fraction, q: int) -> tuple[int, float, np.ndarray]:
+    """(b, phi_2(x0), Delta(k/b) for k = 0 .. b), Delta(t) = phi_2(x0 + t) - phi_2(x0).
 
-    Panel-exact integration of the interpolated phi_2 grid on [lam, X],
-    then the integration-by-parts tail beyond the integer X.
+    b = q max(1, 16384 // q) points per unit, q a multiple of the denominator
+    of x0 (so x0 and every multiple of 1/q lie on the grid); the values are
+    read from the cached ``phi2_unit_grid(b)``.
     """
-    lam = Fraction(lam)
-    if lam <= 0:
-        raise ValueError("phi2_tail_weighted requires lam > 0")
-    big_x = big_x or max(16, math.ceil(lam) + 4)
-    # panel edges k/b from lam to X (exact alignment: b is a multiple of lam's denominator)
-    _, t, f = phi2_grid_samples(Fraction(0), lam.denominator, lam, big_x, 8192)
-    val_mid = _linear_panels_power(t, f, float(exponent)).real
-    tail_val, tail_err = phi2_tail_integral(Fraction(0), big_x, float(exponent))
-    # interpolation error: cusp field of phi_2, estimated via the half-grid
-    f_half = f[::2]
-    t_half = t[::2]
-    val_half = _linear_panels_power(t_half, f_half, float(exponent)).real
-    est = abs(val_mid - val_half) + 1e-14
-    return CertifiedReal(val_mid + tail_val.real, est + tail_err)
+    b = q * max(1, 16384 // q)
+    c = phi_resum_rational(2, x0)
+    ks = np.arange(b + 1, dtype=np.int64)
+    return b, c, phi2_unit_grid(b)[(ks + x0.numerator * (b // x0.denominator)) % b] - c
+
+
+def delta_power_integral(x0: Fraction, q: int, lo: Fraction, a: complex, big_x: int) -> complex:
+    """integral_lo^inf (phi_2(x0 + t) - phi_2(x0)) t^{-a} dt, lo in (0, X - 1], Re a > 1.
+
+    One period of Delta is read from the grid of ``_delta_period``.  The
+    piecewise-linear interpolant is integrated exactly panel by panel: a
+    first panel from lo to the next grid point (with the exact resummed
+    value at lo) when lo is off the grid, the rest of lo's period, then
+    every later period up to the integer X = big_x as the same samples
+    shifted by j.  Beyond X the mean part -phi_2(x0) X^{1-a}/(a-1) is exact
+    and the rest is ``phi2_tail_integral``, whose bound is dropped: no
+    radius, checked only through the identities that use it.
+    """
+    x0, lo, a = Fraction(x0), Fraction(lo), complex(a)
+    if not 0 < lo <= big_x - 1 or a.real <= 1.0:
+        raise ValueError("delta_power_integral requires 0 < lo <= X - 1 and Re a > 1")
+    b, c, d = _delta_period(x0, q)
+    t = np.arange(b + 1) / b
+    k_lo = math.ceil(lo * b)
+    j_lo, r = divmod(k_lo, b)
+    total = _linear_panels_power(t[r:] + j_lo, d[r:], a)
+    if k_lo != lo * b:
+        d_lo = phi_resum_rational(2, x0 + lo) - c
+        total += _linear_panels_power(np.array([float(lo), t[r] + j_lo]), np.array([d_lo, d[r]]), a)
+    for j in range(j_lo + 1, big_x):
+        total += _linear_panels_power(t + j, d, a)
+    return total - c * big_x ** (1.0 - a) / (a - 1.0) + phi2_tail_integral(x0, big_x, a)[0]
 
 
 def _linear_panels_power(t: np.ndarray, f: np.ndarray, a: complex) -> complex:

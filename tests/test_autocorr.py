@@ -20,6 +20,7 @@ from frac_autocorr.autocorr import (
     _smooth_tables,
     a_quadrature,
     a_rational,
+    delta_functional_equation_residual,
     farey_scan,
     local_model,
     write_farey_csv,
@@ -27,7 +28,7 @@ from frac_autocorr.autocorr import (
 )
 from frac_autocorr.errors import DomainError, ToleranceError
 from frac_autocorr.piecewise import merged_breakpoints
-from frac_autocorr.phi import phi1_rational, phi2_tail_weighted, phi_n
+from frac_autocorr.phi import delta_power_integral, phi1_rational, phi_n
 from frac_autocorr.specfun import EULER_GAMMA, LOG_2PI, PI
 
 A1 = LOG_2PI - EULER_GAMMA  # A(1)
@@ -461,6 +462,14 @@ def test_local_model_window():
                 assert abs(got - lm.predict(float(t))) <= 2.0 * q**4 / p * abs(float(t)) ** 3
 
 
+def _phi2_tail(lam: Fraction, e: int) -> float:
+    """integral_lam^inf phi_2(t) t^-e dt: the Delta integral at x0 = 0 plus the
+    exact mean term (pi^2/36) lam^(1-e)/(e-1)."""
+    big_x = max(16, math.ceil(lam) + 4)
+    value = delta_power_integral(Fraction(0), lam.denominator, lam, e, big_x).real
+    return value + PI * PI / 36.0 * float(lam) ** (1 - e) / (e - 1)
+
+
 def a_phi2_relation_residual(lam: Fraction) -> float:
     """Residual of A(l) = log(l)/2 + (1 - gamma + log 2pi)/2 + phi_2(l)/(2l)
     - l integral_l^inf phi_2(t) t^-3 dt."""
@@ -470,12 +479,11 @@ def a_phi2_relation_residual(lam: Fraction) -> float:
     lamf = float(lam)
     lhs = a_rational(lam.numerator, lam.denominator)
     phi2_lam = phi_n(2, lam).value
-    tail = phi2_tail_weighted(lam, 3)
     rhs = (
         0.5 * math.log(lamf)
         + 0.5 * (1.0 - EULER_GAMMA + LOG_2PI)
         + phi2_lam / (2.0 * lamf)
-        - lamf * tail.value
+        - lamf * _phi2_tail(lam, 3)
     )
     return lhs - rhs
 
@@ -489,8 +497,7 @@ def test_phi1_tail_integral_displays():
     # phi_1(l) + l phi_1(1/l) - l I(l) = -(l/2) log l + (log 2pi - gamma)/2 l - 1/2
     for p, q in [(3, 1), (1, 2), (2, 3)]:
         lam = p / q
-        tail = phi2_tail_weighted(Fraction(p, q), 3)
-        integral = -phi_n(2, Fraction(p, q)).value / (2.0 * lam * lam) + tail.value
+        integral = -phi_n(2, Fraction(p, q)).value / (2.0 * lam * lam) + _phi2_tail(Fraction(p, q), 3)
         lhs = phi1_rational(p, q) + lam * phi1_rational(q, p) - lam * integral
         rhs = -0.5 * lam * math.log(lam) + 0.5 * (LOG_2PI - EULER_GAMMA) * lam - 0.5
         assert abs(lhs - rhs) < 1e-6
@@ -504,6 +511,19 @@ def test_phi1_tail_integral_displays():
             + phi1_rational(p, q) / lam
         )
         assert abs(second - want) < 1e-6
+
+
+def test_delta_functional_equation_reads_one_period():
+    # the Delta integrals hold one period of the phi_2 grid and its panel
+    # temporaries, not all X periods at once
+    delta_functional_equation_residual(1, 3, Fraction(1, 10))  # warm the phi_2 grids
+    tracemalloc.start()
+    try:
+        delta_functional_equation_residual(1, 3, Fraction(1, 10))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
 
 
 def test_farey_scan_order_one():

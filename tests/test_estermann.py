@@ -162,6 +162,16 @@ def test_g1_poles_carry_laurent_data():
         g1(0.0, 1, 2)
 
 
+@pytest.mark.parametrize("h, k", [(1, 3), (2, 5), (3, 7)])
+def test_g1_laurent_data_at_minus_one_matches_cauchy_integral(h, k):
+    # the stated orders -2 and -1 against a discrete Cauchy integral of G_1
+    with pytest.raises(PoleError) as e:
+        g1(-1.0, h, k)
+    for order, coeff in e.value.laurent.coefficients:
+        numeric = laurent_coefficient(lambda s: g1(s, h, k), -1.0 + 0j, order, eps=1e-2)
+        assert abs(coeff - numeric) < 1e-9, (order, coeff, numeric)
+
+
 def test_g1_residue_extraction():
     res = laurent_coefficient(lambda s: g1(s, 1, 3), -2.0 + 0j, -1, eps=1e-2)
     assert abs(res - PI * PI / 2.0) < 1e-6

@@ -6,22 +6,23 @@ import pytest
 from frac_autocorr.errors import DomainError
 from frac_autocorr.estermann import g1
 from frac_autocorr.mellin_verify import (
-    MellinTarget,
     a_unit_grid,
+    mellin_autocorr,
+    mellin_delta,
+    mellin_fracpart,
     mellin_identity_residual,
-    mellin_numeric,
 )
 from frac_autocorr.specfun import PI, riemann_zeta
 
 
 def test_fracpart_closed_form():
     # integral_0^inf {t} t^{s-1} dt = zeta(-s)/s on the strip
-    v = mellin_numeric(MellinTarget("fracpart"), -0.5)
+    v = mellin_fracpart(-0.5)
     want = riemann_zeta(0.5) / (-0.5)
     assert abs(v - want) < 1e-10
     assert v.real == pytest.approx(2.9207090176191755, abs=1e-9)
     for s in (-0.25, -0.75, -0.5 + 2j, -0.3 - 1.5j):
-        v = mellin_numeric(MellinTarget("fracpart"), s)
+        v = mellin_fracpart(s)
         want = riemann_zeta(-complex(s)) / complex(s)
         assert abs(v - want) < 1e-9, s
 
@@ -30,21 +31,22 @@ def test_fracpart_scaling_rule():
     # M[x -> f(lambda x)](s) = lambda^{-s} М f(s)
     for lam in (Fraction(2), Fraction(1, 3)):
         for s in (-0.5, -0.4 + 1j):
-            base = mellin_numeric(MellinTarget("fracpart"), s)
-            scaled = mellin_numeric(MellinTarget("fracpart", scale=lam), s)
+            base = mellin_fracpart(s)
+            scaled = mellin_fracpart(s, scale=lam)
             want = float(lam) ** (-complex(s)) * base
             assert abs(scaled - want) < 1e-6
 
 
 def test_strip_enforced():
-    with pytest.raises(DomainError):
-        mellin_numeric(MellinTarget("fracpart"), 0.5)
+    for bad in (lambda: mellin_fracpart(0.5), lambda: mellin_autocorr(-1.0), lambda: mellin_delta(0.0, 1, 2)):
+        with pytest.raises(DomainError):
+            bad()
     with pytest.raises(DomainError):
         mellin_identity_residual("autocorr", -1.5)
 
 
 def test_autocorr_value_at_minus_half():
-    v = mellin_numeric(MellinTarget("autocorr"), -0.5)
+    v = mellin_autocorr(-0.5)
     z = riemann_zeta(0.5)
     want = -z * z / ((-0.5) * 0.5)
     assert want.real == pytest.approx(8.5305411656019583, abs=1e-8)
@@ -55,16 +57,14 @@ def test_delta_identity_examples():
     assert mellin_identity_residual("delta", -0.3, (1, 2)) < 1e-5
     assert mellin_identity_residual("delta", -0.5, (0, 1)) < 1e-5
     # delta(0,1) at s = -1/2 equals -(1/pi^2) G_1(-1/2; 0/1) explicitly
-    v = mellin_numeric(MellinTarget("delta", (0, 1)), -0.5)
+    v = mellin_delta(-0.5, 0, 1)
     want = -g1(-0.5, 0, 1) / (PI * PI)
     assert abs(v - want) < 1e-5 * (1.0 + abs(want))
 
 
 def test_target_validation():
     with pytest.raises(ValueError):
-        MellinTarget("bogus")
-    with pytest.raises(ValueError):
-        MellinTarget("delta", (2, 4))
+        mellin_delta(-0.5, 2, 4)
     with pytest.raises(ValueError):
         mellin_identity_residual("bogus", -0.5)
 

@@ -10,12 +10,12 @@ from frac_autocorr.phi import (
     PhiEvalConfig,
     _linear_panels_power,
     delta,
+    delta_power_integral,
     divisor_sieve,
     expansion_coeffs,
     phi1_rational,
     phi2_continuity_scan,
     phi2_tail_integral,
-    phi2_tail_weighted,
     phi2_unit_grid,
     phi_at_zero,
     phi_n,
@@ -220,13 +220,43 @@ def test_phi2_tail_integral_against_direct():
 
 
 def test_phi2_tail_weighted():
-    r = phi2_tail_weighted(Fraction(1, 2), 3)
+    # integral_{1/2}^inf phi_2(t) t^-3 dt: the Delta integral at x0 = 0 plus
+    # the exact mean term (pi^2/36) lam^-2 / 2
+    value = delta_power_integral(Fraction(0), 2, Fraction(1, 2), 3, 16).real + PI2 / 36.0 * 2.0
     grid = phi2_unit_grid(8192)
     ts = np.arange(4096, 40 * 8192 + 1) / 8192.0
     fs = grid[np.arange(4096, 40 * 8192 + 1) % 8192]
     direct = float(np.trapezoid(fs * ts**-3.0, ts))
     direct += phi2_tail_integral(Fraction(0), 40, 3.0)[0].real
-    assert abs(r.value - direct) < 1e-6
+    assert abs(value - direct) < 1e-6
+
+
+def _delta_power_contiguous(x0, q, lo, a, big_x):
+    """The integral of ``delta_power_integral`` with the panels on [lo, X]
+    sampled as one contiguous grid t = k/b, k = ceil(lo b) .. X b, as the
+    Delta functional equation once computed it (test-only oracle)."""
+    b = q * max(1, 16384 // q)
+    c = phi_resum_rational(2, x0)
+    ks = np.arange(math.ceil(lo * b), big_x * b + 1, dtype=np.int64)
+    t, f = ks / b, phi2_unit_grid(b)[(ks + x0.numerator * (b // x0.denominator)) % b] - c
+    val = _linear_panels_power(t, f, a)
+    if (lo * b).denominator != 1:  # partial first panel, exact value at lo
+        f_lo = phi_resum_rational(2, x0 + lo) - c
+        val += _linear_panels_power(np.array([float(lo), t[0]]), np.array([f_lo, f[0]]), a)
+    return val - c * big_x ** (1.0 - a) / (a - 1.0) + phi2_tail_integral(x0, big_x, a)[0]
+
+
+@pytest.mark.parametrize("x0, q, lo", [
+    (Fraction(1, 3), 3, Fraction(10, 9)),  # off the grid, lo > 1
+    (Fraction(1, 2), 2, Fraction(1)),
+    (Fraction(0), 1, Fraction(2)),
+    (Fraction(2, 5), 5, Fraction(3, 7)),  # on the grid (7 | b = 16380), lo < 1
+    (Fraction(1, 2), 2, Fraction(5, 7)),  # off the grid, lo < 1
+])
+@pytest.mark.parametrize("a", [3.0, 4.0, 1.3 - 0.7j])
+def test_delta_power_integral_against_contiguous_grid(x0, q, lo, a):
+    value = delta_power_integral(x0, q, lo, a, 24)
+    assert abs(value - _delta_power_contiguous(x0, q, lo, complex(a), 24)) <= 1e-14 * (1.0 + abs(value))
 
 
 def test_phi2_continuity_scan():
