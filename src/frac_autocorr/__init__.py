@@ -12,7 +12,6 @@ from .autocorr import (
     local_model,
 )
 from .errors import (
-    DivergenceError,
     DomainError,
     FracAutocorrError,
     NonCoprimeError,
@@ -26,7 +25,6 @@ from .vasyunin import vasyunin_cot, vasyunin_noncoprime
 
 __all__ = [
     "CertifiedReal",
-    "DivergenceError",
     "DomainError",
     "ExpansionCoefficients",
     "FareyScanRecord",

@@ -480,14 +480,15 @@ def a_rational(p: int, q: int) -> float:
         raise DomainError("a_rational requires coprime p >= 0, q >= 1")
     if p == 0:
         return 0.0
-    return _a_closed(p, q, vasyunin_cot(p, q) + vasyunin_cot(q, p))
+    return float(_a_closed(p, q, vasyunin_cot(p, q) + vasyunin_cot(q, p)))
 
 
-def _a_closed(p: int, q: int, v: float) -> float:
-    """A(p/q) for coprime p, q >= 1 from v = V(p, q) + V(q, p)."""
+def _a_closed(p, q: int, v):
+    """A(p/q) for coprime p, q >= 1 from v = V(p, q) + V(q, p); p and v may be
+    arrays of equal shape (numerators over one q)."""
     lam = p / q
     return (
-        0.5 * (1.0 - lam) * math.log(lam)
+        0.5 * (1.0 - lam) * np.log(lam)
         + 0.5 * (lam + 1.0) * (LOG_2PI - EULER_GAMMA)
         - PI / (2 * q) * v
     )
@@ -548,7 +549,7 @@ def farey_scan(order: int, lo: Fraction | int = 0, hi: Fraction | int = 1) -> li
     pos = np.maximum(p, 1)  # the record 0/1 has A = 0 and needs no V
     v = (_v_pairs(p % q, q) + _v_pairs(q % pos, pos)).tolist()
     return [
-        FareyScanRecord(p=a, q=b, lam=a / b, a_value=_a_closed(a, b, vab) if a else 0.0)
+        FareyScanRecord(p=a, q=b, lam=a / b, a_value=float(_a_closed(a, b, vab)) if a else 0.0)
         for (a, b), vab in zip(pairs, v)
     ]
 

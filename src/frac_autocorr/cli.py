@@ -1,9 +1,9 @@
 """Command-line front end: values, Farey sweeps, check suites, table dumps.
 
 Exit codes: 0 success, 1 check-suite failure (with a JSON failure report on
-stdout), 2 usage error.  All floats print with 17 significant digits so the
-output round-trips binary64 exactly; runs are deterministic for a given
-argument vector.
+stdout), 2 usage error or a run out of memory.  All floats print with 17
+significant digits so the output round-trips binary64 exactly; runs are
+deterministic for a given argument vector.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 import sys
 from fractions import Fraction
 
-from . import autocorr, checks, estermann, periodic_series, phi, vasyunin
+from . import autocorr, checks, estermann, phi, specfun, vasyunin
 from .errors import FracAutocorrError
 
 
@@ -70,14 +70,11 @@ def _cmd_value(args) -> int:
         v = fn(s, h, k)
         out["value"] = [v.real, v.imag]
         lines = [f"{kind}({s}; {h}/{k}) = {_fmt(v)}"]
-    elif kind == "gamma_rq":
+    else:  # gamma_rq; argparse's choices admit no other quantity
         r_, q = int(args.args[0]), int(args.args[1])
-        v = periodic_series.lehmer_gamma(r_, q)
+        v = specfun.lehmer_gamma(r_, q)
         out["value"] = v
         lines = [f"gamma({r_},{q}) = {_fmt(v)}"]
-    else:
-        print(f"unknown quantity {kind!r}", file=sys.stderr)
-        return 2
     if args.format == "json":
         print(json.dumps(out))
     else:
@@ -177,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    """Entry point returning the exit code (0 ok, 1 check failure, 2 usage)."""
+    """Entry point returning the exit code (0 ok, 1 check failure, 2 usage or memory)."""
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
@@ -185,8 +182,10 @@ def run(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (FracAutocorrError, ValueError, ZeroDivisionError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (FracAutocorrError, ValueError, ZeroDivisionError, KeyError, MemoryError) as exc:
+        # str(MemoryError()) is empty, so the type is named
+        detail = f"MemoryError {exc}".rstrip() if isinstance(exc, MemoryError) else exc
+        print(f"error: {detail}", file=sys.stderr)
         return 2
 
 

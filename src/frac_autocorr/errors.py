@@ -28,15 +28,6 @@ class NonCoprimeError(FracAutocorrError, ValueError):
     """A (p, q) pair that must be coprime is not."""
 
 
-class DivergenceError(FracAutocorrError, ValueError):
-    """A series that only converges conditionally on a mean-zero hypothesis
-    was summed with nonzero mean; ``mean`` carries the offending value."""
-
-    def __init__(self, message, mean=None):
-        super().__init__(message)
-        self.mean = mean
-
-
 class ToleranceError(FracAutocorrError, RuntimeError):
     """Requested tolerance is unreachable within configured resources.
 

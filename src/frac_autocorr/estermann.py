@@ -15,8 +15,8 @@ model: the FFT adds about eps log k relative to sum_j |z(s, j/k)|, so the
 result moves by about eps log k (sum_j |z(s, j/k)|)^2 |k^{-2s}| from the
 direct O(k^2) sum of the same row (at most 8e-16 of that scale over 300
 random strip points, k <= 512); the row carries the Hurwitz zeta's own
-error.  The functional equations, the Dirichlet series and the value at
-s = 0 are used only as checks, never as the evaluation route.
+error.  The functional equations are used only as checks, never as the
+evaluation route.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonCoprimeError, PoleError
-from .phi import _c_plus, divisor_sieve
+from .phi import _c_plus
 from .specfun import LOG_2PI, PI, gamma_fn, hurwitz_zeta
 from .vasyunin import modular_inverse
 
@@ -130,14 +130,6 @@ def g1(s: complex | float, h: int, k: int) -> complex:
     return cmath.exp(-s * LOG_2PI) * gamma_fn(s) * g0(s + 2.0, h, k)
 
 
-def g1_residue_polynomial(h: int, k: int, t: float) -> float:
-    """Sum of the residue contributions of G_1 t^{-s} at s = -2 and s = -1:
-    (pi^2/2) t^2 - (pi^2/k) t (log t + C+(h, k)), C+ as in ``phi._c_plus``."""
-    if t <= 0:
-        raise ValueError("g1_residue_polynomial requires t > 0")
-    return 0.5 * PI * PI * t * t - PI * PI / k * t * (math.log(t) + _c_plus(h, k))
-
-
 def _chi(s: complex, k: int) -> complex:
     """2 (2 pi)^{2s-2} Gamma^2(1-s) k^{1-2s}."""
     g = gamma_fn(1.0 - s)
@@ -177,28 +169,6 @@ def functional_equation_residual(which: str, s: complex | float, h: int, k: int)
     return abs(lhs - rhs) / (1.0 + abs(lhs))
 
 
-def esin_tilde(s: complex | float, h: int, k: int) -> complex:
-    """sin(pi s/2) Gamma(s) (2 pi / k)^{-s} Esin(s; h/k), the symmetric form."""
-    s = complex(s)
-    return (
-        cmath.sin(PI * s / 2.0)
-        * gamma_fn(s)
-        * cmath.exp(-s * math.log(2.0 * PI / k))
-        * esin(s, h, k)
-    )
-
-
-def ecos_tilde(s: complex | float, h: int, k: int) -> complex:
-    """cos(pi s/2) Gamma(s) (2 pi / k)^{-s} Ecos(s; h/k)."""
-    s = complex(s)
-    return (
-        cmath.cos(PI * s / 2.0)
-        * gamma_fn(s)
-        * cmath.exp(-s * math.log(2.0 * PI / k))
-        * ecos(s, h, k)
-    )
-
-
 def laurent_coefficient(f, s0: complex, order: int, eps: float = 1e-2, m: int = 24) -> complex:
     """Coefficient of (s - s0)^order by a discrete Cauchy integral on an
     eps-circle, Richardson-extrapolated over eps and eps/2."""
@@ -213,12 +183,3 @@ def laurent_coefficient(f, s0: complex, order: int, eps: float = 1e-2, m: int = 
     c1, c2 = ring(eps), ring(eps / 2.0)
     # leading alias decays like eps; one Richardson step removes it
     return 2.0 * c2 - c1
-
-
-def estermann_series(s: complex | float, h: int, k: int, n_terms: int) -> complex:
-    """Truncated Dirichlet series sum tau(n) e^{2 pi i n h/k} n^{-s} (Re s > 1)."""
-    s = complex(s)
-    tau = divisor_sieve(n_terms)[1:].astype(np.float64)
-    n = np.arange(1, n_terms + 1, dtype=np.float64)
-    phase = np.exp((2j * PI * (h % k)) * (np.arange(1, n_terms + 1, dtype=np.int64) % k) / k)
-    return complex((tau * phase * n ** (-s)).sum())

@@ -38,11 +38,6 @@ def _bernoulli_coeff_tables(nmax: int) -> list[list[Fraction]]:
 _B_TABLES = _bernoulli_coeff_tables(_MAX_BERNOULLI)
 
 
-def bernoulli_number(n: int) -> Fraction:
-    """B_n = b_n(0), exact."""
-    return _B_TABLES[n][0]
-
-
 def bernoulli_poly(n: int, x):
     """b_n(x) by Horner evaluation of the exact coefficient table (n <= 20).
 
@@ -130,12 +125,6 @@ def sylvester_sum_check(theta, x):
     if rational:
         rhs += math.floor(Fraction(x) / Fraction(theta_).denominator)
     return lhs, rhs
-
-
-def gronwall_partial_sum(n_terms: int, x: float) -> float:
-    """sum_{n<=N} sin(2 pi n x) / (pi n)."""
-    n = np.arange(1, n_terms + 1)
-    return math.fsum(np.sin(2.0 * math.pi * n * x) / (math.pi * n))
 
 
 def gronwall_sup_scan(n_max: int = 2000, grid: int = 4096) -> float:

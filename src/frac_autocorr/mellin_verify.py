@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .autocorr import a_rational
+from .autocorr import _a_closed, a_rational
 from .errors import DomainError
 from .estermann import g1
 from .phi import (
@@ -110,12 +110,7 @@ def a_unit_grid(big_q: int = _GRID_Q) -> np.ndarray:
         # the j < q'/2 come first, the rest are q' - j; q' = 2 has V(1, 2) = 0
         v_half = _v_rows(qp, js[: js.size // 2])
         v1 = np.concatenate([v_half, np.zeros(js.size % 2), -v_half[::-1]])
-        lam = js / qp
-        out[js * g] = (
-            0.5 * (1.0 - lam) * np.log(lam)
-            + 0.5 * (lam + 1.0) * (LOG_2PI - EULER_GAMMA)
-            - PI / (2.0 * qp) * (v1 + v2[at : at + js.size])
-        )
+        out[js * g] = _a_closed(js, qp, v1 + v2[at : at + js.size])
         at += js.size
     return out
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ToleranceError
-from .fracpart import _B_TABLES, bernoulli_poly, max_abs_bernoulli
+from .fracpart import bernoulli_poly, max_abs_bernoulli
 from .rational_core import divisors, unit_coordinates
 from .specfun import (
     EULER_GAMMA,
@@ -73,11 +73,6 @@ def zeta_int(n: int) -> float:
 def phi_sup_bound(n: int) -> float:
     """Rigorous sup_x |phi_n(x)| <= max|B_n| zeta(n)."""
     return max_abs_bernoulli(n) * zeta_int(n)
-
-
-def phi_at_zero(n: int) -> float:
-    """phi_n(0) = B_n zeta(n)."""
-    return float(_B_TABLES[n][0]) * zeta_int(n)
 
 
 def phi_resum_rational(n: int, x: Fraction) -> float:
@@ -133,13 +128,13 @@ def phi1_rational(p: int, q: int) -> float:
     return PI / (2 * q) * vasyunin_cot(p, q)
 
 
-def delta(p: int, q: int, t: Fraction, cfg: PhiEvalConfig | None = None) -> CertifiedReal:
+def delta(p: int, q: int, t: Fraction) -> CertifiedReal:
     """Delta_{p,q}(t) = phi_2(p/q + t) - phi_2(p/q) for rational t."""
     if math.gcd(p, q) != 1:
         raise ValueError("delta requires gcd(p, q) = 1")
     t = Fraction(t)
-    a = phi_n(2, Fraction(p, q) + t, cfg)
-    b = phi_n(2, Fraction(p, q), cfg)
+    a = phi_n(2, Fraction(p, q) + t)
+    b = phi_n(2, Fraction(p, q))
     return CertifiedReal(a.value - b.value, a.err + b.err)
 
 
@@ -339,59 +334,3 @@ def _linear_panels_power(t: np.ndarray, f: np.ndarray, a: complex) -> complex:
         wb = wf[:, big]
         total += complex(((wb[0] + 1j * wb[1]) * (i0 / rb) + (wb[2] + 1j * wb[3]) * (i1 / (rb * rb))).sum())
     return total
-
-
-def phi2_continuity_scan(dlt: float, grid: int = 4096) -> float:
-    """Empirical modulus of continuity of phi_2 at scale dlt, normalised.
-
-    sup over the grid of |phi_2(x) - phi_2(y)| for |x - y| <= dlt, divided
-    by dlt * log(1/dlt).
-    """
-    if not 0.0 < dlt <= 0.5:
-        raise ValueError("phi2_continuity_scan requires 0 < dlt <= 1/2")
-    vals = phi2_unit_grid(grid)
-    w = max(1, round(dlt * grid))
-    padded = np.concatenate([vals, vals[: w + 1]])
-    windows = np.lib.stride_tricks.sliding_window_view(padded, w + 1)
-    sup = float((windows.max(axis=1) - windows.min(axis=1)).max())
-    return sup / (dlt * math.log(1.0 / dlt))
-
-
-# ----------------------------------------------------------------------
-# divisor-weighted sine sums
-# ----------------------------------------------------------------------
-
-
-@functools.lru_cache(maxsize=2)
-def divisor_sieve(n: int) -> np.ndarray:
-    """tau(k) for k = 0 .. n (tau(0) unused)."""
-    tau = np.zeros(n + 1, dtype=np.int64)
-    for d in range(1, n + 1):
-        tau[d::d] += 1
-    return tau
-
-
-def tau_sin_partial_sum(n_terms: int, x: float) -> float:
-    """sum_{k<=K} tau(k) sin(kx)/k via the divisor-pair rearrangement
-    sum_a (1/a) sum_{b<=K/a} sin(abx)/b."""
-    if n_terms < 1:
-        raise ValueError("tau_sin_partial_sum requires K >= 1")
-    parts = []
-    for a in range(1, n_terms + 1):
-        b = np.arange(1, n_terms // a + 1, dtype=np.float64)
-        parts.append(math.fsum(np.sin(a * b * x) / b) / a)
-    return math.fsum(parts)
-
-
-def tau_sin_scan(n_terms: int, xs: np.ndarray) -> np.ndarray:
-    """Vector of sum_{k<=K} tau(k) sin(k x)/k over the grid xs (sieve form)."""
-    tau = divisor_sieve(n_terms)[1:].astype(np.float64)
-    k = np.arange(1, n_terms + 1, dtype=np.float64)
-    w = tau / k
-    out = np.zeros_like(xs, dtype=np.float64)
-    block = max(1, 20_000_000 // max(1, xs.size))
-    for start in range(0, n_terms, block):
-        kk = k[start : start + block]
-        ww = w[start : start + block]
-        out += np.sin(np.outer(xs, kk)) @ ww
-    return out

@@ -1,11 +1,12 @@
 """Real and complex special functions used throughout the package.
 
 Everything here is scalar binary64 (complex128) with conventional error
-targets: digamma and log-gamma aim at <= 1e-13 relative error away from
-poles, the Euler-Maclaurin Hurwitz zeta at <= 1e-12 relative error for
-moderate |Im s|.  The Hurwitz zeta also takes an array of a (one row per
-call); vectorised real variants for integer first argument are provided
-for the grid computations of the phi modules.
+targets: digamma (and Lehmer's gamma(r, q) from it) and log-gamma aim at
+<= 1e-13 relative error away from poles, the Euler-Maclaurin Hurwitz zeta
+at <= 1e-12 relative error for moderate |Im s|.  The Hurwitz zeta also
+takes an array of a (one row per call); vectorised real variants for
+integer first argument are provided for the grid computations of the phi
+modules.
 """
 
 from __future__ import annotations
@@ -115,6 +116,14 @@ def digamma(z: complex | float):
     return val.real if want_real and val.imag == 0.0 else val
 
 
+def lehmer_gamma(r: int, q: int) -> float:
+    """Lehmer's gamma(r, q) = -(psi(r/q) + log q)/q, the constant term of
+    sum_{n<=x, n=r mod q} 1/n - (log x)/q."""
+    if not 1 <= r <= q:
+        raise ValueError("lehmer_gamma requires 1 <= r <= q")
+    return -(digamma(r / q) + math.log(q)) / q
+
+
 def _digamma_half(z: complex) -> complex:
     acc = 0.0 + 0.0j
     while abs(z) < _PSI_SHIFT:
@@ -153,12 +162,6 @@ def digamma_vec(a: np.ndarray) -> np.ndarray:
         err += acc
         acc, t = t, acc
     return np.add(acc, err, out=acc)
-
-
-def trigamma_vec(a: np.ndarray) -> np.ndarray:
-    """Vectorised psi' for positive real arguments (grid workhorse)."""
-    a = np.asarray(a, dtype=np.float64)
-    return trigamma_taylor(a.ravel(), 0)[0].reshape(a.shape)
 
 
 def trigamma_taylor(a: np.ndarray, degree: int) -> np.ndarray:
@@ -291,46 +294,6 @@ def gamma_fn(z: complex | float) -> complex:
     if w.real >= 0.5:
         return cmath.exp(log_gamma(w))
     return PI / (sinpi(complex(w)) * cmath.exp(log_gamma(1.0 - w)))
-
-
-# ----------------------------------------------------------------------
-# J_{1,2}(z, x) remainder integrals
-# ----------------------------------------------------------------------
-
-
-def j12(z: complex | float, x: float, tol: float = 1e-13):
-    """J_{1,2}(z, x) = integral_x^inf B_1(t)/(t+z)^2 dt, for x + Re z > 0.
-
-    Piecewise closed forms on unit intervals, then a Bernoulli-chain tail
-    -B_2(N)/2 (N+z)^-2 - B_4(N)/4 (N+z)^-4 with remainder <= (N+Re z)^-4/120,
-    the cutoff N chosen so that the remainder is below ``tol``.  The pieces
-    are added by math.fsum, so the error is below ``tol`` plus a few eps |J|.
-    """
-    want_real = not isinstance(z, complex)
-    w = complex(z)
-    if x + w.real <= 0.0:
-        raise DomainError(f"j12 requires x + Re z > 0, got x={x}, z={w}")
-
-    def piece(a: float, b: float, m: float) -> complex:
-        # integral of (t - m - 1/2)/(t+w)^2 over [a, b]
-        return (
-            cmath.log(b + w)
-            - cmath.log(a + w)
-            + (m + 0.5 + w) * (1.0 / (b + w) - 1.0 / (a + w))
-        )
-
-    n_first = math.floor(x) + 1  # first integer breakpoint > x (or x itself)
-    if x == math.floor(x):
-        n_first = int(x)
-    n_end = max(n_first, math.ceil((1.0 / (60.0 * tol)) ** 0.25 - w.real))
-    parts = [piece(float(n), float(n + 1), float(n)) for n in range(n_first, n_end)]
-    if x < n_first:
-        parts.append(piece(x, float(n_first), math.floor(x)))
-    # B_2(N) = 1/6 and B_4(N) = -1/30 at integer N
-    parts.append(-(1.0 / 12.0) * (n_end + w) ** (-2.0))
-    parts.append((1.0 / 120.0) * (n_end + w) ** (-4.0))
-    total = complex(math.fsum(t.real for t in parts), math.fsum(t.imag for t in parts))
-    return total.real if want_real and total.imag == 0.0 else total
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Vasyunin cotangent sums V(p, q) and the related trigonometric sums.
+"""Vasyunin cotangent sums V(p, q).
 
 Three independent evaluation routes are exposed (cotangent definition,
 half-range B_1 form, digamma form) so that they can be played against each
@@ -189,30 +189,6 @@ def vasyunin_noncoprime(a: int, b: int, form: str = "b1") -> float:
     if form == "frac":
         return math.fsum((r / b) * psi)
     raise ValueError(f"unknown form {form!r}")
-
-
-def trig_kl_sum(p: int, q: int) -> complex:
-    """sum_{1<=k,l<=q} k l e^{2 pi i k l p / q} by direct double sum (q <= 512)."""
-    _require_coprime(p, q)
-    if q > 512:
-        raise DomainError(f"trig_kl_sum: direct double sum limited to q <= 512, got q = {q}")
-    k = np.arange(1, q + 1, dtype=np.int64)
-    kl = np.outer(k, k)
-    idx = (kl * (p % q)) % q
-    roots = np.exp(2j * PI * np.arange(q) / q)
-    return complex((kl * roots[idx]).sum())
-
-
-def centered_trig_sum(p: int, q: int) -> complex:
-    """sum_{1<=k,l<=q} (1/2 - k/q)(1/2 - l/q) e^{2 pi i k l p / q}."""
-    _require_coprime(p, q)
-    if q > 512:
-        raise DomainError(f"centered_trig_sum: direct double sum limited to q <= 512, got q = {q}")
-    k = np.arange(1, q + 1, dtype=np.int64)
-    w = 0.5 - k / q
-    idx = (np.outer(k, k) * (p % q)) % q
-    roots = np.exp(2j * PI * np.arange(q) / q)
-    return complex((np.outer(w, w) * roots[idx]).sum())
 
 
 def v_row(q: int) -> list[tuple[int, float]]:

@@ -1,7 +1,10 @@
-"""Shared fixtures and the acceptance-criteria reporting hook."""
+"""Shared fixtures, oracles and the acceptance-criteria reporting hook."""
 
 from __future__ import annotations
 
+import functools
+
+import numpy as np
 import pytest
 
 ACCEPTANCE_LINES: list[str] = []
@@ -27,3 +30,12 @@ def mp():
 
     mpmath.mp.dps = 30
     return mpmath
+
+
+@functools.lru_cache(maxsize=2)
+def divisor_sieve(n: int) -> np.ndarray:
+    """tau(k) for k = 0 .. n (tau(0) unused), for the divisor-weighted sums."""
+    tau = np.zeros(n + 1, dtype=np.int64)
+    for d in range(1, n + 1):
+        tau[d::d] += 1
+    return tau

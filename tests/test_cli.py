@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from frac_autocorr import fracpart, vasyunin
+from frac_autocorr import autocorr, fracpart, vasyunin
 from frac_autocorr.cli import run
 
 
@@ -102,7 +102,17 @@ def test_usage_errors(capsys):
     assert run(["bogus"]) == 2
     assert run(["check", "--suite", "nope"]) == 2
     assert run(["check", "--suite", "estermann", "--tol", "1"]) == 2  # bounds are not options
+    assert run(["value", "X", "1"]) == 2  # argparse rejects an unknown quantity
     capsys.readouterr()
+
+
+def test_memory_error_is_a_usage_error(capsys, monkeypatch):
+    def exhausted(p, q):
+        raise MemoryError
+
+    monkeypatch.setattr(autocorr, "a_rational", exhausted)
+    assert run(["value", "A", "1/2"]) == 2
+    assert capsys.readouterr().err == "error: MemoryError\n"
 
 
 def test_dump_residual_tables(tmp_path, capsys):

@@ -8,21 +8,40 @@ from hypothesis import example, given, settings, strategies as st
 
 from frac_autocorr.checks import strip_point
 from frac_autocorr.errors import DomainError, NonCoprimeError, PoleError
+from conftest import divisor_sieve
 from frac_autocorr.estermann import (
     ecos,
-    ecos_tilde,
     esin,
-    esin_tilde,
     estermann,
-    estermann_series,
     functional_equation_residual,
     g0,
     g1,
-    g1_residue_polynomial,
     laurent_coefficient,
 )
-from frac_autocorr.specfun import EULER_GAMMA, LOG_2PI, PI, hurwitz_zeta, riemann_zeta
+from frac_autocorr.phi import _c_plus
+from frac_autocorr.specfun import EULER_GAMMA, LOG_2PI, PI, gamma_fn, hurwitz_zeta, riemann_zeta
 from frac_autocorr.vasyunin import modular_inverse, vasyunin_cot
+
+
+def _estermann_series(s: complex, h: int, k: int, n_terms: int) -> complex:
+    """Truncated Dirichlet series sum tau(n) e^{2 pi i n h/k} n^{-s} (Re s > 1)."""
+    tau = divisor_sieve(n_terms)[1:].astype(np.float64)
+    n = np.arange(1, n_terms + 1, dtype=np.float64)
+    phase = np.exp((2j * PI * (h % k)) * (np.arange(1, n_terms + 1, dtype=np.int64) % k) / k)
+    return complex((tau * phase * n ** (-complex(s))).sum())
+
+
+def _g1_residue_polynomial(h: int, k: int, t: float) -> float:
+    """Sum of the residue contributions of G_1 t^{-s} at s = -2 and s = -1:
+    (pi^2/2) t^2 - (pi^2/k) t (log t + C+(h, k)), C+ as in ``phi._c_plus``."""
+    return 0.5 * PI * PI * t * t - PI * PI / k * t * (math.log(t) + _c_plus(h, k))
+
+
+def _tilde(s: complex, h: int, k: int, part) -> complex:
+    """The symmetric forms sin(pi s/2) Gamma(s) (2 pi/k)^{-s} Esin(s; h/k)
+    (part = esin) and cos(pi s/2) Gamma(s) (2 pi/k)^{-s} Ecos(s; h/k) (part = ecos)."""
+    trig = cmath.sin if part is esin else cmath.cos
+    return trig(PI * s / 2.0) * gamma_fn(s) * cmath.exp(-s * math.log(2.0 * PI / k)) * part(s, h, k)
 
 
 def _estermann_direct(s: complex, h: int, k: int) -> tuple[complex, float]:
@@ -82,9 +101,9 @@ def test_dirichlet_series_consistency():
         hs = [h for h in range(1, k + 1) if math.gcd(h, k) == 1]
         h = rng.choice(hs)
         s = complex(rng.uniform(3.0, 4.0), rng.uniform(-2.0, 2.0))
-        direct = estermann_series(s, h, k, 1_000_000)
+        direct = _estermann_series(s, h, k, 1_000_000)
         assert abs(estermann(s, h, k) - direct) < 1e-8
-    assert abs(estermann(3.0, 1, 3) - estermann_series(3.0, 1, 3, 1_000_000)) < 1e-9
+    assert abs(estermann(3.0, 1, 3) - _estermann_series(3.0, 1, 3, 1_000_000)) < 1e-9
 
 
 def test_pole_and_size_errors():
@@ -180,16 +199,16 @@ def test_g1_residue_extraction():
 def test_g1_residue_polynomial():
     # k = 1, t = 1
     want = PI * PI / 2.0 - PI * PI * (LOG_2PI - EULER_GAMMA - 1.0)
-    assert g1_residue_polynomial(1, 1, 1.0) == pytest.approx(want, rel=1e-12)
+    assert _g1_residue_polynomial(1, 1, 1.0) == pytest.approx(want, rel=1e-12)
     # t -> 0+ limit is 0
-    assert abs(g1_residue_polynomial(1, 1, 1e-12)) < 1e-9
+    assert abs(_g1_residue_polynomial(1, 1, 1e-12)) < 1e-9
     # matches the numerically extracted residues at -1 and -2 combined
     h, k, t = 1, 2, 0.5
     res2 = laurent_coefficient(lambda s: g1(s, h, k), -2.0 + 0j, -1, eps=1e-2)
     c2 = laurent_coefficient(lambda s: g1(s, h, k), -1.0 + 0j, -2, eps=1e-2)
     c1 = laurent_coefficient(lambda s: g1(s, h, k), -1.0 + 0j, -1, eps=1e-2)
     numeric = res2.real * t * t + (c2.real * (-math.log(t)) + c1.real) * t
-    assert g1_residue_polynomial(h, k, t) == pytest.approx(numeric, abs=1e-5)
+    assert _g1_residue_polynomial(h, k, t) == pytest.approx(numeric, abs=1e-5)
 
 
 @pytest.mark.parametrize("which,s,h,k,tol", [
@@ -218,7 +237,6 @@ def test_tilde_symmetry():
         h = rng.choice(hs)
         hbar = modular_inverse(h, k)
         s = strip_point(rng)
-        a, b = esin_tilde(s, h, k), esin_tilde(1.0 - s, hbar, k)
-        assert abs(a - b) / (1.0 + abs(a)) < 1e-8
-        a, b = ecos_tilde(s, h, k), ecos_tilde(1.0 - s, hbar, k)
-        assert abs(a - b) / (1.0 + abs(a)) < 1e-8
+        for part in (esin, ecos):
+            a, b = _tilde(s, h, k, part), _tilde(1.0 - s, hbar, k, part)
+            assert abs(a - b) / (1.0 + abs(a)) < 1e-8

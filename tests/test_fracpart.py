@@ -9,10 +9,8 @@ from hypothesis import given, settings, strategies as st
 from frac_autocorr.fracpart import (
     b1_pair_sum_check,
     bernoulli_fn,
-    bernoulli_number,
     bernoulli_poly,
     frullani_integral_check,
-    gronwall_partial_sum,
     gronwall_sup_scan,
     hl_symmetry_residual,
     max_abs_bernoulli,
@@ -30,7 +28,7 @@ def test_bernoulli_poly_table_values():
     assert bernoulli_poly(4, Fraction(0)) == Fraction(-1, 30)
     # recurrence-generated b_3 (the printed table's b_3 row is a typo)
     assert bernoulli_poly(3, Fraction(1)) == Fraction(1, 2) - Fraction(3, 2) + 1
-    assert bernoulli_number(12) == Fraction(-691, 2730)
+    assert bernoulli_poly(12, 0) == Fraction(-691, 2730)  # B_12
     with pytest.raises(ValueError):
         bernoulli_poly(21, 0.5)
 
@@ -147,7 +145,8 @@ def test_triangular_fracpart_identity_exact():
 
 
 def test_gronwall_single_term():
-    assert gronwall_partial_sum(1, 0.25) == pytest.approx(1.0 / math.pi, rel=1e-14)
+    # one term at the one grid point x = 1/4: sin(pi/2)/pi
+    assert gronwall_sup_scan(n_max=1, grid=4) == pytest.approx(1.0 / math.pi, rel=1e-14)
 
 
 def test_gronwall_bound_and_limit(mp):

@@ -5,24 +5,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import divisor_sieve
 from frac_autocorr.errors import ToleranceError
 from frac_autocorr.phi import (
     PhiEvalConfig,
     _linear_panels_power,
     delta,
     delta_power_integral,
-    divisor_sieve,
     expansion_coeffs,
     phi1_rational,
-    phi2_continuity_scan,
     phi2_tail_integral,
     phi2_unit_grid,
-    phi_at_zero,
     phi_n,
     phi_resum_rational,
     phi_sup_bound,
-    tau_sin_partial_sum,
-    tau_sin_scan,
 )
 from frac_autocorr.specfun import EULER_GAMMA, LOG_2PI, PI, hurwitz_zeta_int_vec
 from frac_autocorr.vasyunin import vasyunin_cot
@@ -259,27 +255,57 @@ def test_delta_power_integral_against_contiguous_grid(x0, q, lo, a):
     assert abs(value - _delta_power_contiguous(x0, q, lo, complex(a), 24)) <= 1e-14 * (1.0 + abs(value))
 
 
+def _phi2_continuity_scan(dlt: float, grid: int) -> float:
+    """sup over the grid of |phi_2(x) - phi_2(y)| for |x - y| <= dlt, divided
+    by dlt log(1/dlt): the empirical modulus of continuity of phi_2."""
+    vals = phi2_unit_grid(grid)
+    w = max(1, round(dlt * grid))
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([vals, vals[: w + 1]]), w + 1)
+    return float((windows.max(axis=1) - windows.min(axis=1)).max()) / (dlt * math.log(1.0 / dlt))
+
+
 def test_phi2_continuity_scan():
     for dlt in (0.25, 1.0 / 64.0):
-        assert phi2_continuity_scan(dlt, grid=2048) <= 5.0
-    vals = [phi2_continuity_scan(2.0**-k, grid=4096) for k in range(3, 9)]
+        assert _phi2_continuity_scan(dlt, grid=2048) <= 5.0
+    vals = [_phi2_continuity_scan(2.0**-k, grid=4096) for k in range(3, 9)]
     for a, b in zip(vals, vals[1:]):
         assert b / a < 2.0
 
 
+def _tau_sin_partial_sum(n_terms: int, x: float) -> float:
+    """sum_{k<=K} tau(k) sin(kx)/k via the divisor-pair rearrangement
+    sum_a (1/a) sum_{b<=K/a} sin(abx)/b."""
+    parts = []
+    for a in range(1, n_terms + 1):
+        b = np.arange(1, n_terms // a + 1, dtype=np.float64)
+        parts.append(math.fsum(np.sin(a * b * x) / b) / a)
+    return math.fsum(parts)
+
+
+def _tau_sin_scan(n_terms: int, xs: np.ndarray) -> np.ndarray:
+    """sum_{k<=K} tau(k) sin(k x)/k over the grid xs, from the tau sieve."""
+    k = np.arange(1, n_terms + 1, dtype=np.float64)
+    w = divisor_sieve(n_terms)[1:] / k
+    out = np.zeros_like(xs, dtype=np.float64)
+    block = max(1, 20_000_000 // max(1, xs.size))
+    for start in range(0, n_terms, block):
+        out += np.sin(np.outer(xs, k[start : start + block])) @ w[start : start + block]
+    return out
+
+
 def test_tau_sin_values():
-    assert tau_sin_partial_sum(100, 0.0) == 0.0
-    assert abs(tau_sin_partial_sum(100, math.pi)) < 1e-12
+    assert _tau_sin_partial_sum(100, 0.0) == 0.0
+    assert abs(_tau_sin_partial_sum(100, math.pi)) < 1e-12
     xs = np.array([0.3, 1.7, 2.9])
-    scan = tau_sin_scan(1000, xs)
+    scan = _tau_sin_scan(1000, xs)
     for x, v in zip(xs, scan):
-        assert tau_sin_partial_sum(1000, float(x)) == pytest.approx(float(v), abs=1e-9)
+        assert _tau_sin_partial_sum(1000, float(x)) == pytest.approx(float(v), abs=1e-9)
 
 
 def test_tau_sin_log_bound():
     xs = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
     for k_terms in (100, 1000, 10000):
-        sup = float(np.abs(tau_sin_scan(k_terms, xs)).max())
+        sup = float(np.abs(_tau_sin_scan(k_terms, xs)).max())
         assert sup / math.log(k_terms) <= 3.0
 
 
@@ -289,9 +315,10 @@ def test_divisor_sieve():
 
 
 def test_phi_at_zero():
-    assert phi_at_zero(2) == pytest.approx(PI2 / 36.0, rel=1e-12)
-    assert phi_at_zero(3) == 0.0
-    assert phi_at_zero(4) == pytest.approx(-(PI2 * PI2) / 2700.0, rel=1e-10)
+    # phi_n(0) = B_n zeta(n), through the resummation at 0
+    assert phi_n(2, Fraction(0)).value == pytest.approx(PI2 / 36.0, rel=1e-12)
+    assert phi_n(3, Fraction(0)).value == 0.0
+    assert phi_n(4, Fraction(0)).value == pytest.approx(-(PI2 * PI2) / 2700.0, rel=1e-10)
 
 
 def _panels_exact(mp, t, f, a):

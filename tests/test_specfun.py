@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
 
 from frac_autocorr.errors import DomainError, PoleError
 from frac_autocorr.specfun import (
@@ -22,12 +21,10 @@ from frac_autocorr.specfun import (
     gamma_fn,
     hurwitz_zeta,
     hurwitz_zeta_int_vec,
-    j12,
     log_gamma,
     riemann_zeta,
     sinpi,
     trigamma_taylor,
-    trigamma_vec,
 )
 
 
@@ -147,7 +144,7 @@ def test_trigamma(mp):
         want = complex(mp.polygamma(1, mp.mpc(z)))
         assert abs(trigamma(z) - want) <= 1e-12 * (1 + abs(want))
     a = np.array([0.1, 0.5, 1.0, 7.3, 200.0])
-    got = trigamma_vec(a)
+    got = trigamma_taylor(a, 0)[0]
     for ai, gi in zip(a, got):
         assert gi == pytest.approx(float(mp.polygamma(1, mp.mpf(ai))), rel=1e-12)
 
@@ -158,10 +155,9 @@ def test_trigamma_vec_against_mpmath(mp):
     rng = random.Random(5)
     a = np.array([rng.uniform(1e-6, 1.0) for _ in range(200)] + [1.0, 2**-30]
                  + [rng.uniform(1.0, 65.0) for _ in range(200)] + [65.0])
-    pairs = [*zip(a, trigamma_vec(a)), *((x, trigamma_vec(np.array([x]))[0]) for x in a[::20])]
+    pairs = [*zip(a, trigamma_taylor(a, 0)[0]), *((x, trigamma_taylor(np.array([x]), 0)[0, 0]) for x in a[::20])]
     for x, got in pairs:
         assert got == pytest.approx(float(mp.polygamma(1, mp.mpf(x))), rel=1e-13)
-    assert np.array_equal(trigamma_vec(a[:400].reshape(2, -1)), trigamma_vec(a[:400]).reshape(2, -1))
 
 
 def test_trigamma_taylor_against_mpmath(mp):
@@ -383,52 +379,6 @@ def test_j_function_against_quadrature_oracle():
     head = -math.fsum(parts)  # integral of (t-n-1/2)/(t+z) = (b-a) - (n+1/2+z)log(..)
     tail = -1.0 / (12.0 * (n_end + z))
     assert head + tail == pytest.approx(j_function(z), abs=1e-10)
-
-
-def test_j12_relations():
-    for z in (2.0, 5.0, 10.0):
-        want = digamma(z) - math.log(z) + 0.5 / z
-        assert abs(j12(z, 0.0) - want) < 1e-10
-    # J'(3) = log 3 + gamma + 1/6 - H_3
-    want = math.log(3.0) + EULER_GAMMA + 1.0 / 6.0 - (1.0 + 0.5 + 1.0 / 3.0)
-    assert -j12(3.0, 0.0) == pytest.approx(want, abs=1e-11)
-    assert abs(j12(1.0, 1e6)) <= 5e-7
-    assert abs(j12(2.0 + 1j, 3.7)) <= 1.0 / (2.0 * (3.7 + 2.0))
-    with pytest.raises(DomainError):
-        j12(-5.0, 1.0)
-
-
-def _j12_reference(mp, z: complex, x: float):
-    """30-digit J_{1,2}(z, x).  With n = floor(x), f = x - n and w = n + z,
-    periodicity shifts the integral to [f, inf) at w; over [0, inf) it is
-    psi(w) - log w + 1/(2w) (Binet), and over [0, f] the elementary
-    log((w + f)/w) + (w + 1/2)(1/(w + f) - 1/w).  Their difference, with
-    psi(w) + 1/w = psi(w + 1) and the log w terms cancelled, is
-    psi(w + 1) + 1 - log(x + z) - (w + 1/2)/(x + z): no pole at w = 0 and
-    no branch cut for Re w <= 0 < x + Re z."""
-    w = mp.mpf(math.floor(x)) + mp.mpc(z)
-    s = mp.mpf(x) + mp.mpc(z)
-    return mp.digamma(w + 1) + 1 - mp.log(s) - (w + mp.mpf(0.5)) / s
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    st.floats(0.0, 60.0) | st.integers(0, 60).map(float),
-    st.floats(1e-4, 20.0),
-    st.floats(-10.0, 10.0) | st.just(0.0),
-    st.booleans(),
-)
-@example(0.7, 0.7, 0.0, True)  # w = 0
-@example(0.0, 1.2e-4, -9.6e-4, False)  # |J| ~ 500: large first piece
-@example(14.0, 3e-4, 9e-4, False)
-def test_j12_error_below_tol_against_mpmath(mp, x, gap, im, real):
-    re = gap - x
-    assume(x + re > 0.0)
-    z = re if real else complex(re, im)
-    tol = 1e-13
-    got = j12(z, x, tol)
-    ref = _j12_reference(mp, complex(z), x)
-    assert float(abs(mp.mpc(got) - ref)) <= tol + 4 * 2.0**-52 * float(abs(ref))
 
 
 # ----------------------------------------------------------------------

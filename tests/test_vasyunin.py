@@ -13,9 +13,7 @@ from frac_autocorr.autocorr import a_rational
 from frac_autocorr.errors import DomainError, NonCoprimeError, PoleError
 from frac_autocorr.specfun import EULER_GAMMA, PI, cot_pi_frac_table, digamma_vec
 from frac_autocorr.vasyunin import (
-    centered_trig_sum,
     modular_inverse,
-    trig_kl_sum,
     v_row,
     vasyunin_b1cot,
     vasyunin_cot,
@@ -148,29 +146,31 @@ def test_noncoprime_frac_display():
         assert vasyunin_noncoprime(a, b, form="frac") == pytest.approx(want, abs=1e-9 * b)
 
 
+def _trig_kl_sum(p: int, q: int, centered: bool = False) -> complex:
+    """sum_{1<=k,l<=q} w_k w_l e^{2 pi i k l p / q} by the direct double sum,
+    w_k = k, or 1/2 - k/q when centered."""
+    k = np.arange(1, q + 1, dtype=np.int64)
+    w = 0.5 - k / q if centered else k
+    roots = np.exp(2j * PI * np.arange(q) / q)
+    return complex((np.outer(w, w) * roots[(np.outer(k, k) * (p % q)) % q]).sum())
+
+
 def test_trig_kl_sum():
-    assert trig_kl_sum(1, 1) == pytest.approx(1.0 + 0.0j, abs=1e-12)
-    assert trig_kl_sum(1, 2) == pytest.approx(7.0 + 0.0j, abs=1e-12)
+    assert _trig_kl_sum(1, 1) == pytest.approx(1.0 + 0.0j, abs=1e-12)
+    assert _trig_kl_sum(1, 2) == pytest.approx(7.0 + 0.0j, abs=1e-12)
     for p, q in [(2, 5), (3, 7), (5, 12)]:
         pbar = modular_inverse(p, q)
         want = q * q / 4.0 * (3.0 * q + 1.0) - 0.5j * q * q * vasyunin_cot(pbar, q)
-        assert abs(trig_kl_sum(p, q) - want) <= 1e-9 * q**3
+        assert abs(_trig_kl_sum(p, q) - want) <= 1e-9 * q**3
 
 
 def test_centered_trig_sum():
-    assert centered_trig_sum(1, 1) == pytest.approx(0.25 + 0.0j, abs=1e-14)
-    assert centered_trig_sum(1, 2) == pytest.approx(0.25 + 0.0j, abs=1e-13)
+    assert _trig_kl_sum(1, 1, centered=True) == pytest.approx(0.25 + 0.0j, abs=1e-14)
+    assert _trig_kl_sum(1, 2, centered=True) == pytest.approx(0.25 + 0.0j, abs=1e-13)
     for p, q in [(3, 7), (2, 5), (7, 11)]:
         pbar = modular_inverse(p, q)
         want = 0.25 - 0.5j * vasyunin_cot(pbar, q)
-        assert abs(centered_trig_sum(p, q) - want) <= 1e-9 * q
-
-
-def test_direct_double_sums_stop_at_q_512():
-    for fn in (trig_kl_sum, centered_trig_sum):
-        assert math.isfinite(abs(fn(1, 512)))
-        with pytest.raises(DomainError, match="q <= 512"):
-            fn(1, 513)
+        assert abs(_trig_kl_sum(p, q, centered=True) - want) <= 1e-9 * q
 
 
 def test_modular_inverse():
