@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import divisor_sieve
 from frac_autocorr.checks import strip_point
 from frac_autocorr.errors import DomainError, NonCoprimeError, PoleError
-from conftest import divisor_sieve
 from frac_autocorr.estermann import (
     ecos,
     esin,
