@@ -11,7 +11,7 @@ Two fully independent evaluation paths:
   1, 2, 4, .., 64).  The radius sums the head's truncation and rounding
   bounds, the smooth part's Taylor, moment and rounding bounds and a floor,
   all derived; below the size guards no tol raises.  One period's lattice
-  is streamed once through a kept 2.4 MB per-thread workspace.
+  is streamed once through a kept 2.1 MB per-thread workspace.
   A float lambda is an exact rational, reduced to a convergent mu with a
   continuity bound on |A(lambda) - A(mu)| added to the radius.
 * ``a_rational``: the closed form in Vasyunin sums.
@@ -56,8 +56,8 @@ class QuadratureConfig:
 
 _DEFAULT_QCFG = QuadratureConfig()
 # Pieces per period, p + q - 1, capped by time: memory is the block workspace
-# at any size, and a quadrature costs about 25 ns a piece at one period
-# (shared 2-core x86-64, numpy 2.4), so 11/5 - 2^-21 (2^25 - 6 pieces) takes 0.85 s.
+# at any size, and a quadrature costs about 17 ns a piece at one period
+# (shared 2-core x86-64, numpy 2.4), so 11/5 - 2^-21 (2^25 - 6 pieces) takes 0.6 s.
 _MAX_PIECES = 2**25
 _BLOCK = 1 << 14  # pieces per lattice block; every pass holds one block at a time, in cache
 
@@ -89,16 +89,15 @@ class LocalModel:
 
 
 class _Workspace(threading.local):
-    """One thread's block buffers, kept between quadratures: lattice block (u, f1, du), merge
-    scratch, tiled short period, nine rows of intermediates (head, then smooth part)."""
+    """One thread's block buffers, kept between quadratures: lattice block (u, f1, du, e),
+    tiled short period, nine rows of intermediates (head, then smooth part)."""
 
     tmp = np.empty((9, 0))
 
     def fit(self, n: int) -> "_Workspace":
         if n > self.tmp.shape[1]:  # a lattice block has at most _BLOCK + 5 pieces
             cap = max(n, _BLOCK + 8)
-            self.lattice, self.tile, self.tmp = (np.empty((r, cap + 1)) for r in (3, 3, 9))
-            self.merge = np.empty((3, cap), dtype=np.int64)
+            self.lattice, self.tile, self.tmp = (np.empty((r, cap + 1)) for r in (4, 3, 9))
         return self
 
 
@@ -106,7 +105,8 @@ _WORKSPACE = _Workspace()
 
 
 def _lattice_blocks(p: int, q: int):
-    """One period's pieces in blocks of about _BLOCK: yields (k, (u_left, du, f1)).
+    """One period's pieces in blocks of about _BLOCK: yields (k, (u_left, du, f1, e)),
+    du = u_right - u_left and e = u_left + u_right for the head and the smooth part.
 
     The numerator on the piece at u_left (u = p*t; 0 or a multiple of p or
     q, where {t}{(p/q)t} = 0) is f1 tau + (p/q) tau^2, tau = t - u_left/p,
@@ -117,15 +117,16 @@ def _lattice_blocks(p: int, q: int):
     """
     n_blocks = -(-(p + q - 1) // _BLOCK)
     ws = _WORKSPACE.fit(_BLOCK)
-    u, f1, du = ws.lattice
+    u, f1, du, e = ws.lattice
     lo = n = 0
     u[0] = f1[0] = 0.0  # the first piece starts at u = 0
     for k in range(n_blocks):
         hi = p * q * (k + 1) // n_blocks
         u[0], f1[0] = u[n], f1[n]  # the last breakpoint so far starts the next piece
-        n = merged_breakpoints(p, q, lo, hi, out=u[1:], scratch=ws.merge, frac=f1[1:]).size
+        n = merged_breakpoints(p, q, lo, hi, out=u[1:], frac=f1[1:]).size
         if n:
-            yield k, (u[:n], np.subtract(u[1 : n + 1], u[:n], out=du[:n]), f1[:n])
+            ends = u[1 : n + 1], u[:n]
+            yield k, (u[:n], np.subtract(*ends, out=du[:n]), f1[:n], np.add(*ends, out=e[:n]))
         lo = hi
 
 
@@ -148,17 +149,19 @@ def _head_block(p: int, q: int, block, periods: int, tol: float, room: list[floa
     bound taken off room[0], what is left of tol/8 (tol = 0: every stretch at
     the eps degree).
     """
-    u_left, du, f1 = block
+    u_left, du, f1, e0 = block
     pq, n = p * q, du.size
     rows = min(max(1, _BLOCK // n), periods)  # periods per pass
     ws = _WORKSPACE.fit(rows * n)
-    d, fb, ul = du, f1, u_left
-    if rows > 1:  # whole periods tiled: ul = j*pq + u_left
+    et, lh, q1, p1, y, z, b, c, terms = ws.tmp[:, : rows * n]
+    d, fb, ul, e = du, f1, u_left, e0  # y = d/e at j = 0
+    if rows > 1:  # whole periods tiled: ul = j*pq + u_left, e = 2 j*pq + e0
         d, fb, ul = (t[: rows * n].reshape(rows, n) for t in ws.tile)
-        d[:], fb[:], ul[:] = du, f1, u_left
-        d, fb, ul = d.ravel(), fb.ravel(), np.add(ul, np.arange(rows)[:, None] * pq, out=ul).ravel()
-    e, lh, q1, p1, y, z, b, c, terms = ws.tmp[:, : rows * n]
-    np.add(np.add(ul, ul, out=e), d, out=e)  # 2 u_left + d, so y = d/e at j = 0
+        d[:], fb[:] = du, f1
+        offsets = np.arange(rows)[:, None] * pq
+        np.add(u_left, offsets, out=ul)
+        np.add(e0, 2 * offsets, out=et.reshape(rows, n))
+        d, fb, ul, e = d.ravel(), fb.ravel(), ul.ravel(), et
     np.divide(d, q, out=lh)  # lam h
     np.multiply(np.add(fb, lh, out=q1), 4.0 / 3.0, out=q1)  # (4/3)(f1 + lam h)
     np.add(np.multiply(fb, 2.0 / 3.0, out=p1), q1, out=p1)  # 2 f1 + (4/3) lam h
@@ -191,10 +194,10 @@ def _head_block(p: int, q: int, block, periods: int, tol: float, room: list[floa
             tk *= zk
             k = end
         sums.append(float(terms[:size].sum()))
-    return sums, trunc, 0.0 if smooth is None else _smooth_block(pq, du, f1, ws.tmp[:, :n], *smooth)
+    return sums, trunc, 0.0 if smooth is None else _smooth_block(pq, du, f1, e0, ws.tmp[1:, :n], *smooth)
 
 
-def _smooth_block(pq: int, du, f1, tmp, y_c: float, tables) -> float:
+def _smooth_block(pq: int, du, f1, e, tmp, y_c: float, tables) -> float:
     """One block's share of the smooth part (see _a_quad_rational) from the
     head's rows of period 0.  A piece of half-width c = d/(2p) has, in y, the
     midpoint y_c + delta, delta = e/(2pq) - y_c, and the half-width g = c/q;
@@ -205,7 +208,7 @@ def _smooth_block(pq: int, du, f1, tmp, y_c: float, tables) -> float:
     around J + y_c times 2 F_k/W_k, for W_0 = P, W_1 = Q (the head's rows)
     and W_k = f1 + r_k lam h, r_k = (k+2)/(k+3) or 1, for k >= 2.
     """
-    e, lh, q1, p1, g, delta, s, acc, w = tmp
+    lh, q1, p1, g, delta, s, acc, w = tmp
     np.multiply(du, 0.5 / pq, out=g)
     np.subtract(np.multiply(e, 0.5 / pq, out=delta), y_c, out=delta)
     for k in range(len(tables) - 1, -1, -1):  # Horner in g over the moments
@@ -245,17 +248,18 @@ def _head_sum(parts) -> tuple[float, float, float]:
     K_e, where, as I >= (8/9) z (f1 + lam h), each piece's remainder is
     within 2.25 z^K/(1-z) <= 0.64 u of its integral (u = 2^-53).
 
-    Rounding.  A computed piece integral is within 28 u of its truncated
-    sum: y carries 3 u and z 7 u; with f1 at 3 u (the merge), P 7 u and
-    y Q 10 u, so c_1 16.5 u as P <= 1.5 c_1; the higher terms (positive
-    Horner sums in z <= 1/9, 11 u) 21.5 u and at most 0.29 c_1; the sum
-    19.2 u, and 27.2 u times z.  Numpy's pairwise sum of a pass (at most
-    _BLOCK + 8 terms: leaves of up to 128 in eight running sums, at most 24
-    additions deep, under at most 8 halvings) rounds each term at most 32
-    times, an error of gamma_32 sum |terms| (Higham, Accuracy and Stability
-    of Numerical Algorithms, ch. 3-4), and sum |terms| is the value as the
-    terms are >= 0.  With fsum over the passes (u) and the remainders at
-    K_e (0.64 u), the head is within 61 u < 32 eps of its value.
+    Rounding.  A computed piece integral is within 24 u of its truncated
+    sum: y carries 3 u and z 7 u; with f1 at u (the merge rounds it
+    correctly), Q 4 u, P 5 u and y Q 8 u, so c_1 12.5 u as P <= 1.5 c_1;
+    the higher terms (positive Horner sums in z <= 1/9, 11 u) 19.5 u and at
+    most 0.29 c_1; the sum 15.7 u, and 23.7 u times z.  Numpy's pairwise
+    sum of a pass (at most _BLOCK + 8 terms: leaves of up to 128 in eight
+    running sums, at most 24 additions deep, under at most 8 halvings)
+    rounds each term at most 32 times, an error of gamma_32 sum |terms|
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3-4), and
+    sum |terms| is the value as the terms are >= 0.  With fsum over the
+    passes (u) and the remainders at K_e (0.64 u), the head is within
+    58 u < 32 eps of its value.
     """
     value = math.fsum(s for sums, *_ in parts for s in sums)
     return value, 2.0**-47 * value, sum(tr for _, tr, _ in parts)  # 32 eps
@@ -277,10 +281,10 @@ def a_quadrature(lam, cfg: QuadratureConfig | None = None) -> CertifiedReal:
     tol = 1e-13.
 
     The rational path streams one period's lattice in blocks of about _BLOCK
-    pieces in the thread's block buffers (2.4 MB, kept between calls), so
+    pieces in the thread's block buffers (2.1 MB, kept between calls), so
     its memory is that whatever p + q is, and it builds every block once.
     It raises ToleranceError before allocating anything (``achieved`` = inf)
-    for p + q - 1 > 2^25 pieces per period (a cap set by time, about 0.85 s
+    for p + q - 1 > 2^25 pieces per period (a cap set by time, about 0.6 s
     at the cap) or 2pq > 2^53; no tol >= 1e-13 is out of reach below them.
     """
     tol = (cfg or _DEFAULT_QCFG).tol
@@ -402,7 +406,7 @@ _PERIODS = (1, 2, 4, 8, 16, 32, 64)  # the choices of J
 
 
 def _smooth_plan(p: int, q: int, n_b: int, tol: float, candidates):
-    """(cost, J, [N_0, .., N_(K-1)], bound) for _a_quad_rational, or None: at each J
+    """(cost, J, (N_0, .., N_(K-1)), bound) for _a_quad_rational, or None: at each J
     in candidates, the least K with the moment bound within tol/16, the least
     N_k <= _MAX_DEGREE with the Taylor bounds within tol/(16K) each, and these
     bounds plus the rounding bound.  A period of several blocks takes the first
@@ -441,7 +445,7 @@ def _smooth_plan(p: int, q: int, n_b: int, tol: float, candidates):
         rounding = (6 * degrees[0] + 10 * moments + 64) * 2.0**-53 * magnitude
         bound = sum(remainder(k, d) for k, d in enumerate(degrees)) + dropped(moments) + rounding
         calls = 2 * sum(degrees) - moments * moments + 4 * moments + 8
-        plan = (cost + calls * (_COST_CALL + n * _COST_ELEMENT), periods, degrees, bound)
+        plan = (cost + calls * (_COST_CALL + n * _COST_ELEMENT), periods, tuple(degrees), bound)
         if n_b > 1:
             return plan
         best = min(best or plan, plan)
@@ -456,10 +460,11 @@ def _psi1_taylor(periods: int, n_b: int, degree: int):
     return (centres - periods).tolist(), trigamma_taylor(centres, degree).T
 
 
-def _smooth_tables(periods: int, n_b: int, degrees: list[int]):
-    """(y_c, tables) for _smooth_block: tables[k][b], for block b, the coefficients
-    C(i, k) a_i w_k, k <= i <= N_k, of s_k, a_i = psi^(i+1)(J + y_c)/i!, with
-    w_k = 2 F_k/W_k: 1, 1/2, then 2/(k+1) (k even) or 2/(k+2) (k odd)."""
+@functools.lru_cache(maxsize=64)
+def _smooth_tables(periods: int, n_b: int, degrees: tuple[int, ...]):
+    """(y_c, tables) for _smooth_block, cached, so read-only: tables[k][b], for block
+    b, the coefficients C(i, k) a_i w_k, k <= i <= N_k, of s_k, a_i = psi^(i+1)(J + y_c)/i!,
+    with w_k = 2 F_k/W_k: 1, 1/2, then 2/(k+1) (k even) or 2/(k+2) (k odd)."""
     y_c, coeffs = _psi1_taylor(periods, n_b, -(-max(degrees) // 8) * 8)
     tables = []
     for k, degree in enumerate(degrees):

@@ -2,8 +2,13 @@
 
 Between consecutive breakpoints both floor(t) and floor(theta*t) are
 constant, so every integrand handled here has an elementary antiderivative
-per piece.  Breakpoints for rational theta = p/q are merged exactly on the
-integer grid u = p*t (floor(t) jumps at u = i*p, floor(theta*t) at u = j*q).
+per piece.  For theta = p/q, p, q coprime, the breakpoints are the multiples
+of p and q on the grid u = p*t.  With s = p + q those of p sit at indices
+floor(k s/q) of the sorted union and those of q at floor(j s/p), k, j >= 1:
+complementary Beatty sequences, meeting only at multiples of pq.  So index i
+holds c = floor((i + 1) q/s) multiples of p and i - c of q, U(i) = max(c p,
+(i - c) q), and D = c s - i q in (-p, q] is U mod q if D > 0 (U = c p), else
+-(U mod p): f1 = {U/q} + (p/q){U/p} = |D|/q, but 0 at a period's end (D = q).
 """
 
 from __future__ import annotations
@@ -13,42 +18,51 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import DomainError
 
-def merged_breakpoints(
-    p: int, q: int, u_lo: int, u_hi: int, *, out=None, scratch=None, frac=None
-) -> np.ndarray:
-    """Sorted u-breakpoints (multiples of p or q) in (u_lo, u_hi].
+_RANGE = [np.arange(0.0)]  # 0, 1, 2, ..: one read-only range, grown to the longest asked for
 
-    Scatter merge, O(p + q) with no sort: a multiple m lands at index
-    #(p-multiples) + #(q-multiples) - #(lcm-multiples) in (u_lo, m], minus 1.
-    A common multiple is written twice, to the same index; a range holding
-    none has no lcm count to take.
 
-    Buffers: out[:n] takes the n breakpoints and is returned; scratch, int64 (3, >= either
-    count), the intermediates; frac, f1 = {(p/q)t} + (p/q){t} at each u = p t from the
-    scatter's remainders, the doubles of frac_ratio(u, q) + (p/q) frac_ratio(u, p).
+def merged_breakpoints(p: int, q: int, u_lo: int, u_hi: int, *, out=None, frac=None) -> np.ndarray:
+    """Sorted u-breakpoints (multiples of p or q) in (u_lo, u_hi] into out[:n] and
+    their f1 = {(p/q)t} + (p/q){t} (u = p t) into frac[:n], float64 (new arrays if
+    None), by the module's closed form with p, q reduced by their gcd; returns out[:n].
+
+    Breakpoint j past 0 is U(j + m), m = floor((j - 1)/(s - 1)) whole periods: one
+    number inside one period (every quadrature block), else one per element.  c is
+    ((i + 1) q + 1/2)/s floored, by a product with 1/s: the quotient is 1/(2s) or
+    more from an integer, beyond the product's two roundings while (i + 1) q < 2^51
+    (else DomainError).  All else is exact on integers below 2^53: f1 is correctly rounded.
     """
-    u_hi = max(u_hi, u_lo)
-    lcm = p // math.gcd(p, q) * q
-    n_common = u_hi // lcm - u_lo // lcm
-    n = u_hi // p - u_lo // p + u_hi // q - u_lo // q - n_common
-    out = np.empty(n, dtype=np.int64) if out is None else out
-    scratch = np.empty((3, n), dtype=np.int64) if scratch is None else scratch
-    for m, other in ((p, q), (q, p)):
-        k = np.arange(u_lo // m + 1, u_hi // m + 1, dtype=np.int64)  # mine = k m
-        mine, idx, rem = scratch[:, : k.size]
-        np.multiply(k, m, out=mine)
-        np.floor_divide(mine, other, out=idx)
-        np.subtract(mine, np.multiply(idx, other, out=rem), out=rem)  # mine mod other
-        idx += k
-        if n_common:
-            idx -= np.floor_divide(mine, lcm, out=k)
-        idx += (u_lo // lcm if n_common else 0) - u_lo // other - u_lo // m - 1
-        out[idx] = mine
-        if frac is not None:  # the fractions take the 8 bytes of each scattered mine
-            f = np.divide(rem, float(other), out=mine.view(np.float64))
-            frac[idx] = np.multiply(f, p / q if m == q else 1.0, out=f)
-    return out[:n]
+    g = math.gcd(p, q)
+    p, q, s = p // g, q // g, (p + q) // g
+    j0, j1 = (v // p + v // q - v // (p * q) for v in (u_lo // g, max(u_hi, u_lo) // g))
+    n, m0, m1 = j1 - j0, j0 // (s - 1), (j1 - 1) // (s - 1)  # j = j0 + 1 .. j1
+    if (max(abs(j0 + m0), abs(j1 + m1)) + 2) * q > 2**51:
+        raise DomainError(f"merged_breakpoints: ({u_lo}, {u_hi}] at p/q = {p}/{q} is past exact float64")
+    if _RANGE[0].size < n:
+        _RANGE[0] = np.arange(float(n))
+        _RANGE[0].flags.writeable = False
+    a = np.empty(n) if frac is None else frac[:n]
+    b = np.empty(n) if out is None else out[:n]
+    if m0 == m1:  # one period: i - 1 = r + j0 + m0, r = 0 .. n - 1
+        np.multiply(_RANGE[0][:n], q, out=a)
+        a += (j0 + m0 + 2) * q + 0.5  # (i + 1) q + 1/2
+    else:  # i - 1 = j - 1 + floor((j - 1)/(s - 1)) for each j
+        a += np.floor(np.divide(np.add(_RANGE[0][:n], j0, out=a), s - 1, out=b), out=b)
+        a *= q
+        a += 2 * q + 0.5
+    np.floor(np.multiply(a, 1.0 / s, out=b), out=b)  # c
+    a -= np.multiply(b, s, out=b)  # R + 1/2, R = (i + 1) q - c s
+    a -= q + 0.5  # R - q = -D
+    b /= s
+    b *= 2 * p
+    b += a
+    b += np.abs(a, out=a)  # 2 U = 2 c p - D + |D|
+    b *= 0.5 * g
+    a /= q
+    a[(-j0 - 1) % (s - 1) :: s - 1] = 0.0  # the ends of periods, u = m pq
+    return b
 
 
 def piece_grid(theta: Fraction, lo: Fraction, hi: Fraction):

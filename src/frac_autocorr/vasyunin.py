@@ -144,6 +144,8 @@ def vasyunin_cot(p: int, q: int) -> float:
 def vasyunin_b1cot(p: int, q: int) -> float:
     """V(p, q) through the half-range form 2 sum_{k<q/2} B_1(kp/q) cot(k pi/q)."""
     _require_coprime(p, q)
+    if q > COT_TABLE_MAX_Q:  # before the index rows, as the table would raise only after them
+        raise DomainError(f"vasyunin_b1cot: q = {q} exceeds 2^25, the largest q of the cot table")
     if q <= 2:
         return 0.0
     half = (q - 1) // 2 if q % 2 else q // 2 - 1

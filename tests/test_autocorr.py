@@ -268,7 +268,7 @@ def _workspace_bytes() -> int:
 def test_workspace_is_bounded_and_kept():
     a_quadrature(Fraction(3, 7))
     held = _workspace_bytes()
-    assert 0 < held <= 5 << 19  # 2,360,568 bytes at the default block
+    assert 0 < held <= 2_098_304  # 16 rows of _BLOCK + 9 doubles at the default block
     rng = random.Random(23)
     for _ in range(20):
         p, q = rng.choice([(11, 5), (2, 3), (1, 1), (3, 7), (5, 8), (307, 256)])
@@ -353,7 +353,8 @@ def test_head_series_against_mpmath(mp, lam, x, h_frac, sa, sb, start, tol):
     fa, fb = sa * (1.0 - h), sb * (1.0 - p / q * h)
     f0, f1 = fa * fb, fb + p / q * fa
     d = h * p  # width and left edge in u = p t
-    piece = tuple(np.array([v]) for v in (d / x, d, f1))
+    u0 = d / x
+    piece = tuple(np.array([v]) for v in (u0, d, f1, (u0 + u0) + d))  # e = u_left + u_right
     got, _, bound = _head_sum([_head_block(p, q, piece, 1, tol, [tol / 8])])
     assert bound <= tol / 8
     with mp.workdps(40):

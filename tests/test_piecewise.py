@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, strategies as st
 
+from frac_autocorr.errors import DomainError
 from frac_autocorr.piecewise import merged_breakpoints
-from frac_autocorr.rational_core import frac_ratio
 
 
 def _union_oracle(p: int, q: int, u_lo: int, u_hi: int) -> np.ndarray:
@@ -12,6 +14,11 @@ def _union_oracle(p: int, q: int, u_lo: int, u_hi: int) -> np.ndarray:
     mp = np.arange(u_lo // p + 1, u_hi // p + 1, dtype=np.int64) * p
     mq = np.arange(u_lo // q + 1, u_hi // q + 1, dtype=np.int64) * q
     return np.union1d(mp, mq)
+
+
+def _f1_oracle(p: int, q: int, u: np.ndarray) -> np.ndarray:
+    """f1 = {(p/q)t} + (p/q){t} at u = p t, the correctly rounded (u mod q + u mod p)/q."""
+    return np.array([float(Fraction(v % q + v % p, q)) for v in u.astype(np.int64).tolist()])
 
 
 @given(
@@ -25,15 +32,16 @@ def _union_oracle(p: int, q: int, u_lo: int, u_hi: int) -> np.ndarray:
 @example(7, 3, 0, 21)  # one whole period
 @example(7, 3, 0, 5 * 21)  # several periods
 @example(7, 3, 11, 3 * 21 + 4)  # starts and ends mid-period
+@example(7, 3, -50, 40)  # across u = 0
 @example(1, 1, 0, 5)  # p = q = 1: every point is common
 @example(1, 9, 3, 40)  # q-multiples all common
+@example(6, 4, 0, 50)  # not coprime: the lattice of 3/2, scaled by 2
+@example(12, 12, -30, 70)  # p = q
 def test_merged_breakpoints_matches_union(p, q, u_lo, span):
-    assume(math.gcd(p, q) == 1)
     u_hi = u_lo + span
     got = merged_breakpoints(p, q, u_lo, u_hi)
-    want = _union_oracle(p, q, u_lo, u_hi)
-    assert got.dtype == want.dtype
-    np.testing.assert_array_equal(got, want)
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got, _union_oracle(p, q, u_lo, u_hi))
 
 
 @given(
@@ -63,24 +71,45 @@ def test_merged_breakpoints_splits_at_any_mid(p, q, u_lo, span, pick, step):
 @given(
     st.integers(1, 80),
     st.integers(1, 80),
-    st.integers(0, 20_000),
+    st.integers(-300, 20_000),
     st.integers(-50, 20_000),
-    st.sampled_from([np.int64, np.float64]),
 )
-@example(7, 3, 0, 5 * 21, np.float64)  # several periods, common multiples included
-@example(1, 1, 0, 5, np.float64)  # p = q = 1: every point is common
-@example(7, 3, 10, 10, np.int64)  # empty range
-def test_merged_breakpoints_buffers_and_frac(p, q, u_lo, span, dtype):
+@example(7, 3, 0, 5 * 21)  # several periods, common multiples included
+@example(1, 1, 0, 5)  # p = q = 1: every point is common
+@example(7, 3, 10, 10)  # empty range
+@example(6, 4, -13, 60)  # not coprime, across u = 0
+def test_merged_breakpoints_buffers_and_frac(p, q, u_lo, span):
     # the buffer form writes the plain form's breakpoints into out, and frac
-    # holds f1 = {(p/q)t} + (p/q){t} at each of them, bit for bit as frac_ratio
-    assume(math.gcd(p, q) == 1)
+    # holds f1 = {(p/q)t} + (p/q){t} at each of them, correctly rounded
     u_hi = u_lo + span
     plain = merged_breakpoints(p, q, u_lo, u_hi)
     n = plain.size
-    out, frac = np.zeros(n + 3, dtype=dtype), np.full(n + 3, np.nan)
-    scratch = np.empty((3, n + 3), dtype=np.int64)
-    got = merged_breakpoints(p, q, u_lo, u_hi, out=out, scratch=scratch, frac=frac)
-    assert got.base is out and got.dtype == dtype
+    out, frac = np.full(n + 3, np.nan), np.full(n + 3, np.nan)
+    got = merged_breakpoints(p, q, u_lo, u_hi, out=out, frac=frac)
+    assert got.base is out
     np.testing.assert_array_equal(got, plain)
-    u = plain.astype(np.float64)
-    assert frac[:n].tobytes() == (frac_ratio(u, q) + (p / q) * frac_ratio(u, p)).tobytes()
+    assert frac[:n].tobytes() == _f1_oracle(p, q, plain).tobytes()
+    assert np.isnan(out[n:]).all() and np.isnan(frac[n:]).all()
+
+
+def test_merged_breakpoints_at_the_size_caps():
+    # p + q - 1 = 2^25 - 1 pieces a period and pq = 2^48 - 1, the largest
+    # lattice a quadrature builds: slices at the start, middle and end of the
+    # period against the union oracle and the exact f1, the period's end f1 = 0
+    p, q = 2**24 + 1, 2**24 - 1
+    pq, width = p * q, 2**36  # about 2^13 breakpoints a slice
+    for u_lo in (0, pq // 2 - width // 2, pq - width):
+        frac = np.empty(2**14)
+        got = merged_breakpoints(p, q, u_lo, u_lo + width, frac=frac)
+        want = _union_oracle(p, q, u_lo, u_lo + width)
+        assert 2**12 < want.size < 2**14
+        np.testing.assert_array_equal(got, want)
+        assert frac[: got.size].tobytes() == _f1_oracle(p, q, want).tobytes()
+    assert got[-1] == pq and frac[got.size - 1] == 0.0
+
+
+def test_merged_breakpoints_refuses_inexact_ranges():
+    # float64 holds every step below 2^51; past it DomainError, not wrong
+    # points (about 8 of them here, so a missing guard allocates nothing large)
+    with pytest.raises(DomainError):
+        merged_breakpoints(2**30 + 1, 2**30 + 3, 2**60, 2**60 + 2**32)

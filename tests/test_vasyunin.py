@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from frac_autocorr import mellin_verify, vasyunin
 from frac_autocorr.autocorr import a_rational
-from frac_autocorr.errors import DomainError, NonCoprimeError, PoleError
+from frac_autocorr.errors import DomainError, NonCoprimeError
 from frac_autocorr.specfun import EULER_GAMMA, PI, cot_pi_frac_table, digamma_vec
 from frac_autocorr.vasyunin import (
     modular_inverse,
@@ -255,8 +255,9 @@ def test_a_unit_grid_is_bit_identical_with_int64_oracle_kernel():
         (vasyunin.vasyunin_cot, (1, 2**25 + 1)),
         (a_rational, (1, 2**25 + 1)),
         (cot_pi_frac_table, (2**25 + 1,)),
+        (vasyunin.vasyunin_b1cot, (1, 2**25 + 1)),
     ],
-    ids=["vasyunin_cot", "a_rational", "cot_pi_frac_table"],
+    ids=["vasyunin_cot", "a_rational", "cot_pi_frac_table", "vasyunin_b1cot"],
 )
 def test_v_kernel_size_guard_raises_before_allocating(fn, args):
     # float64 remainders p k mod q are exact only while q^2 < 2^53
