@@ -56,8 +56,8 @@ class QuadratureConfig:
 
 _DEFAULT_QCFG = QuadratureConfig()
 # Pieces per period, p + q - 1, capped by time: memory is the block workspace
-# at any size, and a quadrature costs about 17 ns a piece at one period
-# (shared 2-core x86-64, numpy 2.4), so 11/5 - 2^-21 (2^25 - 6 pieces) takes 0.6 s.
+# at any size, and a quadrature costs about 21 ns a piece at one period
+# (shared 2-core x86-64, numpy 2.4), so 11/5 - 2^-21 (2^25 - 6 pieces) takes 0.7 s.
 _MAX_PIECES = 2**25
 _BLOCK = 1 << 14  # pieces per lattice block; every pass holds one block at a time, in cache
 
@@ -118,16 +118,15 @@ def _lattice_blocks(p: int, q: int):
     n_blocks = -(-(p + q - 1) // _BLOCK)
     ws = _WORKSPACE.fit(_BLOCK)
     u, f1, du, e = ws.lattice
-    lo = n = 0
+    n = 0
     u[0] = f1[0] = 0.0  # the first piece starts at u = 0
     for k in range(n_blocks):
-        hi = p * q * (k + 1) // n_blocks
         u[0], f1[0] = u[n], f1[n]  # the last breakpoint so far starts the next piece
+        lo, hi = (p * q * j // n_blocks for j in (k, k + 1))
         n = merged_breakpoints(p, q, lo, hi, out=u[1:], frac=f1[1:]).size
         if n:
             ends = u[1 : n + 1], u[:n]
             yield k, (u[:n], np.subtract(*ends, out=du[:n]), f1[:n], np.add(*ends, out=e[:n]))
-        lo = hi
 
 
 def _horner(x: np.ndarray, *coeffs, out: np.ndarray) -> np.ndarray:
@@ -158,9 +157,8 @@ def _head_block(p: int, q: int, block, periods: int, tol: float, room: list[floa
     if rows > 1:  # whole periods tiled: ul = j*pq + u_left, e = 2 j*pq + e0
         d, fb, ul = (t[: rows * n].reshape(rows, n) for t in ws.tile)
         d[:], fb[:] = du, f1
-        offsets = np.arange(rows)[:, None] * pq
-        np.add(u_left, offsets, out=ul)
-        np.add(e0, 2 * offsets, out=et.reshape(rows, n))
+        np.add(u_left, np.arange(rows)[:, None] * pq, out=ul)
+        np.add(e0, np.arange(rows)[:, None] * (2 * pq), out=et.reshape(rows, n))
         d, fb, ul, e = d.ravel(), fb.ravel(), ul.ravel(), et
     np.divide(d, q, out=lh)  # lam h
     np.multiply(np.add(fb, lh, out=q1), 4.0 / 3.0, out=q1)  # (4/3)(f1 + lam h)
@@ -249,17 +247,16 @@ def _head_sum(parts) -> tuple[float, float, float]:
     within 2.25 z^K/(1-z) <= 0.64 u of its integral (u = 2^-53).
 
     Rounding.  A computed piece integral is within 24 u of its truncated
-    sum: y carries 3 u and z 7 u; with f1 at u (the merge rounds it
-    correctly), Q 4 u, P 5 u and y Q 8 u, so c_1 12.5 u as P <= 1.5 c_1;
-    the higher terms (positive Horner sums in z <= 1/9, 11 u) 19.5 u and at
-    most 0.29 c_1; the sum 15.7 u, and 23.7 u times z.  Numpy's pairwise
-    sum of a pass (at most _BLOCK + 8 terms: leaves of up to 128 in eight
-    running sums, at most 24 additions deep, under at most 8 halvings)
-    rounds each term at most 32 times, an error of gamma_32 sum |terms|
-    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3-4), and
-    sum |terms| is the value as the terms are >= 0.  With fsum over the
-    passes (u) and the remainders at K_e (0.64 u), the head is within
-    58 u < 32 eps of its value.
+    sum: y carries 3 u and z 7 u; with f1 at u (correctly rounded), Q 4 u,
+    P 5 u and y Q 8 u, so c_1 12.5 u as P <= 1.5 c_1; the higher terms
+    (positive Horner sums in z <= 1/9, 11 u) 19.5 u and at most 0.29 c_1;
+    the sum 15.7 u, and 23.7 u times z.  Numpy's pairwise sum of a pass (at
+    most _BLOCK + 8 terms: leaves of up to 128 in eight running sums, at
+    most 24 additions deep, under at most 8 halvings) rounds each term at
+    most 32 times, an error of gamma_32 sum |terms| (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 3-4), and sum |terms| is the
+    value as the terms are >= 0.  With fsum over the passes (u) and the
+    remainders at K_e (0.64 u), the head's relative error is below 58 u < 32 eps.
     """
     value = math.fsum(s for sums, *_ in parts for s in sums)
     return value, 2.0**-47 * value, sum(tr for _, tr, _ in parts)  # 32 eps
@@ -284,7 +281,7 @@ def a_quadrature(lam, cfg: QuadratureConfig | None = None) -> CertifiedReal:
     pieces in the thread's block buffers (2.1 MB, kept between calls), so
     its memory is that whatever p + q is, and it builds every block once.
     It raises ToleranceError before allocating anything (``achieved`` = inf)
-    for p + q - 1 > 2^25 pieces per period (a cap set by time, about 0.6 s
+    for p + q - 1 > 2^25 pieces per period (a cap set by time, about 0.7 s
     at the cap) or 2pq > 2^53; no tol >= 1e-13 is out of reach below them.
     """
     tol = (cfg or _DEFAULT_QCFG).tol
@@ -453,25 +450,19 @@ def _smooth_plan(p: int, q: int, n_b: int, tol: float, candidates):
 
 
 @functools.lru_cache(maxsize=64)
-def _psi1_taylor(periods: int, n_b: int, degree: int):
-    """The block centres y_c = (k + 1/2)/n_b (as J + y_c - J, exact) and the Taylor
-    coefficients psi^(i+1)(J + y_c)/i!, i <= degree, one row per block."""
-    centres = periods + (np.arange(n_b) + 0.5) / n_b
-    return (centres - periods).tolist(), trigamma_taylor(centres, degree).T
-
-
-@functools.lru_cache(maxsize=64)
 def _smooth_tables(periods: int, n_b: int, degrees: tuple[int, ...]):
-    """(y_c, tables) for _smooth_block, cached, so read-only: tables[k][b], for block
-    b, the coefficients C(i, k) a_i w_k, k <= i <= N_k, of s_k, a_i = psi^(i+1)(J + y_c)/i!,
+    """(y_c, tables) for _smooth_block, cached, so read-only: the block centres
+    y_c = (b + 1/2)/n_b (as J + y_c - J, exact) and tables[k][b], for block b, the
+    coefficients C(i, k) a_i w_k, k <= i <= N_k, of s_k, a_i = psi^(i+1)(J + y_c)/i!,
     with w_k = 2 F_k/W_k: 1, 1/2, then 2/(k+1) (k even) or 2/(k+2) (k odd)."""
-    y_c, coeffs = _psi1_taylor(periods, n_b, -(-max(degrees) // 8) * 8)
+    centres = periods + (np.arange(n_b) + 0.5) / n_b
+    coeffs = trigamma_taylor(centres, -(-max(degrees) // 8) * 8).T
     tables = []
     for k, degree in enumerate(degrees):
         w = (1.0, 0.5)[k] if k < 2 else 2.0 / (k + 1 + k % 2)
         binom = [math.comb(i, k) * w for i in range(k, degree + 1)]
         tables.append((coeffs[:, k : degree + 1] * binom).tolist())
-    return y_c, tables
+    return (centres - periods).tolist(), tables
 
 
 # ----------------------------------------------------------------------

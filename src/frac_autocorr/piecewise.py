@@ -20,38 +20,27 @@ import numpy as np
 
 from .errors import DomainError
 
-_RANGE = [np.arange(0.0)]  # 0, 1, 2, ..: one read-only range, grown to the longest asked for
+_RANGE = np.arange(2.0**14 + 8)  # 0, 1, 2, ..: only read; as long as a quadrature block
 
 
 def merged_breakpoints(p: int, q: int, u_lo: int, u_hi: int, *, out=None, frac=None) -> np.ndarray:
-    """Sorted u-breakpoints (multiples of p or q) in (u_lo, u_hi] into out[:n] and
-    their f1 = {(p/q)t} + (p/q){t} (u = p t) into frac[:n], float64 (new arrays if
-    None), by the module's closed form with p, q reduced by their gcd; returns out[:n].
-
-    Breakpoint j past 0 is U(j + m), m = floor((j - 1)/(s - 1)) whole periods: one
-    number inside one period (every quadrature block), else one per element.  c is
-    ((i + 1) q + 1/2)/s floored, by a product with 1/s: the quotient is 1/(2s) or
-    more from an integer, beyond the product's two roundings while (i + 1) q < 2^51
-    (else DomainError).  All else is exact on integers below 2^53: f1 is correctly rounded.
-    """
+    """Sorted u-breakpoints (multiples of p or q) in (u_lo, u_hi] into out[:n], their
+    f1 = {(p/q)t} + (p/q){t} (u = p t) into frac[:n] (new arrays if None); returns out[:n].
+    With p, q reduced by their gcd, breakpoint j past 0 is U(j + m), m = floor((j - 1)/(s - 1))
+    periods.  The floors are of half-integers over s - 1 and s, 1/(2s) or more from an integer:
+    products with 1/(s - 1) and 1/s serve while |i + 1| q < 2^51 unreduced, which bounds |u|
+    too (else DomainError); all else is on integers below 2^53: f1 is correctly rounded."""
     g = math.gcd(p, q)
     p, q, s = p // g, q // g, (p + q) // g
     j0, j1 = (v // p + v // q - v // (p * q) for v in (u_lo // g, max(u_hi, u_lo) // g))
-    n, m0, m1 = j1 - j0, j0 // (s - 1), (j1 - 1) // (s - 1)  # j = j0 + 1 .. j1
-    if (max(abs(j0 + m0), abs(j1 + m1)) + 2) * q > 2**51:
-        raise DomainError(f"merged_breakpoints: ({u_lo}, {u_hi}] at p/q = {p}/{q} is past exact float64")
-    if _RANGE[0].size < n:
-        _RANGE[0] = np.arange(float(n))
-        _RANGE[0].flags.writeable = False
-    a = np.empty(n) if frac is None else frac[:n]
-    b = np.empty(n) if out is None else out[:n]
-    if m0 == m1:  # one period: i - 1 = r + j0 + m0, r = 0 .. n - 1
-        np.multiply(_RANGE[0][:n], q, out=a)
-        a += (j0 + m0 + 2) * q + 0.5  # (i + 1) q + 1/2
-    else:  # i - 1 = j - 1 + floor((j - 1)/(s - 1)) for each j
-        a += np.floor(np.divide(np.add(_RANGE[0][:n], j0, out=a), s - 1, out=b), out=b)
-        a *= q
-        a += 2 * q + 0.5
+    n = j1 - j0  # j = j0 + 1 .. j1
+    if ((max(abs(j0), abs(j1)) + 2) * s // (s - 1) + 3) * q * g > 2**51:  # >= |i + 1| q g
+        raise DomainError(f"merged_breakpoints: ({u_lo}, {u_hi}] at p/q = {p * g}/{q * g} is past exact float64")
+    a, b = (np.empty(n) if v is None else v[:n] for v in (frac, out))
+    np.add(_RANGE[:n] if n <= _RANGE.size else np.arange(float(n)), j0 + 0.5, out=a)  # j - 1/2
+    a += np.floor(np.multiply(a, 1.0 / (s - 1), out=b), out=b)  # i - 1/2
+    a *= q
+    a += 1.5 * q + 0.5  # (i + 1) q + 1/2
     np.floor(np.multiply(a, 1.0 / s, out=b), out=b)  # c
     a -= np.multiply(b, s, out=b)  # R + 1/2, R = (i + 1) q - c s
     a -= q + 0.5  # R - q = -D

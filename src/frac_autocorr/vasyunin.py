@@ -144,15 +144,14 @@ def vasyunin_cot(p: int, q: int) -> float:
 def vasyunin_b1cot(p: int, q: int) -> float:
     """V(p, q) through the half-range form 2 sum_{k<q/2} B_1(kp/q) cot(k pi/q)."""
     _require_coprime(p, q)
-    if q > COT_TABLE_MAX_Q:  # before the index rows, as the table would raise only after them
-        raise DomainError(f"vasyunin_b1cot: q = {q} exceeds 2^25, the largest q of the cot table")
+    cot = _cot_table(q)  # first: past its q cap it raises before the index rows are built
     if q <= 2:
         return 0.0
     half = (q - 1) // 2 if q % 2 else q // 2 - 1
     k = np.arange(1, half + 1, dtype=np.int64)
     r = (k * (p % q)) % q
     b1 = r / q - 0.5  # r = 0 impossible for k < q/2 with gcd(p, q) = 1
-    return 2.0 * math.fsum(b1 * _cot_table(q)[: half])
+    return 2.0 * math.fsum(b1 * cot[:half])
 
 
 def vasyunin_psi(p: int, q: int, form: str = "b1") -> float:

@@ -1,10 +1,13 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
+from frac_autocorr import piecewise
 from frac_autocorr.errors import DomainError
 from frac_autocorr.piecewise import merged_breakpoints
 
@@ -113,3 +116,34 @@ def test_merged_breakpoints_refuses_inexact_ranges():
     # points (about 8 of them here, so a missing guard allocates nothing large)
     with pytest.raises(DomainError):
         merged_breakpoints(2**30 + 1, 2**30 + 3, 2**60, 2**60 + 2**32)
+    g = 2**30 + 1  # 3/5 needs few steps, but the breakpoints scale by g past 2^53
+    with pytest.raises(DomainError):
+        merged_breakpoints(3 * g, 5 * g, 2**60, 2**60 + 2**36)
+
+
+def test_merged_breakpoints_in_two_threads():
+    # two threads build ranges of 2^14 and 2^14 - 1 points, and ranges longer
+    # than the shared index range, at once: each gets the bits of a sequential run
+    p, q = 180229, 81920
+    u = merged_breakpoints(p, q, 0, p * q).astype(np.int64).tolist()
+    cases = [[(p, q, 0, u[2**14 - 1]), (p, q, 0, u[2**15])], [(p, q, u[0], u[2**14 - 1]), (p, q, u[0], u[2**15])]]
+    want = [[merged_breakpoints(*c).tobytes() for c in row] for row in cases]
+    assert [[len(w) // 8 for w in row] for row in want] == [[2**14, 2**15 + 1], [2**14 - 1, 2**15]]
+    assert 2**14 < piecewise._RANGE.size < 2**15
+    got = [None, None]
+
+    def run(i):
+        got[i] = [[merged_breakpoints(*c).tobytes() for c in cases[i]] for _ in range(50)]
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[want[0]] * 50, [want[1]] * 50]
