@@ -14,7 +14,8 @@ Two fully independent evaluation paths:
   is streamed once through a kept 2.1 MB per-thread workspace.
   A float lambda is an exact rational, reduced to a convergent mu with a
   continuity bound on |A(lambda) - A(mu)| added to the radius.
-* ``a_rational``: the closed form in Vasyunin sums.
+* ``a_rational``: the closed form in Vasyunin sums, batched over arrays of
+  reduced (p, q) by ``farey_scan`` and ``a_unit_grid``.
 
 They share nothing beyond primitive arithmetic, which is the point: their
 agreement is the verification.
@@ -40,7 +41,7 @@ from .phi import (
     phi2_unit_grid,  # noqa: F401  (binding the perfbench tracer wraps)
 )
 from .piecewise import merged_breakpoints
-from .rational_core import FareyScanRecord, farey_sequence
+from .rational_core import FareyScanRecord, farey_pairs
 from .specfun import EULER_GAMMA, LOG_2PI, PI, CertifiedReal, trigamma_taylor
 from .vasyunin import _v_pairs, modular_inverse, vasyunin_cot
 
@@ -479,9 +480,9 @@ def a_rational(p: int, q: int) -> float:
     return float(_a_closed(p, q, vasyunin_cot(p, q) + vasyunin_cot(q, p)))
 
 
-def _a_closed(p, q: int, v):
-    """A(p/q) for coprime p, q >= 1 from v = V(p, q) + V(q, p); p and v may be
-    arrays of equal shape (numerators over one q)."""
+def _a_closed(p, q, v):
+    """A(p/q) for coprime p, q >= 1 from v = V(p, q) + V(q, p); p, q and v
+    may be arrays of equal shape, entry by entry the same doubles."""
     lam = p / q
     return (
         0.5 * (1.0 - lam) * np.log(lam)
@@ -527,7 +528,7 @@ def delta_functional_equation_residual(p: int, q: int, t: Fraction) -> float:
 
 
 # ----------------------------------------------------------------------
-# Farey sweep and emitters
+# Farey sweep, the A grid and emitters
 # ----------------------------------------------------------------------
 
 
@@ -540,14 +541,30 @@ def farey_scan(order: int, lo: Fraction | int = 0, hi: Fraction | int = 1) -> li
     """
     if Fraction(lo) < 0:
         raise DomainError("farey_scan requires lo >= 0")
-    pairs = [(f.numerator, f.denominator) for f in farey_sequence(order, lo, hi)]
-    p, q = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    pos = np.maximum(p, 1)  # the record 0/1 has A = 0 and needs no V
-    v = (_v_pairs(p % q, q) + _v_pairs(q % pos, pos)).tolist()
-    return [
-        FareyScanRecord(p=a, q=b, lam=a / b, a_value=float(_a_closed(a, b, vab)) if a else 0.0)
-        for (a, b), vab in zip(pairs, v)
-    ]
+    p, q = np.array(farey_pairs(order, lo, hi), dtype=np.int64).reshape(-1, 2).T
+    a = np.zeros(p.size)
+    on = p > 0  # the record 0/1 has A = 0 and needs no V
+    po, qo = p[on], q[on]
+    a[on] = _a_closed(po, qo, _v_pairs(po % qo, qo) + _v_pairs(qo % po, po))
+    return list(map(FareyScanRecord, p.tolist(), q.tolist(), (p / q).tolist(), a.tolist()))
+
+
+@functools.lru_cache(maxsize=2)
+def a_unit_grid(big_q: int) -> np.ndarray:
+    """A(k/Q) for k = 0 .. Q by the closed form, k/Q = p/q reduced by one gcd.
+
+    V(p, q) comes from one _v_pairs call over the k < Q/2, where p < q/2,
+    and the rest by oddness, V(q - p, q) = -V(p, q) (V(1, 2) = 0); V(q mod p, p)
+    from one call over every k.  Every entry equals its a_rational(p, q) up
+    to that oddness.
+    """
+    k = np.arange(1, big_q, dtype=np.int64)
+    g = np.gcd(k, big_q)
+    p, q, n = k // g, big_q // g, (big_q - 1) // 2
+    v = np.zeros(k.size)
+    v[:n] = _v_pairs(p[:n], q[:n])
+    v[k.size - n :] = -v[:n][::-1]
+    return np.concatenate(([0.0], _a_closed(p, q, v + _v_pairs(q % p, p)), [a_rational(1, 1)]))
 
 
 def write_farey_csv(records: list[FareyScanRecord], path: str) -> None:

@@ -24,10 +24,6 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def _parse_complex(text: str) -> complex:
     return complex(text.replace(" ", ""))
 
@@ -36,7 +32,7 @@ def _cmd_value(args) -> int:
     kind = args.quantity
     out: dict[str, object] = {"quantity": kind, "args": args.args}
     if kind == "A":
-        lam = _parse_fraction(args.args[0])
+        lam = Fraction(args.args[0])
         closed = autocorr.a_rational(lam.numerator, lam.denominator)
         quad = autocorr.a_quadrature(lam)
         out["value"] = closed
@@ -58,7 +54,7 @@ def _cmd_value(args) -> int:
         out["value"] = v
         lines = [f"phi1({p}/{q}) = {_fmt(v)}"]
     elif kind == "phi2":
-        x = _parse_fraction(args.args[0])
+        x = Fraction(args.args[0])
         r = phi.phi_n(2, x)
         out["value"] = r.value
         out["radius"] = r.err

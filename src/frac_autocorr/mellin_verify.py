@@ -6,10 +6,11 @@ function each, and each checks the strip -1 < Re s < 0 itself.
 
 * ``mellin_fracpart``: piecewise closed forms plus a Bernoulli-chain tail,
   with an error below 1e-10.
-* ``mellin_autocorr``: A sampled once on a dyadic grid of rationals,
-  panel-exact integration of the interpolant on [1/32, 1], and closed forms
-  beyond, using A(x) = x A(1/x) and A(u) = log(u)/2 + c0 + rho(u) with the
-  rho integrals reduced exactly to integration-by-parts tails of phi_2.
+* ``mellin_autocorr``: A sampled once on a dyadic grid of rationals
+  (``autocorr.a_unit_grid``), panel-exact integration of the interpolant on
+  [1/32, 1], and closed forms beyond, using A(x) = x A(1/x) and
+  A(u) = log(u)/2 + c0 + rho(u) with the rho integrals reduced exactly to
+  integration-by-parts tails of phi_2.
 * ``mellin_delta``: a local t log t model in closed form on the cusp window
   [0, W], and ``phi.delta_power_integral`` from W on.
 """
@@ -17,13 +18,12 @@ function each, and each checks the strip -1 < Re s < 0 itself.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from .autocorr import _a_closed, a_rational
+from .autocorr import a_unit_grid
 from .errors import DomainError
 from .estermann import g1
 from .phi import (
@@ -34,9 +34,7 @@ from .phi import (
     phi2_tail_integral,
     phi2_unit_grid,  # noqa: F401  (binding the perfbench tracer wraps)
 )
-from .rational_core import divisors
 from .specfun import EULER_GAMMA, LOG_2PI, PI, riemann_zeta
-from .vasyunin import _v_pairs, _v_rows
 
 _GRID_Q = 1 << 14
 _V_CUT = 32  # the [0, 1/V] end of the unit interval is handled analytically
@@ -84,35 +82,6 @@ def mellin_fracpart(s: complex | float, scale: Fraction | int = 1) -> complex:
 # ----------------------------------------------------------------------
 # autocorr
 # ----------------------------------------------------------------------
-
-
-@functools.lru_cache(maxsize=2)
-def a_unit_grid(big_q: int = _GRID_Q) -> np.ndarray:
-    """A(k/Q) for k = 0 .. Q via the closed form, batched per denominator.
-
-    k = g j with j/q' reduced, q' = Q/g.  V(j, q') takes one kernel call per
-    q' (the half j < q'/2; the rest by oddness in the numerator), and
-    V(q' mod j, j) one call per j over the pairs of every q' at once.
-    """
-    out = np.zeros(big_q + 1, dtype=np.float64)
-    out[big_q] = a_rational(1, 1)
-    cells = []  # (g, q', numerators j coprime to q'), q' > 1
-    for g in divisors(big_q)[:-1]:
-        qp = big_q // g
-        js = np.arange(1, qp, dtype=np.int64)
-        cells.append((g, qp, js[np.gcd(js, qp) == 1]))
-    if not cells:
-        return out
-    den = np.concatenate([js for _, _, js in cells])
-    v2 = _v_pairs(np.concatenate([qp % js for _, qp, js in cells]), den)
-    at = 0
-    for g, qp, js in cells:
-        # the j < q'/2 come first, the rest are q' - j; q' = 2 has V(1, 2) = 0
-        v_half = _v_rows(qp, js[: js.size // 2])
-        v1 = np.concatenate([v_half, np.zeros(js.size % 2), -v_half[::-1]])
-        out[js * g] = _a_closed(js, qp, v1 + v2[at : at + js.size])
-        at += js.size
-    return out
 
 
 def _int_power_tail(v: int, a: complex) -> complex:

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ToleranceError
+from .errors import DomainError, ToleranceError
 from .fracpart import bernoulli_poly, max_abs_bernoulli
 from .rational_core import divisors, unit_coordinates
 from .specfun import (
@@ -44,6 +44,9 @@ class PhiEvalConfig:
 
 _DEFAULT_CFG = PhiEvalConfig()
 _MAX_TERMS = 10_000_000  # terms of the truncated phi_n series
+# Denominators of the resummation, capped by time: it holds about 80 bytes a
+# term and takes about 0.3 s at the cap (shared 2-core x86-64, numpy 2.4).
+_MAX_RESUM_Q = 2**20
 
 
 @dataclass(frozen=True)
@@ -76,14 +79,17 @@ def phi_sup_bound(n: int) -> float:
 
 
 def phi_resum_rational(n: int, x: Fraction) -> float:
-    """Exact resummation of phi_n at a rational point."""
+    """Exact resummation of phi_n at a rational point, n >= 2.
+
+    Serves denominators up to _MAX_RESUM_Q (DomainError above, before
+    anything is allocated)."""
     x = Fraction(x) - math.floor(x)
     p, q = x.numerator, x.denominator
+    if q > _MAX_RESUM_Q:
+        raise DomainError(f"phi_{n}({x}): denominator {q} exceeds 2^20, the resummation's cap")
     r = np.arange(1, q + 1, dtype=np.int64)
     frac = ((r * p) % q) / q
     bvals = bernoulli_poly(n, frac)
-    if n == 1:  # B_1 convention: zero at integers
-        bvals = np.where((r * p) % q == 0, 0.0, bvals)
     zvals = hurwitz_zeta_int_vec(n, r / q)
     return math.fsum(bvals * zvals) / q**n
 
@@ -111,7 +117,6 @@ def phi_n(n: int, x, cfg: PhiEvalConfig | None = None) -> CertifiedReal:
             f"phi_{n}({x}): tolerance {cfg.tol} needs {k_need} terms (max {_MAX_TERMS})",
             achieved=achieved,
         )
-    total = 0.0
     chunks = []
     for start in range(1, k_need + 1, 1_000_000):
         k = np.arange(start, min(start + 1_000_000, k_need + 1), dtype=np.float64)

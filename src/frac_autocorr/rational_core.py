@@ -30,8 +30,8 @@ def frac_rational(x: Fraction | int) -> Fraction:
     return x - math.floor(x)
 
 
-def farey_sequence(order: int, lo: Fraction | int = 0, hi: Fraction | int = 1) -> list[Fraction]:
-    """All reduced fractions with denominator <= order in [lo, hi], ascending.
+def farey_pairs(order: int, lo: Fraction | int = 0, hi: Fraction | int = 1) -> list[tuple[int, int]]:
+    """(p, q) of every reduced fraction p/q with q <= order in [lo, hi], ascending.
 
     Consecutive terms a/b, c/d satisfy bc - ad = 1.  The walk starts at the
     first term >= lo and its predecessor, found by comparing ceil(lo d)/d
@@ -49,12 +49,17 @@ def farey_sequence(order: int, lo: Fraction | int = 0, hi: Fraction | int = 1) -
             c, d = num, den
         if (num - 1) * b > a * den:
             a, b = num - 1, den
-    out: list[Fraction] = []
+    out = []
     while c * hi.denominator <= hi.numerator * d:
-        out.append(Fraction(c, d))
+        out.append((c, d))
         k = (order + b) // d
         a, b, c, d = c, d, k * c - a, k * d - b
     return out
+
+
+def farey_sequence(order: int, lo: Fraction | int = 0, hi: Fraction | int = 1) -> list[Fraction]:
+    """The Farey fractions of farey_pairs(order, lo, hi) as Fractions."""
+    return [Fraction(p, q) for p, q in farey_pairs(order, lo, hi)]
 
 
 def frac_ratio(u: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray:

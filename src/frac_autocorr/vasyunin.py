@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError, NonCoprimeError
 from .rational_core import frac_ratio
-from .specfun import COT_TABLE_MAX_Q, EULER_GAMMA, PI, cot_pi_frac_table, digamma_vec
+from .specfun import COT_TABLE_MAX_Q, PI, cot_pi_frac_table, digamma_vec
 
 
 def modular_inverse(p: int, q: int) -> int:
@@ -154,42 +154,30 @@ def vasyunin_b1cot(p: int, q: int) -> float:
     return 2.0 * math.fsum(b1 * cot[:half])
 
 
-def vasyunin_psi(p: int, q: int, form: str = "b1") -> float:
-    """V(p, q) through the digamma representation.
-
-    form="b1":   -(2/pi) sum B_1(kp/q) psi(k/q)
-    form="frac": -(2/pi) sum {kp/q} psi(k/q) - (q/pi)(log q + gamma) + gamma/pi
-
-    The gamma/pi term is the k = q contribution of the digamma sum identity
-    sum_{k<=q} psi(k/q) = -q(log q + gamma), which the half-open sum misses.
-    """
+def vasyunin_psi(p: int, q: int) -> float:
+    """V(p, q) through the digamma representation -(2/pi) sum B_1(kp/q) psi(k/q)."""
     _require_coprime(p, q)
     if q == 1:
         return 0.0
-    v = -(2.0 / PI) * vasyunin_noncoprime(p % q, q, form)
-    return v if form == "b1" else v - (q / PI) * (math.log(q) + EULER_GAMMA) + EULER_GAMMA / PI
+    return -(2.0 / PI) * vasyunin_noncoprime(p % q, q)
 
 
-def vasyunin_noncoprime(a: int, b: int, form: str = "b1") -> float:
+def vasyunin_noncoprime(a: int, b: int) -> float:
     """sum_{m<b} B_1(ma/b) psi(m/b) for arbitrary positive a, b.
 
-    Equals -(pi d / 2) V(a/d, b/d) with d = gcd(a, b).  form="frac" gives
-    the companion sum_{m<b} {ma/b} psi(m/b), which carries the extra
-    -(b/2)(log b + gamma) + (d/2)(log d + gamma) correction.
+    Equals -(pi d / 2) V(a/d, b/d) with d = gcd(a, b).  Serves b <= 2^25,
+    the V kernel's cap (DomainError above, before anything is allocated).
     """
     if a < 1 or b < 1:
         raise ValueError("vasyunin_noncoprime requires positive integers")
+    if b > COT_TABLE_MAX_Q:
+        raise DomainError(f"V by digamma: b = {b} exceeds 2^25, the largest q of the V kernel")
     if b == 1:
         return 0.0
     m = np.arange(1, b, dtype=np.int64)
     r = (m * (a % b)) % b
-    psi = _psi_table(b)
-    if form == "b1":
-        b1 = np.where(r == 0, 0.0, r / b - 0.5)
-        return math.fsum(b1 * psi)
-    if form == "frac":
-        return math.fsum((r / b) * psi)
-    raise ValueError(f"unknown form {form!r}")
+    b1 = np.where(r == 0, 0.0, r / b - 0.5)
+    return math.fsum(b1 * _psi_table(b))
 
 
 def v_row(q: int) -> list[tuple[int, float]]:

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from frac_autocorr import autocorr
 from frac_autocorr.autocorr import (
     QuadratureConfig,
+    _a_closed,
     _head_block,
     _head_sum,
     _lattice_blocks,
@@ -20,6 +21,7 @@ from frac_autocorr.autocorr import (
     _smooth_tables,
     a_quadrature,
     a_rational,
+    a_unit_grid,
     delta_functional_equation_residual,
     farey_scan,
     local_model,
@@ -30,6 +32,7 @@ from frac_autocorr.errors import DomainError, ToleranceError
 from frac_autocorr.piecewise import merged_breakpoints
 from frac_autocorr.phi import delta_power_integral, phi1_rational, phi_n
 from frac_autocorr.specfun import EULER_GAMMA, LOG_2PI, PI
+from frac_autocorr.vasyunin import vasyunin_cot
 
 A1 = LOG_2PI - EULER_GAMMA  # A(1)
 
@@ -557,6 +560,20 @@ def test_farey_scan_batched_equals_a_rational(order, lo, width):
     for r in recs:
         assert r.a_value == (a_rational(r.p, r.q) if r.p else 0.0)
         assert type(r.a_value) is float
+
+
+@pytest.mark.parametrize("big_q", [1, 2, 3, 12, 4095, 4096])
+def test_a_unit_grid_entries_are_closed_forms_bit_for_bit(big_q):
+    # k <= Q/2 is a_rational(p, q); past Q/2, V(p, q) is -V(q - p, q), by oddness
+    grid = a_unit_grid(big_q)
+    assert grid.shape == (big_q + 1,)
+    for k, value in enumerate(grid.tolist()):
+        f = Fraction(k, big_q)
+        p, q = f.numerator, f.denominator
+        if 2 * k <= big_q:
+            assert value == a_rational(p, q), k
+        else:
+            assert value == _a_closed(p, q, -vasyunin_cot(q - p, q) + vasyunin_cot(q % p, p)), k
 
 
 def test_farey_emitters(tmp_path):

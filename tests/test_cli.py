@@ -115,6 +115,11 @@ def test_memory_error_is_a_usage_error(capsys, monkeypatch):
     assert capsys.readouterr().err == "error: MemoryError\n"
 
 
+def test_phi2_past_the_resummation_cap_is_a_usage_error(capsys):
+    assert run(["value", "phi2", "1/1000000007"]) == 2
+    assert "exceeds 2^20, the resummation's cap" in capsys.readouterr().err
+
+
 def test_dump_residual_tables(tmp_path, capsys):
     fe = tmp_path / "fe.csv"
     assert run(["dump", "fe-residuals", "--qmax", "8", "--count", "2", "--out", str(fe)]) == 0

@@ -1,7 +1,9 @@
 import math
 import random
 import sys
+import time
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from frac_autocorr import mellin_verify, vasyunin
 from frac_autocorr.autocorr import a_rational
 from frac_autocorr.errors import DomainError, NonCoprimeError
+from frac_autocorr.phi import phi_n, phi_resum_rational
 from frac_autocorr.specfun import EULER_GAMMA, PI, cot_pi_frac_table, digamma_vec
 from frac_autocorr.vasyunin import (
     modular_inverse,
@@ -59,6 +62,21 @@ def _v_rows_int64(q: int, ps: np.ndarray) -> np.ndarray:
     return out
 
 
+def _noncoprime_frac(a: int, b: int) -> float:
+    """Test oracle: the companion sum_{m<b} {ma/b} psi(m/b), which carries the
+    extra -(b/2)(log b + gamma) + (d/2)(log d + gamma), d = gcd(a, b), against
+    the B_1 sum of vasyunin_noncoprime."""
+    m = np.arange(1, b, dtype=np.int64)
+    return math.fsum(((m * (a % b)) % b / b) * digamma_vec(m / b))
+
+
+def _psi_frac(p: int, q: int) -> float:
+    """Test oracle: V(p, q) through the fractional-part digamma sum,
+    -(2/pi) sum {kp/q} psi(k/q) - (q/pi)(log q + gamma) + gamma/pi, the
+    gamma/pi being the k = q term of sum_{k<=q} psi(k/q) = -q(log q + gamma)."""
+    return -(2.0 / PI) * _noncoprime_frac(p % q, q) - (q / PI) * (math.log(q) + EULER_GAMMA) + EULER_GAMMA / PI
+
+
 def _coprime_at_or_above(p: int, q: int) -> int:
     while math.gcd(p, q) != 1:
         p += 1
@@ -85,7 +103,7 @@ def test_psi_form_and_corrected_frac_form():
     assert vasyunin_psi(1, 3) == pytest.approx(vasyunin_cot(1, 3), abs=1e-12)
     assert abs(vasyunin_psi(1, 2)) < 1e-13
     # the fractional-part variant; q = 5, p = 2 as the worked example
-    assert vasyunin_psi(2, 5, form="frac") == pytest.approx(vasyunin_cot(2, 5), abs=1e-11)
+    assert _psi_frac(2, 5) == pytest.approx(vasyunin_cot(2, 5), abs=1e-11)
 
 
 def test_periodicity_and_oddness_exhaustive():
@@ -107,7 +125,7 @@ def test_three_form_agreement_sample():
         v = vasyunin_cot(p, q)
         assert abs(v - vasyunin_b1cot(p, q)) <= 1e-10 * q
         assert abs(v - vasyunin_psi(p, q)) <= 1e-9 * q
-        assert abs(v - vasyunin_psi(p, q, form="frac")) <= 1e-9 * q
+        assert abs(v - _psi_frac(p, q)) <= 1e-9 * q
 
 
 def test_growth_bound():
@@ -143,7 +161,7 @@ def test_noncoprime_frac_display():
             - (b / 2.0) * (math.log(b) + EULER_GAMMA)
             + (d / 2.0) * (math.log(d) + EULER_GAMMA)
         )
-        assert vasyunin_noncoprime(a, b, form="frac") == pytest.approx(want, abs=1e-9 * b)
+        assert _noncoprime_frac(a, b) == pytest.approx(want, abs=1e-9 * b)
 
 
 def _trig_kl_sum(p: int, q: int, centered: bool = False) -> complex:
@@ -242,33 +260,42 @@ def test_cot_table_half_range_is_bit_identical_to_full_range():
 
 def test_a_unit_grid_is_bit_identical_with_int64_oracle_kernel():
     want = mellin_verify.a_unit_grid(1024)
-    with mock.patch.object(vasyunin, "_v_rows", _v_rows_int64), mock.patch.object(
-        mellin_verify, "_v_rows", _v_rows_int64
-    ):
+    with mock.patch.object(vasyunin, "_v_rows", _v_rows_int64):
         got = mellin_verify.a_unit_grid.__wrapped__(1024)
     assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize(
-    "fn, args",
+    "fn, args, match",
     [
-        (vasyunin.vasyunin_cot, (1, 2**25 + 1)),
-        (a_rational, (1, 2**25 + 1)),
-        (cot_pi_frac_table, (2**25 + 1,)),
-        (vasyunin.vasyunin_b1cot, (1, 2**25 + 1)),
+        (vasyunin.vasyunin_cot, (1, 2**25 + 1), "exceeds 2\\^25"),
+        (a_rational, (1, 2**25 + 1), "exceeds 2\\^25"),
+        (cot_pi_frac_table, (2**25 + 1,), "exceeds 2\\^25"),
+        (vasyunin.vasyunin_b1cot, (1, 2**25 + 1), "exceeds 2\\^25"),
+        (vasyunin_psi, (1, 2**25 + 1), "exceeds 2\\^25"),
+        (vasyunin_noncoprime, (1, 2**25 + 1), "exceeds 2\\^25"),
+        (phi_resum_rational, (2, Fraction(1, 2**20 + 1)), "exceeds 2\\^20"),
+        (phi_n, (2, Fraction(1, 2**20 + 1)), "exceeds 2\\^20"),
     ],
-    ids=["vasyunin_cot", "a_rational", "cot_pi_frac_table", "vasyunin_b1cot"],
+    ids=[
+        "vasyunin_cot", "a_rational", "cot_pi_frac_table", "vasyunin_b1cot",
+        "vasyunin_psi", "vasyunin_noncoprime", "phi_resum_rational", "phi_n",
+    ],
 )
-def test_v_kernel_size_guard_raises_before_allocating(fn, args):
-    # float64 remainders p k mod q are exact only while q^2 < 2^53
+def test_v_kernel_size_guard_raises_before_allocating(fn, args, match):
+    # float64 remainders p k mod q are exact only while q^2 < 2^53; the
+    # digamma route shares that cap, the phi_n resummation has its own
     tracemalloc.start()
     try:
-        with pytest.raises(DomainError, match="exceeds 2\\^25"):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=match):
             fn(*args)
+        elapsed = time.perf_counter() - start
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+    assert elapsed < 1.0
 
 
 def _held_bytes_after(fn) -> int:
@@ -324,7 +351,7 @@ def test_uncached_tables_give_the_same_values(monkeypatch, q):
     for p, v in row[::7]:
         assert abs(v - vasyunin_b1cot(p, q)) <= 1e-10 * q
         assert abs(v - vasyunin_psi(p, q)) <= 1e-9 * q
-        assert abs(v - vasyunin_psi(p, q, form="frac")) <= 1e-9 * q
+        assert abs(v - _psi_frac(p, q)) <= 1e-9 * q
     assert vasyunin._cot_table.cache_info().currsize == 0
     assert vasyunin._psi_table.cache_info().currsize == 0
 
