@@ -52,11 +52,10 @@ def exact_identities() -> list[CheckResult]:
         f = [0] + [rng.randint(-9, 9) for _ in range(need)]
         g = [0] + [rng.randint(-9, 9) for _ in range(need)]
         bad += fracpart.hl_symmetry_residual(theta, x, f.__getitem__, g.__getitem__) != 0
-    for _ in range(500):  # Sylvester
+    for _ in range(500):  # Sylvester: Hardy-Littlewood with f = g = id (int, on the integers)
         theta = Fraction(rng.randint(1, 40), rng.randint(1, 40))
         x = Fraction(rng.randint(1, 500), rng.randint(1, 9))
-        lhs, rhs = fracpart.sylvester_sum_check(theta, x)
-        bad += lhs != rhs
+        bad += fracpart.hl_symmetry_residual(theta, x, int, int) != 0
     for _ in range(500):  # triangular-number fractional-part identity
         x = Fraction(rng.randint(0, 4000), rng.randint(1, 40))
         fx = x - math.floor(x)

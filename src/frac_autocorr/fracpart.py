@@ -1,8 +1,9 @@
 """Bernoulli polynomials/functions and exact fractional-part identities.
 
-The summation identities (Hardy-Littlewood symmetry, Sylvester floors,
-paired B_1 sums) are evaluated in exact rational arithmetic whenever the
-inputs are rational; floats are reserved for irrational parameters.
+The summation identities (Hardy-Littlewood symmetry, which with f = g = id
+is Sylvester's floor identity, and paired B_1 sums) are evaluated in exact
+rational arithmetic whenever the inputs are rational; floats are reserved
+for irrational parameters.
 """
 
 from __future__ import annotations
@@ -12,40 +13,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from .piecewise import (
-    frac_over_t2_integral,
-    frac_product_integral,
-    frac_square_integral,
-    piece_grid,
-)
-
-_MAX_BERNOULLI = 20
-
-
-def _bernoulli_coeff_tables(nmax: int) -> list[list[Fraction]]:
-    """Coefficients of b_0 .. b_nmax (ascending powers), from b_n' = n b_{n-1}
-    with the normalisation integral_0^1 b_n = 0 for n >= 1."""
-    tables = [[Fraction(1)]]
-    for n in range(1, nmax + 1):
-        prev = tables[-1]
-        coeffs = [Fraction(0)] + [Fraction(n) * c / (k + 1) for k, c in enumerate(prev)]
-        const = -sum(c / (k + 1) for k, c in enumerate(coeffs) if k > 0)
-        coeffs[0] = const
-        tables.append(coeffs)
-    return tables
-
-
-_B_TABLES = _bernoulli_coeff_tables(_MAX_BERNOULLI)
+from .piecewise import frac_over_t2_integral, frac_product_integral, piece_grid
+from .specfun import BERNOULLI_POLYS
 
 
 def bernoulli_poly(n: int, x):
-    """b_n(x) by Horner evaluation of the exact coefficient table (n <= 20).
+    """b_n(x) by Horner evaluation of the exact coefficient table (n <= 24).
 
     Exact when x is a Fraction or int, float otherwise.
     """
-    if n < 0 or n > _MAX_BERNOULLI:
-        raise ValueError(f"bernoulli_poly supports 0 <= n <= {_MAX_BERNOULLI}")
-    coeffs = _B_TABLES[n]
+    if not 0 <= n < len(BERNOULLI_POLYS):
+        raise ValueError(f"bernoulli_poly supports 0 <= n <= {len(BERNOULLI_POLYS) - 1}")
+    coeffs = BERNOULLI_POLYS[n]
     if isinstance(x, (Fraction, int)):
         acc = Fraction(0)
         for c in reversed(coeffs):
@@ -61,23 +40,23 @@ def bernoulli_fn(n: int, x):
     """Periodised Bernoulli function B_n(x) = b_n({x}), with B_1 zero at integers."""
     if n < 1:
         raise ValueError("bernoulli_fn requires n >= 1")
-    if isinstance(x, (Fraction, int)):
-        fx = Fraction(x) - math.floor(x)
-        if n == 1:
-            return Fraction(0) if fx == 0 else fx - Fraction(1, 2)
-        return bernoulli_poly(n, fx)
     fx = x - math.floor(x)
     if n == 1:
-        return 0.0 if fx == 0.0 else fx - 0.5
+        return fx - Fraction(1, 2) if fx else fx
     return bernoulli_poly(n, fx)
+
+
+def zeta_upper_bound(n: int) -> float:
+    """zeta(n) <= sum_{k<64} k^-n + integral_63^inf t^-n dt (n >= 2), the one
+    zeta(n) of the sup bounds."""
+    return sum(k ** (-float(n)) for k in range(1, 64)) + 63.0 ** (1 - n) / (n - 1)
 
 
 def max_abs_bernoulli(n: int) -> float:
     """Rigorous bound sup |B_n| <= 2 n! zeta(n) / (2 pi)^n (n >= 2)."""
     if n == 1:
         return 0.5
-    zeta_n = sum(k ** (-float(n)) for k in range(1, 64)) + 63.0 ** (1 - n) / (n - 1)
-    return 2.0 * math.factorial(n) * zeta_n / (2.0 * math.pi) ** n
+    return 2.0 * math.factorial(n) * zeta_upper_bound(n) / (2.0 * math.pi) ** n
 
 
 def hl_symmetry_residual(theta, x, f, g):
@@ -108,23 +87,6 @@ def hl_symmetry_residual(theta, x, f, g):
             for k in range(1, math.floor(Fraction(x) / q) + 1)
         )
     return lhs - rhs
-
-
-def sylvester_sum_check(theta, x):
-    """Both sides of the Sylvester floor identity, as (lhs, rhs) integers.
-
-    lhs = sum_{m<=x} floor(m theta) + sum_{n<=theta x} floor(n/theta);
-    rhs = floor(x) floor(theta x), plus floor(x/q) when theta = p/q.
-    """
-    rational = isinstance(theta, (Fraction, int))
-    theta_ = Fraction(theta) if rational else theta
-    theta_x = theta_ * x
-    lhs = sum(math.floor(m * theta_) for m in range(1, math.floor(x) + 1))
-    lhs += sum(math.floor(n / theta_) for n in range(1, math.floor(theta_x) + 1))
-    rhs = math.floor(x) * math.floor(theta_x)
-    if rational:
-        rhs += math.floor(Fraction(x) / Fraction(theta_).denominator)
-    return lhs, rhs
 
 
 def gronwall_sup_scan(n_max: int = 2000, grid: int = 4096) -> float:
@@ -222,8 +184,8 @@ def weighted_b1_identity_residual(theta: Fraction, x: float) -> float:
     ftx = lam * x - math.floor(lam * x)
     d = ftx - lam * fx
     rhs = (
-        0.5 * lam * frac_square_integral(x)
-        + 0.5 * frac_square_integral(lam * x)
+        0.5 * lam * frac_product_integral(1, Fraction(x))
+        + 0.5 * frac_product_integral(1, Fraction(lam * x))
         - frac_product_integral(theta, Fraction(x))
         + 0.5 * (lam - 1.0) * math.log(1.0 / lam)
         + 0.5 * (lam - 1.0) * frac_over_t2_integral(x, lam * x)

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, ToleranceError
-from .fracpart import bernoulli_poly, max_abs_bernoulli
+from .fracpart import bernoulli_poly, max_abs_bernoulli, zeta_upper_bound
 from .rational_core import divisors, unit_coordinates
 from .specfun import (
     EULER_GAMMA,
@@ -68,14 +68,9 @@ class ExpansionCoefficients:
     q: int
 
 
-def zeta_int(n: int) -> float:
-    """zeta(n) for integer n >= 2."""
-    return float(hurwitz_zeta_int_vec(n, np.array([1.0]))[0])
-
-
 def phi_sup_bound(n: int) -> float:
     """Rigorous sup_x |phi_n(x)| <= max|B_n| zeta(n)."""
-    return max_abs_bernoulli(n) * zeta_int(n)
+    return max_abs_bernoulli(n) * zeta_upper_bound(n)
 
 
 def phi_resum_rational(n: int, x: Fraction) -> float:

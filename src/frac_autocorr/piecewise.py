@@ -92,22 +92,6 @@ def frac_product_integral(theta: Fraction, T: Fraction | float) -> float:
     return math.fsum(terms)
 
 
-def frac_square_integral(T: Fraction | float) -> float:
-    """integral_0^T ({t}/t)^2 dt, piecewise exact."""
-    T = float(T)
-    if T <= 0:
-        raise ValueError("frac_square_integral requires T > 0")
-    terms = [min(T, 1.0)]  # [0, 1): integrand is exactly 1
-    m = 1
-    while m < T:
-        a = float(m)
-        b = min(a + 1.0, T)
-        # integral of (t-m)^2/t^2 = t - 2m log t - m^2/t
-        terms.append((b - a) - 2.0 * m * math.log(b / a) - m * m * (1.0 / b - 1.0 / a))
-        m += 1
-    return math.fsum(terms)
-
-
 def frac_over_t2_integral(a: float, b: float) -> float:
     """integral_a^b {t} / t^2 dt (a, b > 0, either order)."""
     if a <= 0 or b <= 0:

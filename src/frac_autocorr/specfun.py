@@ -6,7 +6,8 @@ targets: digamma (and Lehmer's gamma(r, q) from it) and log-gamma aim at
 at <= 1e-12 relative error for moderate |Im s|.  The Hurwitz zeta also
 takes an array of a (one row per call); vectorised real variants for
 integer first argument are provided for the grid computations of the phi
-modules.
+modules.  The exact Bernoulli polynomials, and the Bernoulli numbers that
+every asymptotic series here reads, come from one table.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -25,21 +27,22 @@ EULER_GAMMA = 0.5772156649015329
 LOG_2PI = 1.8378770664093453
 PI = math.pi
 
-# Bernoulli numbers B_2, B_4, ..., B_24 (exact values as floats).
-_BERNOULLI_2N = (
-    1.0 / 6.0,
-    -1.0 / 30.0,
-    1.0 / 42.0,
-    -1.0 / 30.0,
-    5.0 / 66.0,
-    -691.0 / 2730.0,
-    7.0 / 6.0,
-    -3617.0 / 510.0,
-    43867.0 / 798.0,
-    -174611.0 / 330.0,
-    854513.0 / 138.0,
-    -236364091.0 / 2730.0,
-)
+
+def _bernoulli_coeff_tables(nmax: int) -> list[list[Fraction]]:
+    """Coefficients of b_0 .. b_nmax (ascending powers), from b_n' = n b_{n-1}
+    with the normalisation integral_0^1 b_n = 0 for n >= 1."""
+    tables = [[Fraction(1)]]
+    for n in range(1, nmax + 1):
+        coeffs = [Fraction(0)] + [Fraction(n) * c / (k + 1) for k, c in enumerate(tables[-1])]
+        coeffs[0] = -sum(c / (k + 1) for k, c in enumerate(coeffs) if k > 0)
+        tables.append(coeffs)
+    return tables
+
+
+# The exact Bernoulli polynomials b_0 .. b_24, and the numbers B_2, B_4, ..., B_24
+# (their constant terms) as correctly rounded floats.
+BERNOULLI_POLYS = _bernoulli_coeff_tables(24)
+_BERNOULLI_2N = tuple(float(c[0]) for c in BERNOULLI_POLYS[2::2])
 
 
 @dataclass(frozen=True)

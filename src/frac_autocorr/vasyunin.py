@@ -12,7 +12,8 @@ reference the worst error for q <= 4096 is about 5e-16 q (the acceptance
 bound is 1e-8 q).  A row's sum does not depend on the rows beside it, so
 an entry and the same entry of a whole row are bit-identical.  The last
 32 cot and digamma tables of q <= 2^14 are cached (at most 4 MB each).
-The other routes keep their own int64 remainders.
+The other routes keep their own int64 remainders; the digamma route
+serves q <= 2^20, a cap set by time.
 """
 
 from __future__ import annotations
@@ -162,16 +163,21 @@ def vasyunin_psi(p: int, q: int) -> float:
     return -(2.0 / PI) * vasyunin_noncoprime(p % q, q)
 
 
+# Denominators of the digamma route, capped by time: it holds about 96 bytes a
+# term and takes about 0.3 s at the cap (shared 2-core x86-64, numpy 2.4).
+_MAX_PSI_Q = 2**20
+
+
 def vasyunin_noncoprime(a: int, b: int) -> float:
     """sum_{m<b} B_1(ma/b) psi(m/b) for arbitrary positive a, b.
 
-    Equals -(pi d / 2) V(a/d, b/d) with d = gcd(a, b).  Serves b <= 2^25,
-    the V kernel's cap (DomainError above, before anything is allocated).
+    Equals -(pi d / 2) V(a/d, b/d) with d = gcd(a, b).  Serves b <= 2^20,
+    the digamma route's cap (DomainError above, before anything is allocated).
     """
     if a < 1 or b < 1:
         raise ValueError("vasyunin_noncoprime requires positive integers")
-    if b > COT_TABLE_MAX_Q:
-        raise DomainError(f"V by digamma: b = {b} exceeds 2^25, the largest q of the V kernel")
+    if b > _MAX_PSI_Q:
+        raise DomainError(f"V by digamma: b = {b} exceeds 2^20, the digamma route's cap")
     if b == 1:
         return 0.0
     m = np.arange(1, b, dtype=np.int64)

@@ -14,7 +14,6 @@ from frac_autocorr.fracpart import (
     gronwall_sup_scan,
     hl_symmetry_residual,
     max_abs_bernoulli,
-    sylvester_sum_check,
     weighted_b1_identity_residual,
 )
 
@@ -29,8 +28,9 @@ def test_bernoulli_poly_table_values():
     # recurrence-generated b_3 (the printed table's b_3 row is a typo)
     assert bernoulli_poly(3, Fraction(1)) == Fraction(1, 2) - Fraction(3, 2) + 1
     assert bernoulli_poly(12, 0) == Fraction(-691, 2730)  # B_12
+    assert bernoulli_poly(24, 0) == Fraction(-236364091, 2730)  # B_24
     with pytest.raises(ValueError):
-        bernoulli_poly(21, 0.5)
+        bernoulli_poly(25, 0.5)
 
 
 def test_bernoulli_fn_values():
@@ -113,10 +113,28 @@ def test_hl_symmetry_irrational():
             assert r == 0
 
 
+def _sylvester_sides(theta, x):
+    """Sylvester's floor identity by direct sums, as (lhs, rhs) integers:
+    sum_{m<=x} floor(m theta) + sum_{n<=theta x} floor(n/theta) and
+    floor(x) floor(theta x), plus floor(x/q) when theta = p/q."""
+    theta_x = theta * x
+    lhs = sum(math.floor(m * theta) for m in range(1, math.floor(x) + 1))
+    lhs += sum(math.floor(n / theta) for n in range(1, math.floor(theta_x) + 1))
+    rhs = math.floor(x) * math.floor(theta_x)
+    if isinstance(theta, Fraction):
+        rhs += math.floor(Fraction(x) / theta.denominator)
+    return lhs, rhs
+
+
+def _identity(n):
+    return n
+
+
 def test_sylvester_examples():
-    assert sylvester_sum_check(SQRT2, 2.5) == (6, 6)
-    assert sylvester_sum_check(Fraction(1, 2), 3) == (4, 4)
-    assert sylvester_sum_check(Fraction(1), 1) == (2, 2)
+    # Sylvester is the Hardy-Littlewood identity with f = g = id
+    for theta, x, total in [(SQRT2, 2.5, 6), (Fraction(1, 2), 3, 4), (Fraction(1), 1, 2)]:
+        assert _sylvester_sides(theta, x) == (total, total)
+        assert hl_symmetry_residual(theta, x, _identity, _identity) == 0
 
 
 def test_sylvester_randomized_exact():
@@ -124,8 +142,9 @@ def test_sylvester_randomized_exact():
     for _ in range(300):
         theta = Fraction(rng.randint(1, 40), rng.randint(1, 40))
         x = Fraction(rng.randint(1, 500), rng.randint(1, 9))
-        lhs, rhs = sylvester_sum_check(theta, x)
+        lhs, rhs = _sylvester_sides(theta, x)
         assert lhs == rhs
+        assert hl_symmetry_residual(theta, x, _identity, _identity) == 0
 
 
 def test_triangular_fracpart_identity_exact():

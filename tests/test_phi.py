@@ -7,6 +7,7 @@ import pytest
 
 from conftest import divisor_sieve
 from frac_autocorr.errors import ToleranceError
+from frac_autocorr.fracpart import max_abs_bernoulli
 from frac_autocorr.phi import (
     PhiEvalConfig,
     _linear_panels_power,
@@ -59,6 +60,17 @@ def test_phi_sup_bound_t25():
         for _ in range(40):
             x = Fraction(rng.randint(0, 64), 64)
             assert abs(phi_resum_rational(n, x)) <= bound
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_phi_sup_bound_against_mpmath(mp, n):
+    # the bound's zeta(n) is 63 terms plus the integral tail: at least the
+    # 30-digit zeta(n), and within 1e-4 relative of it
+    want = mp.mpf(max_abs_bernoulli(n)) * mp.zeta(n)
+    assert want <= phi_sup_bound(n) <= want * (1 + mp.mpf("1e-4"))
+    # and max|B_n| zeta(n) itself (|B_n| at x = 0 for even n) stays below it
+    sup = max(abs(mp.bernpoly(n, mp.mpf(j) / 1024)) for j in range(1025))
+    assert sup * mp.zeta(n) <= phi_sup_bound(n)
 
 
 def test_phi_parity():

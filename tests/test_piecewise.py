@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, strategies as st
 
 from frac_autocorr import piecewise
 from frac_autocorr.errors import DomainError
-from frac_autocorr.piecewise import merged_breakpoints
+from frac_autocorr.piecewise import frac_product_integral, merged_breakpoints
 
 
 def _union_oracle(p: int, q: int, u_lo: int, u_hi: int) -> np.ndarray:
@@ -119,6 +119,14 @@ def test_merged_breakpoints_refuses_inexact_ranges():
     g = 2**30 + 1  # 3/5 needs few steps, but the breakpoints scale by g past 2^53
     with pytest.raises(DomainError):
         merged_breakpoints(3 * g, 5 * g, 2**60, 2**60 + 2**36)
+
+
+@pytest.mark.parametrize("T", [0.5, 1.0, 7.3, 20.0, 73.0])
+def test_frac_product_integral_at_one_integrates_frac_t_over_t_squared(mp, T):
+    # {t}{1 t} = {t}^2: the weighted B_1 identity reads integral_0^T ({t}/t)^2 dt here
+    edges = [mp.mpf(0)] + [mp.mpf(m) for m in range(1, math.ceil(T))] + [mp.mpf(T)]
+    want = mp.quad(lambda t: ((t - mp.floor(t)) / t) ** 2 if t else 1, edges)
+    assert frac_product_integral(1, T) == pytest.approx(float(want), rel=1e-14)
 
 
 def test_merged_breakpoints_in_two_threads():

@@ -10,6 +10,7 @@ import pytest
 from frac_autocorr.errors import DomainError, PoleError
 from frac_autocorr.specfun import (
     _BERNOULLI_2N,
+    BERNOULLI_POLYS,
     _PSI_SHIFT,
     _is_nonpositive_integer,
     EULER_GAMMA,
@@ -81,6 +82,21 @@ def _gauss(f, a, b, n=80):
 # ----------------------------------------------------------------------
 # digamma / trigamma
 # ----------------------------------------------------------------------
+
+
+def test_bernoulli_numbers_are_the_exact_table_rounded():
+    # the classical B_2, B_4, ..., B_24 are the table's constant terms,
+    # and the floats of the series are those terms rounded once
+    known = [
+        Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
+        Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510),
+        Fraction(43867, 798), Fraction(-174611, 330), Fraction(854513, 138),
+        Fraction(-236364091, 2730),
+    ]
+    assert [b[0] for b in BERNOULLI_POLYS[2::2]] == known
+    assert BERNOULLI_POLYS[12][0] == Fraction(-691, 2730)
+    assert _BERNOULLI_2N == tuple(float(b[0]) for b in BERNOULLI_POLYS[2::2])
+    assert _BERNOULLI_2N == tuple(float(b.numerator) / float(b.denominator) for b in known)
 
 
 def test_digamma_paper_values():

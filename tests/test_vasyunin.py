@@ -272,8 +272,8 @@ def test_a_unit_grid_is_bit_identical_with_int64_oracle_kernel():
         (a_rational, (1, 2**25 + 1), "exceeds 2\\^25"),
         (cot_pi_frac_table, (2**25 + 1,), "exceeds 2\\^25"),
         (vasyunin.vasyunin_b1cot, (1, 2**25 + 1), "exceeds 2\\^25"),
-        (vasyunin_psi, (1, 2**25 + 1), "exceeds 2\\^25"),
-        (vasyunin_noncoprime, (1, 2**25 + 1), "exceeds 2\\^25"),
+        (vasyunin_psi, (1, 2**20 + 1), "exceeds 2\\^20"),
+        (vasyunin_noncoprime, (1, 2**20 + 1), "exceeds 2\\^20"),
         (phi_resum_rational, (2, Fraction(1, 2**20 + 1)), "exceeds 2\\^20"),
         (phi_n, (2, Fraction(1, 2**20 + 1)), "exceeds 2\\^20"),
     ],
@@ -284,7 +284,7 @@ def test_a_unit_grid_is_bit_identical_with_int64_oracle_kernel():
 )
 def test_v_kernel_size_guard_raises_before_allocating(fn, args, match):
     # float64 remainders p k mod q are exact only while q^2 < 2^53; the
-    # digamma route shares that cap, the phi_n resummation has its own
+    # digamma route and the phi_n resummation have their own caps, set by time
     tracemalloc.start()
     try:
         start = time.perf_counter()
@@ -296,6 +296,13 @@ def test_v_kernel_size_guard_raises_before_allocating(fn, args, match):
         tracemalloc.stop()
     assert peak < 1 << 20
     assert elapsed < 1.0
+
+
+def test_digamma_route_serves_its_cap():
+    # b = 2^20 is the largest b the digamma route takes; a = 6 leaves d = 2
+    b = 2**20
+    want = -(PI * 2 / 2.0) * vasyunin_cot(3, b // 2)
+    assert vasyunin_noncoprime(6, b) == pytest.approx(want, abs=1e-10 * b)
 
 
 def _held_bytes_after(fn) -> int:
