@@ -141,7 +141,7 @@ def _horner(x: np.ndarray, *coeffs, out: np.ndarray) -> np.ndarray:
 
 def _head_block(p: int, q: int, block, periods: int, tol: float, room: list[float], smooth=None):
     """One block's share of the head over periods 0 .. periods - 1 and, given
-    smooth = (y_c, tables), of the smooth part (see _smooth_block).
+    smooth = (y_c, tables, degrees), of the smooth part (see _smooth_block).
 
     Returns (partial sums, truncation bound, smooth part) for _head_sum.  A
     block shorter than _BLOCK is tiled over as many periods as fit in _BLOCK
@@ -196,7 +196,7 @@ def _head_block(p: int, q: int, block, periods: int, tol: float, room: list[floa
     return sums, trunc, 0.0 if smooth is None else _smooth_block(pq, du, f1, e0, ws.tmp[1:, :n], *smooth)
 
 
-def _smooth_block(pq: int, du, f1, e, tmp, y_c: float, tables) -> float:
+def _smooth_block(pq: int, du, f1, e, tmp, y_c: float, tables, degrees) -> float:
     """One block's share of the smooth part (see _a_quad_rational) from the
     head's rows of period 0.  A piece of half-width c = d/(2p) has, in y, the
     midpoint y_c + delta, delta = e/(2pq) - y_c, and the half-width g = c/q;
@@ -205,14 +205,15 @@ def _smooth_block(pq: int, du, f1, e, tmp, y_c: float, tables) -> float:
     even k and (f1 + lam h)/(k+2) for odd k (lam h = 2 lam c).  tables[k]
     holds the coefficients in delta of the k-th Taylor coefficient of psi'
     around J + y_c times 2 F_k/W_k, for W_0 = P, W_1 = Q (the head's rows)
-    and W_k = f1 + r_k lam h, r_k = (k+2)/(k+3) or 1, for k >= 2.
+    and W_k = f1 + r_k lam h, r_k = (k+2)/(k+3) or 1, for k >= 2, read up to
+    its degree N_k = degrees[k].
     """
     lh, q1, p1, g, delta, s, acc, w = tmp
     np.multiply(du, 0.5 / pq, out=g)
     np.subtract(np.multiply(e, 0.5 / pq, out=delta), y_c, out=delta)
     for k in range(len(tables) - 1, -1, -1):  # Horner in g over the moments
         t = tables[k]
-        np.add(_horner(delta, *t[:0:-1], out=s), t[0], out=s)
+        np.add(_horner(delta, *t[degrees[k] - k : 0 : -1], out=s), t[0], out=s)
         if k > 1:
             w = np.add(np.multiply(lh, (k + 2) / (k + 3) if k % 2 == 0 else 1.0, out=w), f1, out=w)
         if k == len(tables) - 1:
@@ -385,10 +386,10 @@ def _a_quad_rational(lam: Fraction, tol: float) -> CertifiedReal:
         raise ToleranceError(msg, achieved=math.inf)
     n_b = -(-(p + q - 1) // _BLOCK)
     _, periods, degrees, bounds = _smooth_plan(p, q, n_b, tol, (j for j in _PERIODS if j <= n_exact))
-    y_c, tables = _smooth_tables(periods, n_b, degrees)
-    room = [tol / 8]
+    y_c, tables = _smooth_tables(periods, n_b, -(-max(degrees) // 8) * 8)
+    room, tables = [tol / 8], tables[: len(degrees)]
     parts = [
-        _head_block(p, q, block, periods, tol, room, (y_c[k], [t[k] for t in tables]))
+        _head_block(p, q, block, periods, tol, room, (y_c[k], [t[k] for t in tables], degrees))
         for k, block in _lattice_blocks(p, q)
     ]
     head, round_err, trunc_err = _head_sum(parts)
@@ -451,18 +452,20 @@ def _smooth_plan(p: int, q: int, n_b: int, tol: float, candidates):
 
 
 @functools.lru_cache(maxsize=64)
-def _smooth_tables(periods: int, n_b: int, degrees: tuple[int, ...]):
+def _smooth_tables(periods: int, n_b: int, degree: int):
     """(y_c, tables) for _smooth_block, cached, so read-only: the block centres
-    y_c = (b + 1/2)/n_b (as J + y_c - J, exact) and tables[k][b], for block b, the
-    coefficients C(i, k) a_i w_k, k <= i <= N_k, of s_k, a_i = psi^(i+1)(J + y_c)/i!,
-    with w_k = 2 F_k/W_k: 1, 1/2, then 2/(k+1) (k even) or 2/(k+2) (k odd)."""
+    y_c = (b + 1/2)/n_b (as J + y_c - J, exact) and tables[k][b], k < degree, for
+    block b, the coefficients C(i, k) a_i w_k, k <= i <= degree, of s_k, a_i =
+    psi^(i+1)(J + y_c)/i!, with w_k = 2 F_k/W_k: 1, 1/2, then 2/(k+1) (k even) or
+    2/(k+2) (k odd).  degree is a multiple of 8, at least every N_k of a plan
+    that reads the tables, and each s_k stops at its own N_k."""
     centres = periods + (np.arange(n_b) + 0.5) / n_b
-    coeffs = trigamma_taylor(centres, -(-max(degrees) // 8) * 8).T
+    coeffs = trigamma_taylor(centres, degree).T
     tables = []
-    for k, degree in enumerate(degrees):
+    for k in range(degree):  # N_k > k
         w = (1.0, 0.5)[k] if k < 2 else 2.0 / (k + 1 + k % 2)
         binom = [math.comb(i, k) * w for i in range(k, degree + 1)]
-        tables.append((coeffs[:, k : degree + 1] * binom).tolist())
+        tables.append((coeffs[:, k:] * binom).tolist())
     return (centres - periods).tolist(), tables
 
 

@@ -1,9 +1,11 @@
-"""Bernoulli polynomials/functions and exact fractional-part identities.
+"""Bernoulli polynomials and exact fractional-part identities.
 
 The summation identities (Hardy-Littlewood symmetry, which with f = g = id
-is Sylvester's floor identity, and paired B_1 sums) are evaluated in exact
-rational arithmetic whenever the inputs are rational; floats are reserved
-for irrational parameters.
+is Sylvester's floor identity, and paired B_1 sums) are exact whenever the
+inputs are rational: with theta = p/q every floor and residue is integer
+arithmetic on p, q and the numerator and denominator of x, and Fraction is
+met only at the boundary.  Integrals are floats; floats are also the
+arithmetic of irrational parameters.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .piecewise import frac_over_t2_integral, frac_product_integral, piece_grid
+from .piecewise import frac_over_t2_integral, frac_product_integral
 from .specfun import BERNOULLI_POLYS
 
 
@@ -36,16 +38,6 @@ def bernoulli_poly(n: int, x):
     return acc
 
 
-def bernoulli_fn(n: int, x):
-    """Periodised Bernoulli function B_n(x) = b_n({x}), with B_1 zero at integers."""
-    if n < 1:
-        raise ValueError("bernoulli_fn requires n >= 1")
-    fx = x - math.floor(x)
-    if n == 1:
-        return fx - Fraction(1, 2) if fx else fx
-    return bernoulli_poly(n, fx)
-
-
 def zeta_upper_bound(n: int) -> float:
     """zeta(n) <= sum_{k<64} k^-n + integral_63^inf t^-n dt (n >= 2), the one
     zeta(n) of the sup bounds."""
@@ -65,28 +57,24 @@ def hl_symmetry_residual(theta, x, f, g):
     sum_{m<=x} f(floor(m theta))(g(m)-g(m-1)) + sum_{n<=theta x}
     g(floor(n/theta))(f(n)-f(n-1)) equals f(floor(theta x)) g(floor(x)),
     plus the correction sum_{k<=x/q} (g(kq)-g(kq-1))(f(kp)-f(kp-1)) when
-    theta = p/q is rational.  f and g are callables on the integers.  Exact
-    (Fraction/int) when theta and x are.
+    theta = p/q is rational.  f and g are callables on the integers.  For a
+    rational theta (x = a/b exact) the floors are m p // q, n q // p,
+    p a // (q b) and a // b, so the residual is exact.
     """
     if f(0) != 0 or g(0) != 0:
         raise ValueError("identity requires f(0) = g(0) = 0")
-    rational = isinstance(theta, (Fraction, int))
-    theta_x = (Fraction(theta) if rational else theta) * x
-    lhs = sum(
-        f(math.floor(m * theta)) * (g(m) - g(m - 1)) for m in range(1, math.floor(x) + 1)
-    )
-    lhs += sum(
-        g(math.floor(n / theta)) * (f(n) - f(n - 1))
-        for n in range(1, math.floor(theta_x) + 1)
-    )
-    rhs = f(math.floor(theta_x)) * g(math.floor(x))
-    if rational:
-        p, q = Fraction(theta).numerator, Fraction(theta).denominator
-        rhs += sum(
-            (g(k * q) - g(k * q - 1)) * (f(k * p) - f(k * p - 1))
-            for k in range(1, math.floor(Fraction(x) / q) + 1)
-        )
-    return lhs - rhs
+    if isinstance(theta, (Fraction, int)):
+        p, q = theta.numerator, theta.denominator
+        a, b = Fraction(x).numerator, Fraction(x).denominator
+        fx, ftx = a // b, p * a // (q * b)
+        lhs = sum(f(m * p // q) * (g(m) - g(m - 1)) for m in range(1, fx + 1))
+        lhs += sum(g(n * q // p) * (f(n) - f(n - 1)) for n in range(1, ftx + 1))
+        lhs -= sum((g(k * q) - g(k * q - 1)) * (f(k * p) - f(k * p - 1)) for k in range(1, a // (q * b) + 1))
+    else:
+        fx, ftx = math.floor(x), math.floor(theta * x)
+        lhs = sum(f(math.floor(m * theta)) * (g(m) - g(m - 1)) for m in range(1, fx + 1))
+        lhs += sum(g(math.floor(n / theta)) * (f(n) - f(n - 1)) for n in range(1, ftx + 1))
+    return lhs - f(ftx) * g(fx)
 
 
 def gronwall_sup_scan(n_max: int = 2000, grid: int = 4096) -> float:
@@ -108,35 +96,27 @@ def frullani_integral_check(theta, x) -> float:
     integral_0^x ({theta t} - theta {t}) t^-2 dt
         = theta log(1/theta) + theta integral_x^{theta x} {u} u^-2 du,
 
-    both sides piecewise exact.
+    both sides piecewise exact in floats.  Below alpha = min(1, 1/theta) the
+    integrand is 0, so the pieces run from alpha to x between the floats
+    k and k/theta, each side's floor taken at the piece's midpoint.
     """
     if x <= 0:
         raise ValueError("frullani_integral_check requires x > 0")
-    rational = isinstance(theta, (Fraction, int))
-    theta_ = Fraction(theta) if rational else theta
-    if theta_ <= 0:
+    lam, x = float(theta), float(x)
+    if lam <= 0:
         raise ValueError("frullani_integral_check requires theta > 0")
-    lam = float(theta_)
-    alpha = min(Fraction(1), 1 / Fraction(theta_)) if rational else min(1.0, 1.0 / theta_)
-    lhs_terms = []
-    if rational:
-        left, right, ms, ns = piece_grid(theta_, Fraction(alpha), Fraction(x))
-        for a, b, m, n in zip(left, right, ms, ns):
-            c = lam * m - n  # ({theta t} - theta {t}) / t^2 = (theta m - n)/t^2
-            lhs_terms.append(c * (1.0 / float(a) - 1.0 / float(b)))
-    else:
-        edges = sorted(
-            {float(alpha), float(x)}
-            | {float(k) for k in range(math.ceil(alpha), math.floor(x) + 1)}
-            | {k / theta_ for k in range(math.ceil(alpha * theta_), math.floor(x * theta_) + 1)}
-        )
-        edges = [e for e in edges if alpha <= e <= x]
-        for a, b in zip(edges[:-1], edges[1:]):
-            mid = 0.5 * (a + b)
-            c = lam * math.floor(mid) - math.floor(theta_ * mid)
-            lhs_terms.append(c * (1.0 / a - 1.0 / b))
-    lhs = math.fsum(lhs_terms)
-    rhs = lam * math.log(1.0 / lam) + lam * frac_over_t2_integral(float(x), lam * float(x))
+    alpha = min(1.0, 1.0 / lam)
+    edges = sorted(
+        {alpha, x}
+        | {float(k) for k in range(math.ceil(alpha), math.floor(x) + 1)}
+        | {k / lam for k in range(math.ceil(alpha * lam), math.floor(x * lam) + 1)}
+    )
+    edges = [e for e in edges if alpha <= e <= x]
+    lhs = math.fsum(
+        (lam * math.floor(0.5 * (a + b)) - math.floor(lam * 0.5 * (a + b))) * (1.0 / a - 1.0 / b)
+        for a, b in zip(edges[:-1], edges[1:])
+    )
+    rhs = lam * math.log(1.0 / lam) + lam * frac_over_t2_integral(x, lam * x)
     return lhs - rhs
 
 
@@ -168,18 +148,21 @@ def _b1_partial_sum(num: int, den: int, count: int) -> Fraction:
 
 def weighted_b1_identity_residual(theta: Fraction, x: float) -> float:
     """Residual of the weighted B_1 identity linking the two B_1 sums to the
-    fractional-part integrals (both sides evaluated piecewise exactly)."""
+    fractional-part integrals (both sides evaluated piecewise exactly).
+
+    With theta = p/q, B_1(m theta) is (2r - q)/(2q) for the residue r = m p mod q
+    (0 at r = 0), a correctly rounded quotient of integers, and B_1(n/theta)
+    likewise from n q mod p."""
     theta = Fraction(theta)
     if theta <= 0 or x <= 0:
         raise ValueError("weighted_b1_identity_residual requires positive arguments")
-    lam = float(theta)
-    lhs = math.fsum(
-        float(bernoulli_fn(1, m * theta)) / m for m in range(1, math.floor(x) + 1)
-    )
-    lhs += lam * math.fsum(
-        float(bernoulli_fn(1, Fraction(n) / theta)) / n
-        for n in range(1, math.floor(lam * x) + 1)
-    )
+    p, q, lam = theta.numerator, theta.denominator, float(theta)
+
+    def b1(r: int, den: int) -> float:
+        return (2 * r - den) / (2 * den) if r else 0.0
+
+    lhs = math.fsum(b1(m * p % q, q) / m for m in range(1, math.floor(x) + 1))
+    lhs += lam * math.fsum(b1(n * q % p, p) / n for n in range(1, math.floor(lam * x) + 1))
     fx = x - math.floor(x)
     ftx = lam * x - math.floor(lam * x)
     d = ftx - lam * fx

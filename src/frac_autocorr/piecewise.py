@@ -19,8 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
-
-_RANGE = np.arange(2.0**14 + 8)  # 0, 1, 2, ..: only read; as long as a quadrature block
+from .rational_core import INDEX_RANGE
 
 
 def merged_breakpoints(p: int, q: int, u_lo: int, u_hi: int, *, out=None, frac=None) -> np.ndarray:
@@ -37,7 +36,7 @@ def merged_breakpoints(p: int, q: int, u_lo: int, u_hi: int, *, out=None, frac=N
     if ((max(abs(j0), abs(j1)) + 2) * s // (s - 1) + 3) * q * g > 2**51:  # >= |i + 1| q g
         raise DomainError(f"merged_breakpoints: ({u_lo}, {u_hi}] at p/q = {p * g}/{q * g} is past exact float64")
     a, b = (np.empty(n) if v is None else v[:n] for v in (frac, out))
-    np.add(_RANGE[:n] if n <= _RANGE.size else np.arange(float(n)), j0 + 0.5, out=a)  # j - 1/2
+    np.add(INDEX_RANGE[:n] if n <= INDEX_RANGE.size else np.arange(float(n)), j0 + 0.5, out=a)  # j - 1/2
     a += np.floor(np.multiply(a, 1.0 / (s - 1), out=b), out=b)  # i - 1/2
     a *= q
     a += 1.5 * q + 0.5  # (i + 1) q + 1/2
@@ -54,42 +53,28 @@ def merged_breakpoints(p: int, q: int, u_lo: int, u_hi: int, *, out=None, frac=N
     return b
 
 
-def piece_grid(theta: Fraction, lo: Fraction, hi: Fraction):
-    """Piece decomposition of [lo, hi] for the pair ({t}, {theta t}).
-
-    Returns (left, right, m, n): exact rational piece edges together with
-    m = floor(t), n = floor(theta*t), constant on each open piece.
-    """
-    p = theta.numerator
-    inner = merged_breakpoints(p, theta.denominator, math.floor(lo * p), math.floor(hi * p))
-    edges = [lo] + [Fraction(int(u), p) for u in inner]
-    if edges[-1] != hi:
-        edges.append(hi)
-    left = edges[:-1]
-    right = edges[1:]
-    m = [math.floor(a) for a in left]
-    n = [math.floor(a * theta) for a in left]
-    return left, right, m, n
-
-
 def frac_product_integral(theta: Fraction, T: Fraction | float) -> float:
-    """integral_0^T {t} {theta t} / t^2 dt, piecewise exact, theta rational > 0."""
-    theta = Fraction(theta)
-    T = Fraction(T)
+    """integral_0^T {t} {theta t} / t^2 dt, theta = p/q > 0 rational, piecewise exact.
+
+    The pieces end at the merged_breakpoints of (0, floor(T p)] (u = p t) and
+    at T.  On a piece from u to u' the integrand is theta - (n + theta m)/t + m n/t^2,
+    m = u // p and n = u // q; width (u' - u)/p, u/p and u'/p are correctly
+    rounded quotients of integers.  The first piece, where m = n = 0, gives theta d.
+    """
+    theta, T = Fraction(theta), Fraction(T)
     if theta <= 0 or T <= 0:
         raise ValueError("frac_product_integral requires theta > 0 and T > 0")
-    lam = float(theta)
-    left, right, ms, ns = piece_grid(theta, Fraction(0), T)
-    terms = []
-    for a, b, m, n in zip(left, right, ms, ns):
-        af, bf = float(a), float(b)
-        d = float(b - a)
-        if a == 0:
-            terms.append(lam * d)  # m = n = 0 piece
-            continue
-        L = math.log1p(d / af)
-        terms.append(lam * d - (n + lam * m) * L + m * n * d / (af * bf))
-    return math.fsum(terms)
+    p, q, top = theta.numerator, theta.denominator, T * theta.numerator
+    lam = p / q
+    u = np.concatenate(([0.0], merged_breakpoints(p, q, 0, top.numerator // top.denominator)))
+    d, ends = np.diff(u) / p, u[1:] / p
+    tail = top - int(u[-1])  # the piece past the last breakpoint, in u
+    if tail:
+        d, ends = np.append(d, float(tail / p)), np.append(ends, float(T))
+    left, d1 = u[1 : d.size], d[1:]
+    m, n, a = left // p, left // q, left / p
+    terms = lam * d1 - (n + lam * m) * np.log1p(d1 / a) + m * n * d1 / (a * ends[1:])
+    return math.fsum([lam * float(d[0]), *terms.tolist()])
 
 
 def frac_over_t2_integral(a: float, b: float) -> float:

@@ -24,6 +24,12 @@ class FareyScanRecord:
     a_value: float
 
 
+# 0, 1, .., 2^17 as float64, read-only: the index runs that merged_breakpoints
+# (a lattice block, 2^14 + 5 at most) and the V kernel (a block's k = 1 .. 2^17) slice.
+INDEX_RANGE = np.arange(2.0**17 + 1)
+INDEX_RANGE.flags.writeable = False
+
+
 def frac_rational(x: Fraction | int) -> Fraction:
     """Exact fractional part {x} in [0, 1)."""
     x = Fraction(x)

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, NonCoprimeError
-from .rational_core import frac_ratio
+from .rational_core import INDEX_RANGE, frac_ratio
 from .specfun import COT_TABLE_MAX_Q, PI, cot_pi_frac_table, digamma_vec
 
 
@@ -72,11 +72,6 @@ def _cot_table(q: int) -> np.ndarray:
 _V_BLOCK = 1 << 17  # elements per block of _v_rows, so its temporaries stay small
 
 
-@functools.lru_cache(maxsize=1)
-def _k_range(n: int) -> np.ndarray:
-    return np.arange(1.0, n + 1)  # k = 1 .. n, shared by every _v_rows call
-
-
 def _v_block(p: np.ndarray, k: np.ndarray, q: int, ct: np.ndarray, x=None, r=None) -> np.ndarray:
     """numpy's pairwise row sums of ((p k) mod q)/q ct for a float64 column p
     and run k, p k exact (below q^2 <= 2^50); frac_ratio's remainder is the
@@ -100,7 +95,7 @@ def _v_rows(q: int, ps: np.ndarray) -> np.ndarray:
     if q > COT_TABLE_MAX_Q:
         raise DomainError(f"V(p, q): q = {q} exceeds 2^25, the largest q of the V kernel")
     ct = _cot_table(q)
-    k = _k_range(_V_BLOCK)
+    k = INDEX_RANGE[1 : _V_BLOCK + 1]
     pf = ps.astype(np.float64)[:, None]
     width = min(q - 1, _V_BLOCK)
     rows = _V_BLOCK // width

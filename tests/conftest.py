@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import functools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+
+from frac_autocorr.fracpart import bernoulli_poly
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -39,3 +43,14 @@ def divisor_sieve(n: int) -> np.ndarray:
     for d in range(1, n + 1):
         tau[d::d] += 1
     return tau
+
+
+def bernoulli_fn(n: int, x):
+    """Periodised Bernoulli function B_n(x) = b_n({x}), with B_1 zero at integers:
+    the B_1 oracle of the residue sums and the periodic series."""
+    if n < 1:
+        raise ValueError("bernoulli_fn requires n >= 1")
+    fx = x - math.floor(x)
+    if n == 1:
+        return fx - Fraction(1, 2) if fx else fx
+    return bernoulli_poly(n, fx)

@@ -634,9 +634,10 @@ def test_smooth_part_against_mpmath(mp, monkeypatch, periods):
                 assert periods == 1 or block == 1
                 continue
             _, _, degrees, bound = plan
-            y_c, tables = _smooth_tables(periods, n_b, degrees)
+            y_c, tables = _smooth_tables(periods, n_b, -(-max(degrees) // 8) * 8)
+            smooth = [(y_c[k], [t[k] for t in tables[: len(degrees)]], degrees) for k in range(n_b)]
             got = math.fsum(
-                _head_block(p, q, b, periods, 1e-12, [1e-12 / 8], (y_c[k], [t[k] for t in tables]))[2]
+                _head_block(p, q, b, periods, 1e-12, [1e-12 / 8], smooth[k])[2]
                 for k, b in _lattice_blocks(p, q)
             )
             monkeypatch.undo()

@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from conftest import bernoulli_fn
 from frac_autocorr.fracpart import (
     b1_pair_sum_check,
-    bernoulli_fn,
     bernoulli_poly,
     frullani_integral_check,
     gronwall_sup_scan,
@@ -113,6 +113,43 @@ def test_hl_symmetry_irrational():
             assert r == 0
 
 
+def _hl_fraction_oracle(theta, x, f, g):
+    """The identity's residual with every floor a Fraction floor, theta rational."""
+    theta, x = Fraction(theta), Fraction(x)
+    p, q = theta.numerator, theta.denominator
+    lhs = sum(f(math.floor(m * theta)) * (g(m) - g(m - 1)) for m in range(1, math.floor(x) + 1))
+    lhs += sum(g(math.floor(n / theta)) * (f(n) - f(n - 1)) for n in range(1, math.floor(theta * x) + 1))
+    rhs = f(math.floor(theta * x)) * g(math.floor(x))
+    rhs += sum((g(k * q) - g(k * q - 1)) * (f(k * p) - f(k * p - 1)) for k in range(1, math.floor(x / q) + 1))
+    return lhs - rhs
+
+
+@given(
+    st.fractions(min_value=Fraction(1, 60), max_value=60, max_denominator=60),
+    st.one_of(st.fractions(min_value=Fraction(1, 12), max_value=300, max_denominator=12), st.integers(1, 300)),
+)
+@example(Fraction(1, 2), 3)
+@example(Fraction(7, 3), Fraction(21, 7))  # theta x an integer, x a multiple of q
+def test_hl_symmetry_integer_floors_match_fraction_floors(theta, x):
+    # f and g record their arguments: the integer floors m p // q, n q // p,
+    # p a // (q b) and a // b reach f and g as often and with the values of
+    # the Fraction floors
+    seen = []
+
+    def f(n):
+        seen.append(("f", n))
+        return n * n + 3 * n
+
+    def g(m):
+        seen.append(("g", m))
+        return 2 * m - m // 3
+
+    got = hl_symmetry_residual(theta, x, f, g)
+    calls, seen[:] = seen[2:], []  # past the f(0), g(0) check
+    assert got == _hl_fraction_oracle(theta, x, f, g) == 0
+    assert sorted(calls) == sorted(seen)
+
+
 def _sylvester_sides(theta, x):
     """Sylvester's floor identity by direct sums, as (lhs, rhs) integers:
     sum_{m<=x} floor(m theta) + sum_{n<=theta x} floor(n/theta) and
@@ -193,6 +230,26 @@ def test_frullani_examples():
     assert abs(frullani_integral_check(SQRT2, 7.7)) < 1e-9
 
 
+def test_frullani_below_alpha_is_zero():
+    # for x < alpha = min(1, 1/theta) the integrand is 0 on (0, x] and the right
+    # side theta log(1/theta) + theta log(theta) is 0 too
+    assert abs(frullani_integral_check(Fraction(2, 3), Fraction(1, 3))) <= 1e-15
+    assert abs(frullani_integral_check(Fraction(3, 2), 0.5)) <= 1e-15
+
+
+@given(
+    st.fractions(min_value=Fraction(1, 40), max_value=40, max_denominator=40),
+    st.floats(min_value=1e-3, max_value=1.0, exclude_max=True),
+)
+def test_frullani_below_alpha_hypothesis(theta, share):
+    # the right side cancels theta log(1/theta) against theta log(theta): a few
+    # ulps of |theta log theta| are rounding; a wrong piece walk misses by O(1)
+    alpha = min(Fraction(1), 1 / theta)
+    x = share * float(alpha)
+    lam = float(theta)
+    assert abs(frullani_integral_check(theta, x)) <= 8 * 2.0**-52 * (1 + lam * abs(math.log(lam)))
+
+
 def test_b1_pair_sum_examples():
     lhs, rhs = b1_pair_sum_check(Fraction(1, 2), Fraction(1))
     assert lhs == rhs == 0
@@ -230,3 +287,23 @@ def test_b1_pair_sum_residues_equal_the_fraction_terms():
 )
 def test_weighted_b1_identity(theta, x):
     assert abs(weighted_b1_identity_residual(theta, x)) < 1e-8
+
+
+def test_weighted_b1_residues_equal_the_fraction_terms(monkeypatch):
+    # with the integrals set to 0 the residual is the B_1 sums minus closed
+    # terms: the residue quotients (2r - q)/(2q) give the doubles of the
+    # Fraction B_1 terms, so the residual is the Fraction route's bit for bit
+    from frac_autocorr import fracpart
+
+    monkeypatch.setattr(fracpart, "frac_product_integral", lambda theta, T: 0.0)
+    monkeypatch.setattr(fracpart, "frac_over_t2_integral", lambda a, b: 0.0)
+    rng = random.Random(37)
+    for _ in range(200):
+        theta = Fraction(rng.randint(1, 40), rng.randint(1, 40))
+        x = rng.uniform(0.5, 80.0)
+        lam = float(theta)
+        lhs = math.fsum(float(bernoulli_fn(1, m * theta)) / m for m in range(1, math.floor(x) + 1))
+        lhs += lam * math.fsum(float(bernoulli_fn(1, n / theta)) / n for n in range(1, math.floor(lam * x) + 1))
+        d = (lam * x - math.floor(lam * x)) - lam * (x - math.floor(x))
+        rhs = 0.5 * (lam - 1.0) * math.log(1.0 / lam) + d * d / (2.0 * lam * x) + (lam - 1.0) * d / (2.0 * lam * x)
+        assert fracpart.weighted_b1_identity_residual(theta, x) == lhs - rhs

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from frac_autocorr.fracpart import bernoulli_fn
+from conftest import bernoulli_fn
 from frac_autocorr.phi import phi1_rational
 from frac_autocorr.specfun import EULER_GAMMA, PI, digamma, lehmer_gamma
 from frac_autocorr.vasyunin import vasyunin_cot

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from frac_autocorr import piecewise
 from frac_autocorr.errors import DomainError
 from frac_autocorr.piecewise import frac_product_integral, merged_breakpoints
+from frac_autocorr.rational_core import INDEX_RANGE
 
 
 def _union_oracle(p: int, q: int, u_lo: int, u_hi: int) -> np.ndarray:
@@ -129,19 +129,49 @@ def test_frac_product_integral_at_one_integrates_frac_t_over_t_squared(mp, T):
     assert frac_product_integral(1, T) == pytest.approx(float(want), rel=1e-14)
 
 
+def _frac_product_oracle(mp, theta: Fraction, T) -> float:
+    """integral_0^T {t}{theta t}/t^2 dt by mp.quad between the breakpoints k and k q/p."""
+    p, q = theta.numerator, theta.denominator
+    T = Fraction(T)
+    cuts = {Fraction(k) for k in range(1, math.ceil(T))} | {Fraction(k * q, p) for k in range(1, math.ceil(T * p / q))}
+    edges = [mp.mpf(0)] + [mp.mpf(c.numerator) / c.denominator for c in sorted(cuts) if c < T]
+    edges.append(mp.mpf(T.numerator) / T.denominator)
+    th = mp.mpf(p) / q
+    return float(mp.quad(lambda t: (t - mp.floor(t)) * (th * t - mp.floor(th * t)) / t**2 if t else th, edges))
+
+
+@pytest.mark.parametrize(
+    "theta,T",
+    [
+        (Fraction(2, 3), Fraction(1, 7)),  # one piece, below both breakpoints
+        (Fraction(2, 3), 7.3),
+        (Fraction(5, 7), Fraction(41, 3)),
+        (Fraction(13, 4), 2.5),
+        (Fraction(1, 9), 20.0),
+        (Fraction(7, 3), 11.4),
+        (Fraction(3, 5), Fraction(10)),  # T on a common breakpoint
+        (Fraction(22, 7), Fraction(7, 22) * 5),  # T on a breakpoint k q/p
+    ],
+)
+def test_frac_product_integral_at_rationals_against_mpmath(mp, theta, T):
+    # pieces from merged_breakpoints, m = u // p and n = u // q, against 30-digit quadrature
+    assert frac_product_integral(theta, T) == pytest.approx(_frac_product_oracle(mp, theta, T), rel=1e-14)
+
+
 def test_merged_breakpoints_in_two_threads():
     # two threads build ranges of 2^14 and 2^14 - 1 points, and ranges longer
-    # than the shared index range, at once: each gets the bits of a sequential run
+    # than the shared read-only index range, at once: each gets the bits of a sequential run
     p, q = 180229, 81920
     u = merged_breakpoints(p, q, 0, p * q).astype(np.int64).tolist()
-    cases = [[(p, q, 0, u[2**14 - 1]), (p, q, 0, u[2**15])], [(p, q, u[0], u[2**14 - 1]), (p, q, u[0], u[2**15])]]
+    big = 2**17 + 1
+    cases = [[(p, q, 0, u[2**14 - 1]), (p, q, 0, u[big])], [(p, q, u[0], u[2**14 - 1]), (p, q, u[0], u[big])]]
     want = [[merged_breakpoints(*c).tobytes() for c in row] for row in cases]
-    assert [[len(w) // 8 for w in row] for row in want] == [[2**14, 2**15 + 1], [2**14 - 1, 2**15]]
-    assert 2**14 < piecewise._RANGE.size < 2**15
+    assert [[len(w) // 8 for w in row] for row in want] == [[2**14, big + 1], [2**14 - 1, big]]
+    assert INDEX_RANGE.size == big and not INDEX_RANGE.flags.writeable
     got = [None, None]
 
     def run(i):
-        got[i] = [[merged_breakpoints(*c).tobytes() for c in cases[i]] for _ in range(50)]
+        got[i] = [[merged_breakpoints(*c).tobytes() == w for c, w in zip(cases[i], want[i])] for _ in range(50)]
 
     threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
     interval = sys.getswitchinterval()
@@ -154,4 +184,4 @@ def test_merged_breakpoints_in_two_threads():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert got == [[want[0]] * 50, [want[1]] * 50]
+    assert got == [[[True, True]] * 50] * 2
