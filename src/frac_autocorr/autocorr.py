@@ -548,7 +548,8 @@ def farey_scan(order: int, lo: Fraction | int = 0, hi: Fraction | int = 1) -> li
     a = np.zeros(p.size)
     on = p > 0  # the record 0/1 has A = 0 and needs no V
     po, qo = p[on], q[on]
-    a[on] = _a_closed(po, qo, _v_pairs(po % qo, qo) + _v_pairs(qo % po, po))
+    v = _v_pairs(np.concatenate((po % qo, qo % po)), np.concatenate((qo, po)))
+    a[on] = _a_closed(po, qo, v[: po.size] + v[po.size :])
     return list(map(FareyScanRecord, p.tolist(), q.tolist(), (p / q).tolist(), a.tolist()))
 
 
@@ -556,18 +557,18 @@ def farey_scan(order: int, lo: Fraction | int = 0, hi: Fraction | int = 1) -> li
 def a_unit_grid(big_q: int) -> np.ndarray:
     """A(k/Q) for k = 0 .. Q by the closed form, k/Q = p/q reduced by one gcd.
 
-    V(p, q) comes from one _v_pairs call over the k < Q/2, where p < q/2,
-    and the rest by oddness, V(q - p, q) = -V(p, q) (V(1, 2) = 0); V(q mod p, p)
-    from one call over every k.  Every entry equals its a_rational(p, q) up
-    to that oddness.
+    One _v_pairs call takes V(p, q) for k < Q/2 (p < q/2) and V(q mod p, p)
+    for every k; V(q - p, q) = -V(p, q) (V(1, 2) = 0) gives the rest, so
+    every entry equals its a_rational(p, q) up to that oddness.
     """
     k = np.arange(1, big_q, dtype=np.int64)
     g = np.gcd(k, big_q)
     p, q, n = k // g, big_q // g, (big_q - 1) // 2
-    v = np.zeros(k.size)
-    v[:n] = _v_pairs(p[:n], q[:n])
-    v[k.size - n :] = -v[:n][::-1]
-    return np.concatenate(([0.0], _a_closed(p, q, v + _v_pairs(q % p, p)), [a_rational(1, 1)]))
+    w = _v_pairs(np.concatenate((p[:n], q % p)), np.concatenate((q[:n], p)))
+    v = w[n:]  # V(q mod p, p), plus V(p, q) below
+    v[:n] += w[:n]
+    v[k.size - n :] -= w[:n][::-1]
+    return np.concatenate(([0.0], _a_closed(p, q, v), [a_rational(1, 1)]))
 
 
 def write_farey_csv(records: list[FareyScanRecord], path: str) -> None:

@@ -12,7 +12,9 @@ function each, and each checks the strip -1 < Re s < 0 itself.
   A(u) = log(u)/2 + c0 + rho(u) with the rho integrals reduced exactly to
   integration-by-parts tails of phi_2.
 * ``mellin_delta``: a local t log t model in closed form on the cusp window
-  [0, W], and ``phi.delta_power_integral`` from W on.
+  [0, W], and ``phi.delta_power_integral`` from W on, its 31 whole periods as
+  sum_n c_n b^-(n+1) sum_m binom(-a-n, m) Z_(n+m) (F_m/(n+1) + G_m/(n+2)) from
+  one period's moments F_m, G_m (a = 1 - s, M ~ 50 by a 1e-17 tail bound).
 """
 
 from __future__ import annotations

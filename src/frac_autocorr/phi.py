@@ -9,6 +9,12 @@ over the unit groups (Z/m)^* with m | b, the integration-by-parts tails of
 integral_X^inf phi_2(x0 + t) t^{-a} dt, and the one integrator of
 Delta(t) = phi_2(x0 + t) - phi_2(x0) against t^{-a} over whole periods
 (``delta_power_integral``) that the autocorrelation and Mellin modules use.
+Its whole periods j = j1 .. X-1 take no loop: with d_k = Delta(k/b), h = 1/b,
+s_k = k h - 1/2 and w_j = j + 1/2 (t = w_j + s_k), their panels sum to
+sum_n binom(-a, n) h^(n+1) sum_m binom(-a-n, m) Z_(n+m) (F_m/(n+1) + G_m/(n+2)),
+F_m = sum_k d_k s_k^m, G_m = sum_k (d_{k+1} - d_k) s_k^m, Z_e = sum_j w_j^(-a-e),
+each order cut where its binomial tail bound B_M rho^M/(1 - kappa) is below 1e-17
+(``_binomial_terms``; rho = 1/(2 j1 + 1) in m, so M is 49-52 at j1 = 1, |a| <= 3).
 """
 
 from __future__ import annotations
@@ -253,29 +259,61 @@ def _delta_period(x0: Fraction, q: int) -> tuple[int, float, np.ndarray]:
 def delta_power_integral(x0: Fraction, q: int, lo: Fraction, a: complex, big_x: int) -> complex:
     """integral_lo^inf (phi_2(x0 + t) - phi_2(x0)) t^{-a} dt, lo in (0, X - 1], Re a > 1.
 
-    One period of Delta is read from the grid of ``_delta_period``.  The
-    piecewise-linear interpolant is integrated exactly panel by panel: a
-    first panel from lo to the next grid point (with the exact resummed
-    value at lo) when lo is off the grid, the rest of lo's period, then
-    every later period up to the integer X = big_x as the same samples
-    shifted by j.  Beyond X the mean part -phi_2(x0) X^{1-a}/(a-1) is exact
-    and the rest is ``phi2_tail_integral``, whose bound is dropped: no
-    radius, checked only through the identities that use it.
+    The piecewise-linear interpolant of one period of Delta (``_delta_period``)
+    is integrated exactly: lo's panel (with the exact resummed value at lo) and
+    period by ``_linear_panels_power``, the periods after it to the integer X =
+    big_x as sum_n c_n h^(n+1) sum_m binom(-a-n, m) Z_(n+m) (F_m/(n+1) + G_m/(n+2))
+    from its moments, M by a 1e-17 binomial tail bound (``_periods_power``).
+    Beyond X the mean part -phi_2(x0) X^{1-a}/(a-1) is exact and the rest is
+    ``phi2_tail_integral``, whose bound is dropped: no radius, checked only
+    through the identities that use it.
     """
     x0, lo, a = Fraction(x0), Fraction(lo), complex(a)
     if not 0 < lo <= big_x - 1 or a.real <= 1.0:
         raise ValueError("delta_power_integral requires 0 < lo <= X - 1 and Re a > 1")
     b, c, d = _delta_period(x0, q)
-    t = np.arange(b + 1) / b
     k_lo = math.ceil(lo * b)
     j_lo, r = divmod(k_lo, b)
-    total = _linear_panels_power(t[r:] + j_lo, d[r:], a)
+    t = np.arange(r, b + 1) / b + j_lo
+    total = _linear_panels_power(t, d[r:], a) + _periods_power(d, a, j_lo + 1, big_x)
     if k_lo != lo * b:
         d_lo = phi_resum_rational(2, x0 + lo) - c
-        total += _linear_panels_power(np.array([float(lo), t[r] + j_lo]), np.array([d_lo, d[r]]), a)
-    for j in range(j_lo + 1, big_x):
-        total += _linear_panels_power(t + j, d, a)
+        total += _linear_panels_power(np.array([float(lo), t[0]]), np.array([d_lo, d[r]]), a)
     return total - c * big_x ** (1.0 - a) / (a - 1.0) + phi2_tail_integral(x0, big_x, a)[0]
+
+
+def _binomial_terms(beta: float, rho: float) -> int:
+    """Smallest M with sum_{m >= M} |binom(-z, m)| rho^m <= 1e-17, |z| <= beta, rho < 1, by the bound
+    B_M rho^M/(1 - kappa), B_m = prod_{i<m} (beta + i)/(i + 1), kappa = rho max(beta + M, M + 1)/(M + 1)."""
+    m, term = 0, 1.0  # B_m rho^m
+    while (kappa := rho * max(beta + m, m + 1.0) / (m + 1)) >= 1.0 or term > 1e-17 * (1.0 - kappa):
+        term *= rho * (beta + m) / (m + 1)
+        m += 1
+    return m
+
+
+def _periods_power(d: np.ndarray, a: complex, j1: int, big_x: int) -> complex:
+    """The panels over the samples d at t = j + k/b, b = d.size - 1, j = j1 .. X-1
+    (j1 >= 1), by the module docstring's sum: orders N in r = h/t0 <= 1/(b j1) and
+    M in |s_k|/w_j <= 1/(2 j1 + 1), |a + n| < |a| + N; M passes over one period."""
+    h = 1.0 / (d.size - 1)
+    n_ord = _binomial_terms(abs(a), h / j1)
+    m_ord = _binomial_terms(abs(a) + n_ord - 1, 1.0 / (2 * j1 + 1))
+    s = np.arange(d.size - 1) * h - 0.5
+    ws = np.stack((d[:-1], np.diff(d)))
+    x, mom = np.ones(s.size), np.empty((2, m_ord))  # x = s_k^m
+    for m in range(m_ord):
+        mom[:, m] = ws @ x
+        x *= s
+    w = np.arange(j1, big_x) + 0.5
+    z = (np.exp(-a * np.log(w)) * w ** -np.arange(n_ord + m_ord - 1.0)[:, None]).sum(axis=1)  # Z_e
+    m = np.arange(1, m_ord)
+    total, c = 0.0 + 0.0j, 1.0 + 0.0j
+    for n in range(n_ord):
+        bm = np.cumprod(np.concatenate(([1.0], (-a - n - m + 1) / m)))  # binom(-a-n, m)
+        total += c * h ** (n + 1) * np.dot(bm * z[n : n + m_ord], mom[0] / (n + 1) + mom[1] / (n + 2))
+        c *= (-a - n) / (n + 1)
+    return complex(total)
 
 
 def _linear_panels_power(t: np.ndarray, f: np.ndarray, a: complex) -> complex:
@@ -287,11 +325,11 @@ def _linear_panels_power(t: np.ndarray, f: np.ndarray, a: complex) -> complex:
         h t0^{-a} (f0 P0(r) + (f1 - f0) P1(r)),
         P0 = r^-1 int_0^r (1+u)^-a du,  P1 = r^-2 int_0^r u (1+u)^-a du,
 
-    both O(1), so no term grows with t0.  Where r < 1/(16 (1 + |a|)) the
-    closed form of P1 cancels, and P0, P1 are power series in r with the
-    binomial coefficients c_n of -a, terms falling at least 16-fold, summed
-    to below 1e-17: those panels add up to sum_n c_n (M0_n/(n+1) + M1_n/(n+2))
-    with the moments M0_n = sum h t0^-a f0 r^n, M1_n = sum h t0^-a (f1 - f0) r^n.
+    both O(1), so no term grows with t0.  Where r < 1/(16 (1 + |a|)) the closed
+    form of P1 cancels, and P0, P1 are power series in r with the binomial
+    coefficients c_n of -a, cut where ``_binomial_terms`` bounds the tail by 1e-17:
+    those panels add up to sum_n c_n (M0_n/(n+1) + M1_n/(n+2)) with the moments
+    M0_n = sum h t0^-a f0 r^n, M1_n = sum h t0^-a (f1 - f0) r^n.
     The other panels take expm1/log1p closed forms.
     """
     a = complex(a)
@@ -315,16 +353,12 @@ def _linear_panels_power(t: np.ndarray, f: np.ndarray, a: complex) -> complex:
     total = 0.0 + 0.0j
     if small.any():
         rs, ws = (r, wf) if small.all() else (r[small], wf[:, small])
-        r_max = float(rs.max())
-        coef = [1.0 + 0.0j]  # binom(-a, n)
-        while abs(coef[-1]) * r_max ** (len(coef) - 1) > 1e-17:
-            n = len(coef) - 1
-            coef.append(coef[-1] * (-a - n) / (n + 1))
-        x = np.ones_like(rs)  # r^n
-        for n, c in enumerate(coef):
+        x, c = np.ones_like(rs), 1.0 + 0.0j  # r^n, binom(-a, n)
+        for n in range(_binomial_terms(abs(a), float(rs.max()))):
             m = ws @ x
             total += c * (complex(m[0], m[1]) / (n + 1) + complex(m[2], m[3]) / (n + 2))
             x *= rs
+            c *= (-a - n) / (n + 1)
     big = ~small
     if big.any():
         rb = r[big]

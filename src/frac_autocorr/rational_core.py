@@ -24,9 +24,9 @@ class FareyScanRecord:
     a_value: float
 
 
-# 0, 1, .., 2^17 as float64, read-only: the index runs that merged_breakpoints
-# (a lattice block, 2^14 + 5 at most) and the V kernel (a block's k = 1 .. 2^17) slice.
-INDEX_RANGE = np.arange(2.0**17 + 1)
+# 0, 1, .., 2^14 + 7 as float64, read-only: one lattice block of merged_breakpoints
+# (2^14 + 5 at most) and the V kernel's rows up to that width slice it; longer runs are new.
+INDEX_RANGE = np.arange(2.0**14 + 8)
 INDEX_RANGE.flags.writeable = False
 
 

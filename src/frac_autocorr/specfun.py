@@ -29,14 +29,17 @@ PI = math.pi
 
 
 def _bernoulli_coeff_tables(nmax: int) -> list[list[Fraction]]:
-    """Coefficients of b_0 .. b_nmax (ascending powers), from b_n' = n b_{n-1}
-    with the normalisation integral_0^1 b_n = 0 for n >= 1."""
-    tables = [[Fraction(1)]]
-    for n in range(1, nmax + 1):
-        coeffs = [Fraction(0)] + [Fraction(n) * c / (k + 1) for k, c in enumerate(tables[-1])]
-        coeffs[0] = -sum(c / (k + 1) for k, c in enumerate(coeffs) if k > 0)
-        tables.append(coeffs)
-    return tables
+    """Coefficients C(n, k) B_{n-k} of x^k in b_0 .. b_nmax, B_1 = -1/2 and B_2n =
+    (-1)^(n-1) 2n T_n/(4^n (4^n - 1)), tangent numbers T_n by Brent-Harvey's recurrence."""
+    half = nmax // 2
+    t = [0] + [math.factorial(k - 1) for k in range(1, half + 1)]  # T_k at index k
+    for k in range(2, half + 1):
+        for j in range(k, half + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    nums = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * nmax
+    for n in range(1, half + 1):
+        nums[2 * n] = Fraction((-1) ** (n - 1) * 2 * n * t[n], 4**n * (4**n - 1))
+    return [[math.comb(n, k) * nums[n - k] for k in range(n + 1)] for n in range(nmax + 1)]
 
 
 # The exact Bernoulli polynomials b_0 .. b_24, and the numbers B_2, B_4, ..., B_24

@@ -95,9 +95,9 @@ def _v_rows(q: int, ps: np.ndarray) -> np.ndarray:
     if q > COT_TABLE_MAX_Q:
         raise DomainError(f"V(p, q): q = {q} exceeds 2^25, the largest q of the V kernel")
     ct = _cot_table(q)
-    k = INDEX_RANGE[1 : _V_BLOCK + 1]
     pf = ps.astype(np.float64)[:, None]
     width = min(q - 1, _V_BLOCK)
+    k = INDEX_RANGE[1 : width + 1] if width < INDEX_RANGE.size else np.arange(1.0, width + 1)
     rows = _V_BLOCK // width
     if ps.size <= rows and width == q - 1:
         return _v_block(pf, k[:width], q, ct)

@@ -4,13 +4,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import divisor_sieve
 from frac_autocorr.errors import ToleranceError
 from frac_autocorr.fracpart import max_abs_bernoulli
 from frac_autocorr.phi import (
     PhiEvalConfig,
+    _binomial_terms,
+    _delta_period,
     _linear_panels_power,
+    _periods_power,
     delta,
     delta_power_integral,
     expansion_coeffs,
@@ -267,6 +271,44 @@ def test_delta_power_integral_against_contiguous_grid(x0, q, lo, a):
     assert abs(value - _delta_power_contiguous(x0, q, lo, complex(a), 24)) <= 1e-14 * (1.0 + abs(value))
 
 
+def _delta_power_loop(x0, q, lo, a, big_x):
+    """``delta_power_integral`` with every whole period j < X integrated by its
+    own ``_linear_panels_power`` call, as it once computed them (test-only oracle)."""
+    b, c, d = _delta_period(x0, q)
+    t = np.arange(b + 1) / b
+    k_lo = math.ceil(lo * b)
+    j_lo, r = divmod(k_lo, b)
+    total = _linear_panels_power(t[r:] + j_lo, d[r:], a)
+    if k_lo != lo * b:
+        d_lo = phi_resum_rational(2, x0 + lo) - c
+        total += _linear_panels_power(np.array([float(lo), t[r] + j_lo]), np.array([d_lo, d[r]]), a)
+    for j in range(j_lo + 1, big_x):
+        total += _linear_panels_power(t + j, d, a)
+    return total - c * big_x ** (1.0 - a) / (a - 1.0) + phi2_tail_integral(x0, big_x, a)[0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)]),
+    st.one_of(  # a = 1 - s, s in the Mellin strip -1 < Re s < 0
+        st.sampled_from([3.0, 4.0]),
+        st.builds(lambda re, im: complex(1.0 - re, -im), st.floats(-0.95, -0.05), st.floats(-3.0, 3.0)),
+    ),
+    st.sampled_from([1, 2, 111]),
+    st.integers(1, 64),
+    st.integers(1, 96),
+)
+@example(Fraction(0), 1.5 - 2.0j, 1, 31, 48)  # lo = 1/2, X = 32 as in mellin_delta
+@example(Fraction(1, 2), 3.0, 2, 1, 96)  # lo = X - 1 = 2: no whole period left
+@example(Fraction(2, 5), 1.05 + 3.0j, 111, 64, 1)
+def test_moment_route_against_panel_loop(x0, a, j1, periods, num):
+    # lo in (j1 - 1, j1], so the whole periods start at j1 (at j1 + 1 for lo = j1)
+    lo, big_x = j1 - 1 + Fraction(num, 96), j1 + periods
+    value = delta_power_integral(x0, x0.denominator, lo, a, big_x)
+    oracle = _delta_power_loop(x0, x0.denominator, lo, complex(a), big_x)
+    assert abs(value - oracle) <= 1e-14 * (1.0 + abs(value))
+
+
 def _phi2_continuity_scan(dlt: float, grid: int) -> float:
     """sup over the grid of |phi_2(x) - phi_2(y)| for |x - y| <= dlt, divided
     by dlt log(1/dlt): the empirical modulus of continuity of phi_2."""
@@ -376,3 +418,42 @@ def test_linear_panels_power_against_mpmath(mp, shift, k0, k1, b, a):
             quad += mp.quad(lambda x: (f0 + (f1 - f0) * (x - t0) / (t1 - t0)) * x ** (-mp.mpc(a)), [t0, t1])
         assert abs(complex(quad) - ref) <= 1e-20 * scale
     assert abs(_linear_panels_power(t, f, a) - ref) <= 1e-11 * scale
+
+
+@pytest.mark.parametrize("b, j1, big_x, a", [
+    (32, 1, 8, 3.0),
+    (32, 1, 8, 1.5 - 2.0j),
+    (47, 2, 8, 4.0),
+    (64, 1, 5, 1.05 + 0.3j),
+    (100, 3, 8, 1.3 - 0.7j),
+    (256, 1, 4, 1.7 + 2.0j),
+    (256, 7, 8, 3.0),
+    (32, 8, 8, 3.0),  # no whole period
+])
+def test_moment_route_against_mpmath(mp, b, j1, big_x, a):
+    # one period of periodic samples d (d_b = d_0), repeated over j = j1 .. X-1,
+    # against the 40-digit panels of the contiguous grid; with r = 1/(b j1) up
+    # to 1/32 the route takes about twice the series orders of b = 16384
+    d = np.random.default_rng(b + j1).standard_normal(b + 1)
+    d[b] = d[0]
+    k = np.arange((big_x - j1) * b + 1)
+    t, f = j1 + k / b, d[k % b]
+    scale = float(np.sum(np.abs(f) * t ** (-np.real(a)))) / b
+    ref = _panels_exact(mp, t, f, a)
+    assert abs(_periods_power(d, complex(a), j1, big_x) - ref) <= 1e-14 * scale
+
+
+def test_binomial_terms_is_the_smallest_order_within_its_tail(mp):
+    # sum_{m >= M} binom(beta + m - 1, m) rho^m, the tail of (1 - rho)^-beta, at
+    # 50 digits: at most 1e-17 at the returned M and above it one term earlier
+    # over the orders and ratios the moment route and the panels meet
+    with mp.workdps(50):
+        for beta in (0.5, 1.0, 2.3, 4.6, 7.0, 12.0):
+            for rho in (1 / 3, 1 / 5, 1 / 223, 1 / 32, 1 / 16384, 1 / (2 * 10**5 + 1), 1e-9):
+                m_ord = _binomial_terms(beta, rho)
+                tails, term, head = [], mp.mpf(1), (1 - mp.mpf(rho)) ** -mp.mpf(beta)
+                for m in range(m_ord + 1):
+                    tails.append(head)
+                    head -= term
+                    term *= mp.mpf(rho) * (beta + m) / (m + 1)
+                assert tails[m_ord] <= 1e-17 < tails[m_ord - 1], (beta, rho, m_ord)

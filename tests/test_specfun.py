@@ -12,6 +12,7 @@ from frac_autocorr.specfun import (
     _BERNOULLI_2N,
     BERNOULLI_POLYS,
     _PSI_SHIFT,
+    _bernoulli_coeff_tables,
     _is_nonpositive_integer,
     EULER_GAMMA,
     LOG_2PI,
@@ -97,6 +98,25 @@ def test_bernoulli_numbers_are_the_exact_table_rounded():
     assert BERNOULLI_POLYS[12][0] == Fraction(-691, 2730)
     assert _BERNOULLI_2N == tuple(float(b[0]) for b in BERNOULLI_POLYS[2::2])
     assert _BERNOULLI_2N == tuple(float(b.numerator) / float(b.denominator) for b in known)
+
+
+def _bernoulli_coeff_tables_by_derivative(nmax):
+    """b_0 .. b_nmax from b_n' = n b_{n-1} with integral_0^1 b_n = 0 for n >= 1,
+    the former import-time recurrence (test-only oracle)."""
+    tables = [[Fraction(1)]]
+    for n in range(1, nmax + 1):
+        coeffs = [Fraction(0)] + [Fraction(n) * c / (k + 1) for k, c in enumerate(tables[-1])]
+        coeffs[0] = -sum(c / (k + 1) for k, c in enumerate(coeffs) if k > 0)
+        tables.append(coeffs)
+    return tables
+
+
+def test_bernoulli_table_from_tangent_numbers_equals_the_derivative_recurrence():
+    assert BERNOULLI_POLYS == _bernoulli_coeff_tables_by_derivative(24)
+    for nmax in range(24):
+        rows = _bernoulli_coeff_tables(nmax)
+        assert rows == _bernoulli_coeff_tables_by_derivative(nmax), nmax
+        assert all(type(c) is Fraction for row in rows for c in row)
 
 
 def test_digamma_paper_values():

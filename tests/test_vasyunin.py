@@ -247,6 +247,10 @@ def test_rows_longer_than_a_block(monkeypatch, block, q):
 @example(2**14 + 1, [1, 2**14], None)
 @example(2**14, [1, 8191], 50)
 @example(2, [1], 1000)
+@example(2**14 + 8, [1, 2**14], None)  # the widest row on the shared index range
+@example(2**14 + 9, [1, 5], None)  # rows past it take their own range
+@example(2**17, [1, 2**16 + 1], None)
+@example(2**17 + 1, [1, 2**16], None)
 def test_float_remainder_kernel_is_bit_identical_to_int64_oracle(q, ps, block):
     ps = np.array([_coprime_at_or_above(p % q, q) for p in ps], dtype=np.int64)
     with mock.patch.object(vasyunin, "_V_BLOCK", block or vasyunin._V_BLOCK):
