@@ -517,8 +517,7 @@ def delta_functional_equation_residual(p: int, q: int, t: Fraction) -> float:
     lhs = phi_delta(p % q, q, t).value
     v_inv = 1 / (q * q * t)
     delta_at_inv = phi_delta(pbar, q, v_inv).value
-    big_x = max(24, math.ceil(v_inv) + 8)
-    j3, j4 = (delta_power_integral(Fraction(pbar, q), q, v_inv, n, big_x).real for n in (3, 4))
+    j3, j4 = (delta_power_integral(Fraction(pbar, q), q, v_inv, n).real for n in (3, 4))
     integral = 3.0 / q**6 * j4 - tf / q**4 * j3
     rhs = (
         tf * math.log(tf) / q

@@ -10,11 +10,11 @@ function each, and each checks the strip -1 < Re s < 0 itself.
   (``autocorr.a_unit_grid``), panel-exact integration of the interpolant on
   [1/32, 1], and closed forms beyond, using A(x) = x A(1/x) and
   A(u) = log(u)/2 + c0 + rho(u) with the rho integrals reduced exactly to
-  integration-by-parts tails of phi_2.
+  tails of phi_2, each one ``phi.delta_power_integral`` plus its mean term.
 * ``mellin_delta``: a local t log t model in closed form on the cusp window
-  [0, W], and ``phi.delta_power_integral`` from W on, its 31 whole periods as
+  [0, W], and ``phi.delta_power_integral`` from W on, all its whole periods as
   sum_n c_n b^-(n+1) sum_m binom(-a-n, m) Z_(n+m) (F_m/(n+1) + G_m/(n+2)) from
-  one period's moments F_m, G_m (a = 1 - s, M ~ 50 by a 1e-17 tail bound).
+  one period's moments F_m, G_m and Z_e = zeta(a + e, 3/2) (a = 1 - s, M ~ 50).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .phi import (
     _delta_period,
     _linear_panels_power,
     delta_power_integral,
-    phi2_tail_integral,
     phi2_unit_grid,  # noqa: F401  (binding the perfbench tracer wraps)
 )
 from .specfun import EULER_GAMMA, LOG_2PI, PI, riemann_zeta
@@ -55,9 +54,11 @@ def _require_strip(s: complex) -> complex:
 
 
 def mellin_fracpart(s: complex | float, scale: Fraction | int = 1) -> complex:
-    """integral_0^inf {scale t} t^{s-1} dt on the strip, with an error below 1e-10."""
+    """integral_0^inf {scale t} t^{s-1} dt on the strip, scale > 0 finite, with an error below 1e-10."""
     s = _require_strip(s)
     lam = float(scale)
+    if not 0.0 < lam < math.inf:
+        raise DomainError(f"mellin_fracpart requires a finite scale > 0, got {scale}")
     sig = s.real
     sup_b3 = 0.04811252243246881
     margin = abs((s - 1.0) * (s - 2.0)) / (6.0 * lam * lam) * sup_b3 / (2.0 - sig)
@@ -101,11 +102,12 @@ def _rho_tail(v: int, a: complex) -> complex:
 
     Reduced exactly (Fubini on the defining double integral) to
     W(a+1) (1/2 - 1/(2-a)) + V^{2-a} W(3) / (2-a) with
-    W(b) = integral_V^inf phi_2(t) t^{-b} dt.  The bounds of W are dropped:
-    no radius, checked only through the Mellin identity residual.
+    W(b) = integral_V^inf phi_2(t) t^{-b} dt, the Delta integral at x0 = 0
+    plus the mean term phi_2(0) V^(1-b)/(b-1).  No radius: checked only
+    through the Mellin identity residual.
     """
-    w_a1, _ = phi2_tail_integral(Fraction(0), v, a + 1.0)
-    w_3, _ = phi2_tail_integral(Fraction(0), v, 3.0)
+    c = PI * PI / 36.0  # phi_2(0)
+    w_a1, w_3 = (delta_power_integral(Fraction(0), 1, v, b) + c * _int_power_tail(v, b) for b in (a + 1.0, 3.0))
     return w_a1 * (0.5 - 1.0 / (2.0 - a)) + v ** (2.0 - a) * w_3 / (2.0 - a)
 
 
@@ -132,8 +134,6 @@ def mellin_autocorr(s: complex | float) -> complex:
 # delta
 # ----------------------------------------------------------------------
 
-_DELTA_PERIODS = 32  # X of delta_power_integral
-
 
 def mellin_delta(s: complex | float, p: int, q: int) -> complex:
     """M Delta_{p,q}(s) = integral_0^inf Delta_{p,q}(t) t^{s-1} dt.
@@ -146,8 +146,8 @@ def mellin_delta(s: complex | float, p: int, q: int) -> complex:
     ``mellin_identity_residual``.
     """
     s = _require_strip(s)
-    if math.gcd(p, q) != 1:
-        raise ValueError("mellin_delta requires coprime (p, q)")
+    if q < 1 or math.gcd(p, q) != 1:
+        raise DomainError(f"mellin_delta requires coprime (p, q), q >= 1, got ({p}, {q})")
     x0 = Fraction(p % q, q)
     b, _, d = _delta_period(x0, q)
     k_w = max(4, b // (2 * q))
@@ -165,7 +165,7 @@ def mellin_delta(s: complex | float, p: int, q: int) -> complex:
     tw = np.arange(1, k_w + 1) / b
     model = (tw * np.log(tw) + cp * tw - 0.5 * q * tw * tw) / q
     total += _linear_panels_power(tw, d[1 : k_w + 1] - model, 1.0 - s)
-    return complex(total + delta_power_integral(x0, q, Fraction(k_w, b), 1.0 - s, _DELTA_PERIODS))
+    return complex(total + delta_power_integral(x0, q, Fraction(k_w, b), 1.0 - s))
 
 
 # ----------------------------------------------------------------------

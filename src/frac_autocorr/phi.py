@@ -5,14 +5,13 @@ phi_n(p/q) = q^{-n} sum_{r=1}^{q} B_n(rp/q) zeta(n, r/q),
 which is the only route that reaches machine precision for n = 2 (direct
 truncation converges like 1/K and is kept as a cross-check).  The module
 also owns the uniform phi_2 grids, built in O(b log b) by FFT correlations
-over the unit groups (Z/m)^* with m | b, the integration-by-parts tails of
-integral_X^inf phi_2(x0 + t) t^{-a} dt, and the one integrator of
-Delta(t) = phi_2(x0 + t) - phi_2(x0) against t^{-a} over whole periods
+over the unit groups (Z/m)^* with m | b, and the one integrator of
+Delta(t) = phi_2(x0 + t) - phi_2(x0) against t^{-a} out to infinity
 (``delta_power_integral``) that the autocorrelation and Mellin modules use.
-Its whole periods j = j1 .. X-1 take no loop: with d_k = Delta(k/b), h = 1/b,
+Its whole periods j >= j1 take no loop: with d_k = Delta(k/b), h = 1/b,
 s_k = k h - 1/2 and w_j = j + 1/2 (t = w_j + s_k), their panels sum to
 sum_n binom(-a, n) h^(n+1) sum_m binom(-a-n, m) Z_(n+m) (F_m/(n+1) + G_m/(n+2)),
-F_m = sum_k d_k s_k^m, G_m = sum_k (d_{k+1} - d_k) s_k^m, Z_e = sum_j w_j^(-a-e),
+F_m = sum_k d_k s_k^m, G_m = sum_k (d_{k+1} - d_k) s_k^m, Z_e = zeta(a + e, j1 + 1/2),
 each order cut where its binomial tail bound B_M rho^M/(1 - kappa) is below 1e-17
 (``_binomial_terms``; rho = 1/(2 j1 + 1) in m, so M is 49-52 at j1 = 1, |a| <= 3).
 """
@@ -34,6 +33,7 @@ from .specfun import (
     LOG_2PI,
     PI,
     CertifiedReal,
+    hurwitz_zeta,
     hurwitz_zeta_int_vec,
 )
 from .vasyunin import vasyunin_cot
@@ -110,6 +110,8 @@ def phi_n(n: int, x, cfg: PhiEvalConfig | None = None) -> CertifiedReal:
         err = 4e-15 * (abs(val) + phi_sup_bound(n))
         return CertifiedReal(val, err)
     xf = float(x)
+    if not math.isfinite(xf):
+        raise DomainError(f"phi_{n}({x}): x must be finite")
     mn = max_abs_bernoulli(n)
     k_need = math.ceil((mn / ((n - 1) * cfg.tol)) ** (1.0 / (n - 1)))
     if k_need > _MAX_TERMS:
@@ -213,36 +215,6 @@ def phi2_unit_grid(b: int) -> np.ndarray:
     return out
 
 
-def phi2_tail_integral(x0: Fraction, big_x: int, a: complex) -> tuple[complex, float]:
-    """(value, bound) for integral_X^inf phi_2(x0 + t) t^{-a} dt, Re a > 0.
-
-    Three integrations by parts against the periodic antiderivatives
-    phi_3/3, phi_4/4, phi_5/5; X integer so the boundary values are the
-    phi_n(x0).
-    """
-    a = complex(a)
-    if a.real <= 0:
-        raise ValueError("phi2_tail_integral requires Re a > 0")
-    x0 = Fraction(x0)
-    p3 = phi_resum_rational(3, x0)
-    p4 = phi_resum_rational(4, x0)
-    p5 = phi_resum_rational(5, x0)
-    xa = big_x ** (-a)
-    value = (
-        -p3 * xa / 3.0
-        - a * p4 * xa / big_x / 12.0
-        - a * (a + 1.0) * p5 * xa / big_x**2 / 60.0
-    )
-    bound = (
-        abs(a * (a + 1.0) * (a + 2.0))
-        / 60.0
-        * phi_sup_bound(5)
-        * big_x ** (-a.real - 2.0)
-        / (a.real + 2.0)
-    )
-    return value, bound
-
-
 def _delta_period(x0: Fraction, q: int) -> tuple[int, float, np.ndarray]:
     """(b, phi_2(x0), Delta(k/b) for k = 0 .. b), Delta(t) = phi_2(x0 + t) - phi_2(x0).
 
@@ -256,30 +228,27 @@ def _delta_period(x0: Fraction, q: int) -> tuple[int, float, np.ndarray]:
     return b, c, phi2_unit_grid(b)[(ks + x0.numerator * (b // x0.denominator)) % b] - c
 
 
-def delta_power_integral(x0: Fraction, q: int, lo: Fraction, a: complex, big_x: int) -> complex:
-    """integral_lo^inf (phi_2(x0 + t) - phi_2(x0)) t^{-a} dt, lo in (0, X - 1], Re a > 1.
+def delta_power_integral(x0: Fraction, q: int, lo: Fraction, a: complex) -> complex:
+    """integral_lo^inf (phi_2(x0 + t) - phi_2(x0)) t^{-a} dt, lo > 0, Re a > 1.
 
     The piecewise-linear interpolant of one period of Delta (``_delta_period``)
-    is integrated exactly: lo's panel (with the exact resummed value at lo) and
-    period by ``_linear_panels_power``, the periods after it to the integer X =
-    big_x as sum_n c_n h^(n+1) sum_m binom(-a-n, m) Z_(n+m) (F_m/(n+1) + G_m/(n+2))
-    from its moments, M by a 1e-17 binomial tail bound (``_periods_power``).
-    Beyond X the mean part -phi_2(x0) X^{1-a}/(a-1) is exact and the rest is
-    ``phi2_tail_integral``, whose bound is dropped: no radius, checked only
-    through the identities that use it.
+    is integrated exactly: lo's partial period panel by panel (with the exact
+    resummed value at lo; an integer lo takes no panels), every whole period
+    from ceil(lo) on by the module docstring's moment sum (``_periods_power``).
+    No radius: checked only through the identities that use it.
     """
     x0, lo, a = Fraction(x0), Fraction(lo), complex(a)
-    if not 0 < lo <= big_x - 1 or a.real <= 1.0:
-        raise ValueError("delta_power_integral requires 0 < lo <= X - 1 and Re a > 1")
+    if lo <= 0 or a.real <= 1.0:
+        raise ValueError("delta_power_integral requires lo > 0 and Re a > 1")
     b, c, d = _delta_period(x0, q)
-    k_lo = math.ceil(lo * b)
-    j_lo, r = divmod(k_lo, b)
-    t = np.arange(r, b + 1) / b + j_lo
-    total = _linear_panels_power(t, d[r:], a) + _periods_power(d, a, j_lo + 1, big_x)
+    k_lo, j1 = math.ceil(lo * b), math.ceil(lo)
+    r = k_lo - (j1 - 1) * b  # in [1, b]: lo's period starts at t = j1 - 1
+    t = np.arange(r, b + 1) / b + (j1 - 1)
+    total = _linear_panels_power(t, d[r:], a) + _periods_power(d, a, j1)
     if k_lo != lo * b:
         d_lo = phi_resum_rational(2, x0 + lo) - c
         total += _linear_panels_power(np.array([float(lo), t[0]]), np.array([d_lo, d[r]]), a)
-    return total - c * big_x ** (1.0 - a) / (a - 1.0) + phi2_tail_integral(x0, big_x, a)[0]
+    return total
 
 
 def _binomial_terms(beta: float, rho: float) -> int:
@@ -292,10 +261,10 @@ def _binomial_terms(beta: float, rho: float) -> int:
     return m
 
 
-def _periods_power(d: np.ndarray, a: complex, j1: int, big_x: int) -> complex:
-    """The panels over the samples d at t = j + k/b, b = d.size - 1, j = j1 .. X-1
-    (j1 >= 1), by the module docstring's sum: orders N in r = h/t0 <= 1/(b j1) and
-    M in |s_k|/w_j <= 1/(2 j1 + 1), |a + n| < |a| + N; M passes over one period."""
+def _periods_power(d: np.ndarray, a: complex, j1: int) -> complex:
+    """The panels over the samples d at t = j + k/b, b = d.size - 1, for every
+    j >= j1 >= 1, by the module docstring's sum: orders N in r = h/t0 <= 1/(b j1)
+    and M in |s_k|/w_j <= 1/(2 j1 + 1), |a + n| < |a| + N; Re a > 1."""
     h = 1.0 / (d.size - 1)
     n_ord = _binomial_terms(abs(a), h / j1)
     m_ord = _binomial_terms(abs(a) + n_ord - 1, 1.0 / (2 * j1 + 1))
@@ -305,8 +274,7 @@ def _periods_power(d: np.ndarray, a: complex, j1: int, big_x: int) -> complex:
     for m in range(m_ord):
         mom[:, m] = ws @ x
         x *= s
-    w = np.arange(j1, big_x) + 0.5
-    z = (np.exp(-a * np.log(w)) * w ** -np.arange(n_ord + m_ord - 1.0)[:, None]).sum(axis=1)  # Z_e
+    z = np.array([hurwitz_zeta(a + e, j1 + 0.5) for e in range(n_ord + m_ord - 1)])  # Z_e
     m = np.arange(1, m_ord)
     total, c = 0.0 + 0.0j, 1.0 + 0.0j
     for n in range(n_ord):

@@ -209,21 +209,22 @@ _EM_ORDER = 12  # Bernoulli correction order (B_2 .. B_24)
 
 
 def hurwitz_zeta(s: complex | float, a):
-    """zeta(s, a) for complex s != 1 and real a in (0, 1], a float or an ndarray.
+    """zeta(s, a) for complex s != 1 and finite real a > 0, a float or an ndarray.
 
     Euler-Maclaurin with an upward shift of a until the order-12 Bernoulli
     tail is negligible; valid on the whole s-plane minus the pole at 1.  The
     shift depends on s only, so an array of a (a whole row zeta(s, j/k)) is
     one vectorised pass; a float gives a complex, an array a complex array.
-    Every entry is checked before any work is done.
+    At 1 < a <= 2^15, 1 < Re s <= 60, |Im s| <= 30 the relative error is within
+    1e-15 (1 + |s| log a), the rounding of a^-s.  Every entry is checked first.
     """
     s = complex(s)
     if s == 1:
         raise PoleError("hurwitz_zeta pole at s=1", location=1.0 + 0.0j)
     x = np.asarray(a, dtype=np.float64)
-    ok = (x > 0.0) & (x <= 1.0 + 1e-15)
+    ok = (x > 0.0) & np.isfinite(x)
     if not ok.all():
-        raise DomainError(f"hurwitz_zeta requires a in (0,1], got {x[~ok].flat[0]}")
+        raise DomainError(f"hurwitz_zeta requires finite a > 0, got {x[~ok].flat[0]}")
     n_shift = max(10, int(0.6 * abs(s)) + 8, int(4 - s.real))
     head = np.exp(-s * np.log(x[..., None] + np.arange(n_shift))).sum(axis=-1)
     w = x + n_shift

@@ -114,9 +114,10 @@ def _v_rows(q: int, ps: np.ndarray) -> np.ndarray:
 
 def _v_pairs(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """V(num[i], den[i]) for int64 arrays, each num in [0, den) coprime to den
-    (V(0, 1) = 0), by one _v_rows call per distinct denominator."""
+    (V(0, 1) = 0), by one _v_rows call per distinct denominator, largest first:
+    the longest rows run before the table cache fills with single-use tables."""
     out = np.zeros(den.size, dtype=np.float64)
-    order = np.argsort(den, kind="stable")
+    order = np.argsort(-den, kind="stable")
     for idx in np.split(order, np.flatnonzero(np.diff(den[order])) + 1):
         if idx.size and den[idx[0]] > 1:
             out[idx] = _v_rows(int(den[idx[0]]), num[idx])

@@ -469,8 +469,7 @@ def test_local_model_window():
 def _phi2_tail(lam: Fraction, e: int) -> float:
     """integral_lam^inf phi_2(t) t^-e dt: the Delta integral at x0 = 0 plus the
     exact mean term (pi^2/36) lam^(1-e)/(e-1)."""
-    big_x = max(16, math.ceil(lam) + 4)
-    value = delta_power_integral(Fraction(0), lam.denominator, lam, e, big_x).real
+    value = delta_power_integral(Fraction(0), lam.denominator, lam, e).real
     return value + PI * PI / 36.0 * float(lam) ** (1 - e) / (e - 1)
 
 

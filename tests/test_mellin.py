@@ -68,6 +68,20 @@ def test_target_validation():
         mellin_identity_residual("bogus", -0.5)
 
 
+@pytest.mark.parametrize("scale", [0, -1, Fraction(-1, 3), 0.0, float("inf"), float("nan")])
+def test_fracpart_scale_must_be_positive_and_finite(scale):
+    # scale 0 once divided by zero and -1 took the log of a negative
+    with pytest.raises(DomainError, match="scale"):
+        mellin_fracpart(-0.5, scale)
+
+
+@pytest.mark.parametrize("q", [0, -3])
+def test_delta_denominator_must_be_positive(q):
+    # q = 0 once divided by zero and q = -3 reached isqrt
+    with pytest.raises(DomainError, match="q >= 1"):
+        mellin_delta(-0.5, 1, q)
+
+
 def test_a_unit_grid_spot_values():
     from frac_autocorr.autocorr import a_rational
 

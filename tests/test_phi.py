@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import divisor_sieve
-from frac_autocorr.errors import ToleranceError
+from frac_autocorr.errors import DomainError, ToleranceError
 from frac_autocorr.fracpart import max_abs_bernoulli
 from frac_autocorr.phi import (
     PhiEvalConfig,
@@ -19,7 +19,6 @@ from frac_autocorr.phi import (
     delta_power_integral,
     expansion_coeffs,
     phi1_rational,
-    phi2_tail_integral,
     phi2_unit_grid,
     phi_n,
     phi_resum_rational,
@@ -45,6 +44,15 @@ def test_phi2_truncation_cross_check():
     assert abs(r.value - (-PI2 / 288.0)) <= r.err + 1e-13
     with pytest.raises(ToleranceError):  # 1.7e9 terms, past the 10^7 cap
         phi_n(2, 0.5, PhiEvalConfig(tol=1e-10))
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("tol", [1e-10, 1e-6])
+def test_phi_n_rejects_a_non_finite_float(x, tol):
+    # at tol 1e-10 the term count once raised ToleranceError, at 1e-6 the
+    # series was summed and CertifiedReal raised ValueError
+    with pytest.raises(DomainError, match="finite"):
+        phi_n(2, x, PhiEvalConfig(tol=tol))
 
 
 def test_phi_n_float_matches_rational():
@@ -219,10 +227,22 @@ def test_phi2_grid_consistency():
         assert grid[k] == pytest.approx(phi_resum_rational(2, Fraction(k, 512)), abs=1e-13)
 
 
+def _phi2_tail_by_parts(x0, big_x, a):
+    """(value, bound) for integral_X^inf phi_2(x0 + t) t^-a dt, X integer, Re a > 0:
+    three integrations by parts against phi_3/3, phi_4/4, phi_5/5, whose values
+    at the integer X are the phi_n(x0) (test-only oracle of the far field)."""
+    p3, p4, p5 = (phi_resum_rational(n, x0) for n in (3, 4, 5))
+    xa = big_x ** (-a)
+    value = -p3 * xa / 3.0 - a * p4 * xa / big_x / 12.0 - a * (a + 1.0) * p5 * xa / big_x**2 / 60.0
+    bound = abs(a * (a + 1.0) * (a + 2.0)) / 60.0 * phi_sup_bound(5) * big_x ** (-a.real - 2.0) / (a.real + 2.0)
+    return value, bound
+
+
 def test_phi2_tail_integral_against_direct():
-    # integral_X^inf phi_2(t) t^-a dt vs brute-force grid integration
+    # the by-parts oracle against brute-force grid integration of
+    # integral_X^inf phi_2(t) t^-a dt
     big_x, a = 8, 3.0
-    val, bound = phi2_tail_integral(Fraction(0), big_x, a)
+    val, bound = _phi2_tail_by_parts(Fraction(0), big_x, complex(a))
     grid = phi2_unit_grid(4096)
     ts = np.arange(big_x * 4096, 64 * 4096 + 1) / 4096.0
     fs = grid[np.arange(big_x * 4096, 64 * 4096 + 1) % 4096]
@@ -234,19 +254,48 @@ def test_phi2_tail_integral_against_direct():
 def test_phi2_tail_weighted():
     # integral_{1/2}^inf phi_2(t) t^-3 dt: the Delta integral at x0 = 0 plus
     # the exact mean term (pi^2/36) lam^-2 / 2
-    value = delta_power_integral(Fraction(0), 2, Fraction(1, 2), 3, 16).real + PI2 / 36.0 * 2.0
+    value = delta_power_integral(Fraction(0), 2, Fraction(1, 2), 3).real + PI2 / 36.0 * 2.0
     grid = phi2_unit_grid(8192)
     ts = np.arange(4096, 40 * 8192 + 1) / 8192.0
     fs = grid[np.arange(4096, 40 * 8192 + 1) % 8192]
     direct = float(np.trapezoid(fs * ts**-3.0, ts))
-    direct += phi2_tail_integral(Fraction(0), 40, 3.0)[0].real
+    direct += _phi2_tail_by_parts(Fraction(0), 40, 3.0 + 0j)[0].real
     assert abs(value - direct) < 1e-6
+
+
+@pytest.mark.parametrize("x0", [Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)])
+@pytest.mark.parametrize("big_x", [8, 32])
+@pytest.mark.parametrize("a", [3.0, 4.0, 1.5 - 2.0j, 1.3 - 0.7j, 1.05 + 3.0j])
+def test_far_field_against_integration_by_parts(x0, big_x, a):
+    # the moment sum over every period from X on, plus the mean part
+    # phi_2(x0) X^(1-a)/(a-1), against the by-parts oracle, at the a the
+    # callers take: 3 and 4, and 1 - s or 2 + s on the Mellin strip
+    b, c, d = _delta_period(x0, x0.denominator)
+    a = complex(a)
+    value = _periods_power(d, a, big_x) + c * big_x ** (1.0 - a) / (a - 1.0)
+    want, bound = _phi2_tail_by_parts(x0, big_x, a)
+    assert abs(value - want) <= bound + 1e-8
+
+
+@pytest.mark.parametrize("x0", [Fraction(0), Fraction(2, 5)])
+@pytest.mark.parametrize("big_x", [8, 32])
+@pytest.mark.parametrize("a", [1.01, 1.05, 1.2])
+def test_far_field_error_near_a_1_is_the_interpolant_mean(x0, big_x, a):
+    # the interpolant's mean over a period misses -phi_2(x0) by e (1.2e-8 at
+    # x0 = 0, 5.5e-8 at 2/5, b = 16380), so the far field is off by about
+    # e X^(1-a)/(a-1), 5e-6 at a = 1.01, and within the oracle's bound of it
+    b, c, d = _delta_period(x0, x0.denominator)
+    value = _periods_power(d, complex(a), big_x) + c * big_x ** (1.0 - a) / (a - 1.0)
+    want, bound = _phi2_tail_by_parts(x0, big_x, complex(a))
+    e = d[:-1].mean() + c
+    assert abs(value - e * big_x ** (1.0 - a) / (a - 1.0) - want) <= bound + 1e-8
 
 
 def _delta_power_contiguous(x0, q, lo, a, big_x):
     """The integral of ``delta_power_integral`` with the panels on [lo, X]
     sampled as one contiguous grid t = k/b, k = ceil(lo b) .. X b, as the
-    Delta functional equation once computed it (test-only oracle)."""
+    Delta functional equation once computed it, and every period from the
+    integer X on by ``_periods_power`` (test-only oracle)."""
     b = q * max(1, 16384 // q)
     c = phi_resum_rational(2, x0)
     ks = np.arange(math.ceil(lo * b), big_x * b + 1, dtype=np.int64)
@@ -255,7 +304,7 @@ def _delta_power_contiguous(x0, q, lo, a, big_x):
     if (lo * b).denominator != 1:  # partial first panel, exact value at lo
         f_lo = phi_resum_rational(2, x0 + lo) - c
         val += _linear_panels_power(np.array([float(lo), t[0]]), np.array([f_lo, f[0]]), a)
-    return val - c * big_x ** (1.0 - a) / (a - 1.0) + phi2_tail_integral(x0, big_x, a)[0]
+    return val + _periods_power(_delta_period(x0, q)[2], a, big_x)
 
 
 @pytest.mark.parametrize("x0, q, lo", [
@@ -267,13 +316,15 @@ def _delta_power_contiguous(x0, q, lo, a, big_x):
 ])
 @pytest.mark.parametrize("a", [3.0, 4.0, 1.3 - 0.7j])
 def test_delta_power_integral_against_contiguous_grid(x0, q, lo, a):
-    value = delta_power_integral(x0, q, lo, a, 24)
+    value = delta_power_integral(x0, q, lo, a)
     assert abs(value - _delta_power_contiguous(x0, q, lo, complex(a), 24)) <= 1e-14 * (1.0 + abs(value))
 
 
 def _delta_power_loop(x0, q, lo, a, big_x):
-    """``delta_power_integral`` with every whole period j < X integrated by its
-    own ``_linear_panels_power`` call, as it once computed them (test-only oracle)."""
+    """``delta_power_integral`` with lo's partial period and every whole period
+    j < X integrated by its own ``_linear_panels_power`` call, as it once
+    computed them, and every period from the integer X on by ``_periods_power``
+    (test-only oracle)."""
     b, c, d = _delta_period(x0, q)
     t = np.arange(b + 1) / b
     k_lo = math.ceil(lo * b)
@@ -284,7 +335,7 @@ def _delta_power_loop(x0, q, lo, a, big_x):
         total += _linear_panels_power(np.array([float(lo), t[r] + j_lo]), np.array([d_lo, d[r]]), a)
     for j in range(j_lo + 1, big_x):
         total += _linear_panels_power(t + j, d, a)
-    return total - c * big_x ** (1.0 - a) / (a - 1.0) + phi2_tail_integral(x0, big_x, a)[0]
+    return total + _periods_power(d, a, big_x)
 
 
 @settings(max_examples=25, deadline=None)
@@ -298,13 +349,14 @@ def _delta_power_loop(x0, q, lo, a, big_x):
     st.integers(1, 64),
     st.integers(1, 96),
 )
-@example(Fraction(0), 1.5 - 2.0j, 1, 31, 48)  # lo = 1/2, X = 32 as in mellin_delta
-@example(Fraction(1, 2), 3.0, 2, 1, 96)  # lo = X - 1 = 2: no whole period left
+@example(Fraction(0), 1.5 - 2.0j, 1, 31, 48)  # lo = 1/2 as in mellin_delta at q = 1
+@example(Fraction(1, 2), 3.0, 2, 1, 96)  # integer lo = 2: no panels, the oracle loops over [2, 3]
 @example(Fraction(2, 5), 1.05 + 3.0j, 111, 64, 1)
 def test_moment_route_against_panel_loop(x0, a, j1, periods, num):
-    # lo in (j1 - 1, j1], so the whole periods start at j1 (at j1 + 1 for lo = j1)
+    # lo in (j1 - 1, j1], so the whole periods start at j1; the oracle loops
+    # over 1 .. 64 of them before it switches to the moment sum at X
     lo, big_x = j1 - 1 + Fraction(num, 96), j1 + periods
-    value = delta_power_integral(x0, x0.denominator, lo, a, big_x)
+    value = delta_power_integral(x0, x0.denominator, lo, a)
     oracle = _delta_power_loop(x0, x0.denominator, lo, complex(a), big_x)
     assert abs(value - oracle) <= 1e-14 * (1.0 + abs(value))
 
@@ -420,6 +472,24 @@ def test_linear_panels_power_against_mpmath(mp, shift, k0, k1, b, a):
     assert abs(_linear_panels_power(t, f, a) - ref) <= 1e-11 * scale
 
 
+def _periods_exact(mp, d, a, big_x):
+    """The interpolant's integral over every period from the integer X on,
+    at 40 digits, a != 2: per panel (t_k, t_k+1) of one period the antiderivatives
+    of f t^-a telescope to f_0 X^(1-a)/(a-1) over all periods (d_b = d_0), and
+    the rest is sum_k (d_k+1 - d_k) b/((1-a)(2-a)) sum_(j >= X) ((j + k/b)^(2-a)
+    - (j + (k+1)/b)^(2-a)), whose inner sums are differences of zeta(a - 2, X + k/b)
+    (of -psi(X + k/b) at a = 3)."""
+    with mp.workdps(40):
+        am, b = mp.mpc(a), d.size - 1
+        fs = [mp.mpf(float(x)) for x in d]
+        at = [mp.mpf(big_x) + mp.mpf(k) / b for k in range(b + 1)]
+        zs = [-mp.digamma(x) for x in at] if a == 3 else [mp.zeta(am - 2, x) for x in at]
+        ref = fs[0] * mp.mpf(big_x) ** (1 - am) / (am - 1)
+        for k in range(b):
+            ref += (fs[k + 1] - fs[k]) * b * (zs[k] - zs[k + 1]) / ((1 - am) * (2 - am))
+        return complex(ref)
+
+
 @pytest.mark.parametrize("b, j1, big_x, a", [
     (32, 1, 8, 3.0),
     (32, 1, 8, 1.5 - 2.0j),
@@ -428,19 +498,22 @@ def test_linear_panels_power_against_mpmath(mp, shift, k0, k1, b, a):
     (100, 3, 8, 1.3 - 0.7j),
     (256, 1, 4, 1.7 + 2.0j),
     (256, 7, 8, 3.0),
-    (32, 8, 8, 3.0),  # no whole period
+    (32, 8, 8, 3.0),  # no whole period before X
 ])
 def test_moment_route_against_mpmath(mp, b, j1, big_x, a):
-    # one period of periodic samples d (d_b = d_0), repeated over j = j1 .. X-1,
-    # against the 40-digit panels of the contiguous grid; with r = 1/(b j1) up
-    # to 1/32 the route takes about twice the series orders of b = 16384
+    # one period of periodic samples d (d_b = d_0), repeated over every j >= j1,
+    # against the 40-digit panels of the contiguous grid on [j1, X] and the
+    # 40-digit far field from X on; with r = 1/(b j1) up to 1/32 the route takes
+    # about twice the series orders of b = 16384.  The error is measured against
+    # the integral of |f| t^-Re(a), the far field's with the mean of |d|
     d = np.random.default_rng(b + j1).standard_normal(b + 1)
     d[b] = d[0]
     k = np.arange((big_x - j1) * b + 1)
     t, f = j1 + k / b, d[k % b]
-    scale = float(np.sum(np.abs(f) * t ** (-np.real(a)))) / b
-    ref = _panels_exact(mp, t, f, a)
-    assert abs(_periods_power(d, complex(a), j1, big_x) - ref) <= 1e-14 * scale
+    sigma = float(np.real(a))
+    scale = float(np.sum(np.abs(f) * t**-sigma)) / b + float(np.abs(d[:b]).mean()) * big_x ** (1 - sigma) / (sigma - 1)
+    ref = _panels_exact(mp, t, f, a) + _periods_exact(mp, d, a, big_x)
+    assert abs(_periods_power(d, complex(a), j1) - ref) <= 1e-14 * scale
 
 
 def test_binomial_terms_is_the_smallest_order_within_its_tail(mp):

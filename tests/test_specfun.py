@@ -303,8 +303,25 @@ def test_hurwitz_against_mpmath(mp):
             assert abs(gi - want) <= tol * (1.0 + abs(want)), (s, ai)
 
 
+def test_hurwitz_past_one_against_mpmath(mp):
+    # the docstring's range for a > 1: 1 < a <= 2^15, 1 < Re s <= 60, |Im s| <= 30,
+    # relative error within 1e-15 (1 + |s| log a).  mpmath's own zeta loses
+    # about Re s log10(a) digits there, so it runs with that many more
+    rng = random.Random(7)
+    pts = []
+    for _ in range(24):
+        a = math.exp(rng.uniform(0.0, math.log(2**15))) + 0.5 * rng.randrange(2)
+        pts.append((a, complex(rng.uniform(1.02, 60), rng.uniform(-30, 30))))
+    pts += [(1.5, 1.1), (2.5, 1.5 - 2.0j), (33.5, 60.0), (1000.5, 40 + 10j), (16384.5, 60 + 30j), (32768.0, 1.02 - 30j)]
+    for a, s in pts:
+        with mp.workdps(int(40 + s.real * math.log10(a + 1))):
+            want = complex(mp.zeta(mp.mpc(s), mp.mpf(a)))
+        got = hurwitz_zeta(s, a)
+        assert abs(got - want) <= 1e-15 * (1 + abs(s) * math.log(a)) * abs(want), (a, s)
+
+
 def test_hurwitz_array_domain_checked_entrywise():
-    for bad in (0.0, -0.25, 1.5, float("nan")):
+    for bad in (0.0, -0.25, float("inf"), float("nan")):
         with pytest.raises(DomainError):
             hurwitz_zeta(0.5, np.array([0.25, bad, 1.0]))
     with pytest.raises(PoleError):

@@ -328,6 +328,21 @@ def test_a_unit_grid_leaves_few_cot_tables_alive():
     assert _held_bytes_after(lambda: mellin_verify.a_unit_grid(4096)) < 4 << 20
 
 
+def test_a_unit_grid_runs_its_largest_rows_before_the_cache_fills():
+    # at Q = 2^14 the rows q = 2^13, 2^14 take 2 MB block buffers; run after
+    # the odd denominators they met a full cache of about 4 MB of single-use
+    # tables (peak 8.3 MB), run first they meet an empty one (6.4 MB)
+    vasyunin._cot_table.cache_clear()
+    mellin_verify.a_unit_grid.cache_clear()
+    tracemalloc.start()
+    try:
+        mellin_verify.a_unit_grid(1 << 14)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 << 20
+
+
 def test_scattered_values_leave_few_cot_tables_alive():
     rng = random.Random(11)
 
