@@ -215,17 +215,21 @@ def phi2_unit_grid(b: int) -> np.ndarray:
     return out
 
 
+# mellin_delta, mellin_autocorr and the Delta functional equation read a period 2-4 times
+@functools.lru_cache(maxsize=4)
 def _delta_period(x0: Fraction, q: int) -> tuple[int, float, np.ndarray]:
     """(b, phi_2(x0), Delta(k/b) for k = 0 .. b), Delta(t) = phi_2(x0 + t) - phi_2(x0).
 
     b = q max(1, 16384 // q) points per unit, q a multiple of the denominator
     of x0 (so x0 and every multiple of 1/q lie on the grid); the values are
-    read from the cached ``phi2_unit_grid(b)``.
+    read from the cached ``phi2_unit_grid(b)``, and returned read-only.
     """
     b = q * max(1, 16384 // q)
     c = phi_resum_rational(2, x0)
     ks = np.arange(b + 1, dtype=np.int64)
-    return b, c, phi2_unit_grid(b)[(ks + x0.numerator * (b // x0.denominator)) % b] - c
+    d = phi2_unit_grid(b)[(ks + x0.numerator * (b // x0.denominator)) % b] - c
+    d.flags.writeable = False
+    return b, c, d
 
 
 def delta_power_integral(x0: Fraction, q: int, lo: Fraction, a: complex) -> complex:
@@ -274,7 +278,7 @@ def _periods_power(d: np.ndarray, a: complex, j1: int) -> complex:
     for m in range(m_ord):
         mom[:, m] = ws @ x
         x *= s
-    z = np.array([hurwitz_zeta(a + e, j1 + 0.5) for e in range(n_ord + m_ord - 1)])  # Z_e
+    z = hurwitz_zeta(a + np.arange(n_ord + m_ord - 1), j1 + 0.5)  # Z_e
     m = np.arange(1, m_ord)
     total, c = 0.0 + 0.0j, 1.0 + 0.0j
     for n in range(n_ord):

@@ -208,35 +208,36 @@ def trigamma_taylor(a: np.ndarray, degree: int) -> np.ndarray:
 _EM_ORDER = 12  # Bernoulli correction order (B_2 .. B_24)
 
 
-def hurwitz_zeta(s: complex | float, a):
-    """zeta(s, a) for complex s != 1 and finite real a > 0, a float or an ndarray.
+def hurwitz_zeta(s, a):
+    """zeta(s, a) for complex s != 1 and finite real a > 0, scalars or ndarrays that broadcast.
 
     Euler-Maclaurin with an upward shift of a until the order-12 Bernoulli
-    tail is negligible; valid on the whole s-plane minus the pole at 1.  The
-    shift depends on s only, so an array of a (a whole row zeta(s, j/k)) is
-    one vectorised pass; a float gives a complex, an array a complex array.
+    tail is negligible; valid on the whole s-plane minus the pole at 1.  One
+    shift, set by the largest |s| and the smallest Re s, serves a whole row
+    zeta(s, j/k) or the orders zeta(s + e, a) (log(a + j) shared) in one
+    vectorised pass; two scalars give a complex, otherwise a complex array.
     At 1 < a <= 2^15, 1 < Re s <= 60, |Im s| <= 30 the relative error is within
     1e-15 (1 + |s| log a), the rounding of a^-s.  Every entry is checked first.
     """
-    s = complex(s)
-    if s == 1:
+    s = complex(s) if np.ndim(s) == 0 else np.asarray(s, dtype=np.complex128)
+    if np.any(s == 1):
         raise PoleError("hurwitz_zeta pole at s=1", location=1.0 + 0.0j)
     x = np.asarray(a, dtype=np.float64)
     ok = (x > 0.0) & np.isfinite(x)
     if not ok.all():
         raise DomainError(f"hurwitz_zeta requires finite a > 0, got {x[~ok].flat[0]}")
-    n_shift = max(10, int(0.6 * abs(s)) + 8, int(4 - s.real))
-    head = np.exp(-s * np.log(x[..., None] + np.arange(n_shift))).sum(axis=-1)
+    n_shift = max(10, int(0.6 * np.max(np.abs(s))) + 8, int(4 - np.min(np.real(s))))
+    head = np.exp(-np.expand_dims(s, -1) * np.log(x[..., None] + np.arange(n_shift))).sum(axis=-1)
     w = x + n_shift
     ws = np.exp(-s * np.log(w))  # w^{-s}
     tail = w * ws / (s - 1.0) + 0.5 * ws
     # Bernoulli corrections B_{2j}/(2j)! (s)_{2j-1} w^{-s-2j+1}, summed by
-    # Horner in w^-2 from the smallest term
+    # Horner in w^-2 from the smallest term (poch is rebound: an array s stays as given)
     coef = []
     poch, fact = s, 2.0
     for j, b in enumerate(_BERNOULLI_2N[:_EM_ORDER], start=1):
         coef.append(b / fact * poch)
-        poch *= (s + 2 * j - 1) * (s + 2 * j)
+        poch = poch * ((s + 2 * j - 1) * (s + 2 * j))
         fact *= (2 * j + 1) * (2 * j + 2)
     w2 = 1.0 / (w * w)
     corr = coef[-1]

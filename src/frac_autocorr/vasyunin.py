@@ -10,8 +10,9 @@ about two roundings and numpy's pairwise row sum adds O(log q eps
 sum |terms|) (Higham, SIAM J. Sci. Comput. 14, 1993); against a 30-digit
 reference the worst error for q <= 4096 is about 5e-16 q (the acceptance
 bound is 1e-8 q).  A row's sum does not depend on the rows beside it, so
-an entry and the same entry of a whole row are bit-identical.  The last
-32 cot and digamma tables of q <= 2^14 are cached (at most 4 MB each).
+an entry and the same entry of a whole row are bit-identical.  Each call
+builds its own cot table (8q bytes) and frees it on return; the digamma
+route keeps its last two tables, since every caller loops p inside one q.
 The other routes keep their own int64 remainders; the digamma route
 serves q <= 2^20, a cap set by time.
 """
@@ -49,26 +50,6 @@ def _require_coprime(p: int, q: int) -> None:
         )
 
 
-# A grid or scan meets most q once, a sweep or lookup batch repeats q within a
-# few calls: 16 to 128 entries save the same builds.  Only q <= 2^14 is cached
-# (32 tables hold at most 4 MB, where 32 near 2^19 held 129 MB); a larger table
-# is built per call, at about 0.6 of a one-value kernel call at q = 2^19 + 1.
-_TABLE_CACHE_MAX_Q = 1 << 14
-
-
-def _small_q_cache(build):
-    """build(q), LRU-cached for the last 32 q <= _TABLE_CACHE_MAX_Q."""
-    cached = functools.lru_cache(maxsize=32)(build)
-    table = functools.wraps(build)(lambda q: cached(q) if q <= _TABLE_CACHE_MAX_Q else build(q))
-    table.cache_clear, table.cache_info = cached.cache_clear, cached.cache_info
-    return table
-
-
-@_small_q_cache
-def _cot_table(q: int) -> np.ndarray:
-    return cot_pi_frac_table(q)
-
-
 _V_BLOCK = 1 << 17  # elements per block of _v_rows, so its temporaries stay small
 
 
@@ -94,7 +75,7 @@ def _v_rows(q: int, ps: np.ndarray) -> np.ndarray:
     """
     if q > COT_TABLE_MAX_Q:
         raise DomainError(f"V(p, q): q = {q} exceeds 2^25, the largest q of the V kernel")
-    ct = _cot_table(q)
+    ct = cot_pi_frac_table(q)
     pf = ps.astype(np.float64)[:, None]
     width = min(q - 1, _V_BLOCK)
     k = INDEX_RANGE[1 : width + 1] if width < INDEX_RANGE.size else np.arange(1.0, width + 1)
@@ -114,17 +95,16 @@ def _v_rows(q: int, ps: np.ndarray) -> np.ndarray:
 
 def _v_pairs(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """V(num[i], den[i]) for int64 arrays, each num in [0, den) coprime to den
-    (V(0, 1) = 0), by one _v_rows call per distinct denominator, largest first:
-    the longest rows run before the table cache fills with single-use tables."""
+    (V(0, 1) = 0), by one _v_rows call per distinct denominator."""
     out = np.zeros(den.size, dtype=np.float64)
-    order = np.argsort(-den, kind="stable")
+    order = np.argsort(den)
     for idx in np.split(order, np.flatnonzero(np.diff(den[order])) + 1):
         if idx.size and den[idx[0]] > 1:
             out[idx] = _v_rows(int(den[idx[0]]), num[idx])
     return out
 
 
-@_small_q_cache
+@functools.lru_cache(maxsize=2)  # every caller loops p inside one q
 def _psi_table(q: int) -> np.ndarray:
     """psi(k/q) for k = 1 .. q-1."""
     return digamma_vec(np.arange(1, q) / q)
@@ -141,7 +121,7 @@ def vasyunin_cot(p: int, q: int) -> float:
 def vasyunin_b1cot(p: int, q: int) -> float:
     """V(p, q) through the half-range form 2 sum_{k<q/2} B_1(kp/q) cot(k pi/q)."""
     _require_coprime(p, q)
-    cot = _cot_table(q)  # first: past its q cap it raises before the index rows are built
+    cot = cot_pi_frac_table(q)  # first: past its q cap it raises before the index rows are built
     if q <= 2:
         return 0.0
     half = (q - 1) // 2 if q % 2 else q // 2 - 1

@@ -1,8 +1,11 @@
+import math
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from frac_autocorr.errors import DomainError
+from frac_autocorr.errors import DomainError, ToleranceError
 from frac_autocorr.estermann import g1
 from frac_autocorr.mellin_verify import (
     a_unit_grid,
@@ -26,14 +29,30 @@ def test_fracpart_closed_form():
         assert abs(v - want) < 1e-9, s
 
 
-def test_fracpart_scaling_rule():
-    # M[x -> f(lambda x)](s) = lambda^{-s} М f(s)
-    for lam in (Fraction(2), Fraction(1, 3)):
-        for s in (-0.5, -0.4 + 1j):
-            base = mellin_fracpart(s)
-            scaled = mellin_fracpart(s, scale=lam)
-            want = float(lam) ** (-complex(s)) * base
-            assert abs(scaled - want) < 1e-6
+@pytest.mark.parametrize("re_s", [-0.99, -0.9, -0.5, -0.1, -0.01])
+def test_fracpart_meets_its_bound_over_the_strip(mp, re_s):
+    # the docstring's 1e-10 against a 30-digit zeta(-s)/s, from the real axis
+    # to |Im s| = 100, where the tail needs the most panels
+    for im_s in (0.0, 0.5, 3.0, 20.0, 100.0):
+        s = complex(re_s, im_s)
+        want = complex(mp.zeta(-mp.mpc(s)) / mp.mpc(s))
+        assert abs(mellin_fracpart(s) - want) <= 1e-10, s
+
+
+def test_fracpart_past_its_panel_cap_raises_before_allocating():
+    # near Re s = 0 the tail bound needs more than 2^20 unit panels from
+    # |Im s| = 166 on; 5.5e6 at -0.01 + 1000i
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(ToleranceError, match="2\\^20") as info:
+            mellin_fracpart(-0.01 + 1000j)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20 and elapsed < 1.0
+    assert 1e-10 < info.value.achieved < math.inf
 
 
 def test_strip_enforced():
@@ -66,13 +85,6 @@ def test_target_validation():
         mellin_delta(-0.5, 2, 4)
     with pytest.raises(ValueError):
         mellin_identity_residual("bogus", -0.5)
-
-
-@pytest.mark.parametrize("scale", [0, -1, Fraction(-1, 3), 0.0, float("inf"), float("nan")])
-def test_fracpart_scale_must_be_positive_and_finite(scale):
-    # scale 0 once divided by zero and -1 took the log of a negative
-    with pytest.raises(DomainError, match="scale"):
-        mellin_fracpart(-0.5, scale)
 
 
 @pytest.mark.parametrize("q", [0, -3])

@@ -320,6 +320,34 @@ def test_hurwitz_past_one_against_mpmath(mp):
         assert abs(got - want) <= 1e-15 * (1 + abs(s) * math.log(a)) * abs(want), (a, s)
 
 
+@pytest.mark.parametrize("a0", [1.3 - 0.7j, 3.0, 1.05 + 3.0j, 2.01 - 1.0j])
+@pytest.mark.parametrize("x", [1.5, 32.5, np.array([0.3, 1.5, 2.5])])
+def test_hurwitz_array_s_equals_scalar_calls(mp, a0, x):
+    # the moment sum's orders Z_e = zeta(a + e, x), e < 100, in one call: the
+    # shift follows the largest |s|, so an entry moves from its own scalar call
+    # by rounding only, and the caller's s is left as it came
+    s = a0 + np.arange(100.0)
+    keep = s.copy()
+    got = hurwitz_zeta(s[:, None], np.atleast_1d(x))
+    assert np.array_equal(s, keep)
+    assert got.shape == (100, np.size(x)) and got.dtype == np.complex128
+    for i, si in enumerate(s.tolist()):
+        for j, xj in enumerate(np.atleast_1d(x).tolist()):
+            want = hurwitz_zeta(si, xj)
+            assert abs(got[i, j] - want) <= 1e-15 * abs(want), (si, xj)
+    # and against mpmath at the docstring's bound, where it covers (Re s <= 60, a > 1)
+    for si in s[:58:19].tolist():
+        for j, xj in enumerate(np.atleast_1d(x).tolist()):
+            if xj > 1.0:
+                with mp.workdps(int(40 + si.real * math.log10(xj + 1))):
+                    want = complex(mp.zeta(mp.mpc(si), mp.mpf(xj)))
+                tol = 1e-15 * (1 + abs(si) * math.log(xj)) * abs(want)
+                assert abs(got[round(si.real - a0.real), j] - want) <= tol, (si, xj)
+    assert isinstance(hurwitz_zeta(complex(a0), 1.5), complex)
+    with pytest.raises(PoleError):
+        hurwitz_zeta(np.array([0.5, 1.0, 2.0]), 1.5)
+
+
 def test_hurwitz_array_domain_checked_entrywise():
     for bad in (0.0, -0.25, float("inf"), float("nan")):
         with pytest.raises(DomainError):

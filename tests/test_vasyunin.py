@@ -3,6 +3,7 @@ import random
 import sys
 import time
 import tracemalloc
+import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -310,8 +311,7 @@ def test_digamma_route_serves_its_cap():
 
 
 def _held_bytes_after(fn) -> int:
-    """tracemalloc's current (held) bytes after fn() from cold V caches."""
-    vasyunin._cot_table.cache_clear()
+    """tracemalloc's current (held) bytes after fn() from a cold A grid cache."""
     mellin_verify.a_unit_grid.cache_clear()
     tracemalloc.start()
     try:
@@ -323,16 +323,15 @@ def _held_bytes_after(fn) -> int:
 
 
 def test_a_unit_grid_leaves_few_cot_tables_alive():
-    # the grid meets most denominators once: a large cot cache would keep
-    # its largest single-use tables (about 24 MB at Q = 4096)
+    # the grid meets most denominators once: a cot table kept past its call
+    # would hold single-use tables (32 of the largest took about 24 MB at Q = 4096)
     assert _held_bytes_after(lambda: mellin_verify.a_unit_grid(4096)) < 4 << 20
 
 
-def test_a_unit_grid_runs_its_largest_rows_before_the_cache_fills():
-    # at Q = 2^14 the rows q = 2^13, 2^14 take 2 MB block buffers; run after
-    # the odd denominators they met a full cache of about 4 MB of single-use
-    # tables (peak 8.3 MB), run first they meet an empty one (6.4 MB)
-    vasyunin._cot_table.cache_clear()
+def test_a_unit_grid_peak_holds_one_row_block_at_a_time():
+    # at Q = 2^14 the rows q = 2^13, 2^14 take 2 MB block buffers, and each
+    # cot table lives only through its own rows: the cold grid peaks at about
+    # 4.4 MB (a 32-table cache of single-use tables took it to 6.4-8.3 MB)
     mellin_verify.a_unit_grid.cache_clear()
     tracemalloc.start()
     try:
@@ -340,7 +339,7 @@ def test_a_unit_grid_runs_its_largest_rows_before_the_cache_fills():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 7 << 20
+    assert peak < 5 << 20
 
 
 def test_scattered_values_leave_few_cot_tables_alive():
@@ -355,8 +354,8 @@ def test_scattered_values_leave_few_cot_tables_alive():
 
 
 def test_large_q_values_leave_no_tables_alive():
-    # a table of q entries takes 8q bytes: 32 cached tables near 2^19 held
-    # 129 MB, so tables past the cache's q bound are freed with their call
+    # a table of q entries takes 8q bytes (32 cached tables near 2^19 once
+    # held 129 MB): each is freed with its call
     def large():
         for q in range(2**19 + 1, 2**19 + 81, 2):
             vasyunin_cot(1, q)
@@ -364,13 +363,23 @@ def test_large_q_values_leave_no_tables_alive():
     assert _held_bytes_after(large) < 8 << 20
 
 
-@pytest.mark.parametrize("q", [97, 1000])
-def test_uncached_tables_give_the_same_values(monkeypatch, q):
-    # a low cache bound sends every table of this q through the per-call build
-    row = v_row(q)
-    monkeypatch.setattr(vasyunin, "_TABLE_CACHE_MAX_Q", 50)
-    vasyunin._cot_table.cache_clear()
+def test_digamma_route_holds_at_most_two_tables():
+    # every caller loops p inside one q, so two tables (16 MB at the 2^20 cap)
+    # hold all the reuse there is: a third q near 2^19 frees the first table
     vasyunin._psi_table.cache_clear()
+    tables = []
+    for q in (2**19 + 1, 2**19 + 3, 2**19 + 5):
+        vasyunin_noncoprime(1, q)
+        tables.append(weakref.ref(vasyunin._psi_table(q)))  # a hit: the table the call read
+    assert vasyunin._psi_table.cache_info().currsize == 2
+    assert [t() is None for t in tables] == [True, False, False]
+
+
+@pytest.mark.parametrize("q", [97, 1000])
+def test_uncached_tables_give_the_same_values(q):
+    # every table is built per call: a whole row, each entry alone and the
+    # other two routes agree
+    row = v_row(q)
     assert v_row(q) == row
     for p, v in row:
         assert vasyunin_cot(p, q) == v
@@ -378,8 +387,6 @@ def test_uncached_tables_give_the_same_values(monkeypatch, q):
         assert abs(v - vasyunin_b1cot(p, q)) <= 1e-10 * q
         assert abs(v - vasyunin_psi(p, q)) <= 1e-9 * q
         assert abs(v - _psi_frac(p, q)) <= 1e-9 * q
-    assert vasyunin._cot_table.cache_info().currsize == 0
-    assert vasyunin._psi_table.cache_info().currsize == 0
 
 
 def test_psi_table_against_mpmath(mp):
